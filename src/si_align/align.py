@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AlignedPair, DocumentPair, ParseError, ValidationError
-from .embeddings import SOURCE, TARGET, EmbeddingTable, MissingWindowError, cosine
+from .embeddings import SOURCE, TARGET, EmbeddingTable, cosine
 
 log = logging.getLogger(__name__)
 
@@ -78,26 +78,6 @@ def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int
         j = rng.randrange(table.n_target_units)
         acc += 1.0 - cosine(table.vector(SOURCE, i, 1), table.vector(TARGET, j, 1))
     return max(acc / sample_size, DENOM_FLOOR)
-
-
-def link_cost(src_span: tuple[int, int], tgt_span: tuple[int, int],
-              table: EmbeddingTable, denom: float, skip_penalty: float) -> float:
-    """Cost of one link.
-
-    Both spans non-empty: (1 - cos) / denom scaled by (|src| + |tgt|) / 2 so
-    merged links pay proportionally. One empty span: skip_penalty per unit.
-    """
-    (si, sl), (ti, tl) = src_span, tgt_span
-    if sl == 0 and tl == 0:
-        raise ValidationError("link needs at least one non-empty span")
-    if sl == 0 or tl == 0:
-        return skip_penalty * (sl + tl)
-    if sl > table.max_src_window:
-        raise MissingWindowError(SOURCE, si, sl)
-    if tl > table.max_tgt_window:
-        raise MissingWindowError(TARGET, ti, tl)
-    sim = cosine(table.vector(SOURCE, si, sl), table.vector(TARGET, ti, tl))
-    return (1.0 - sim) / denom * (sl + tl) / 2.0
 
 
 def _cosine_grid(table: EmbeddingTable, m: int, n: int,
@@ -218,17 +198,15 @@ def validate_alignment(alignment: AlignmentSet, m: int, n: int) -> None:
         )
 
 
-def write_alignment_jsonl(alignment: AlignmentSet, path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for link in alignment.links:
-            handle.write(json.dumps({
-                "talk_id": alignment.talk_id,
-                "src_start": link.src_start, "src_len": link.src_len,
-                "tgt_start": link.tgt_start, "tgt_len": link.tgt_len,
-                "cost": link.cost,
-                "dropped": link.dropped, "drop_reason": link.drop_reason,
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+def links_text(talk_id: str, links) -> str:
+    """JSON Lines, one link per row, in the given order."""
+    return "".join(json.dumps({
+        "talk_id": talk_id,
+        "src_start": link.src_start, "src_len": link.src_len,
+        "tgt_start": link.tgt_start, "tgt_len": link.tgt_len,
+        "cost": link.cost,
+        "dropped": link.dropped, "drop_reason": link.drop_reason,
+    }, ensure_ascii=False, sort_keys=True) + "\n" for link in links)
 
 
 def read_alignment_jsonl(path) -> AlignmentSet:

@@ -81,14 +81,31 @@ _ALIGN_FLAG_MAP = {
     "skip_penalty": "skip_penalty",
 }
 _INTER_FLAGS = ("alpha_min", "gamma_min", "gamma_max", "eta_min")
+_SYNTH_FLAGS = ("talks", "sentences", "vocab_size", "seed")
 
 
 def _dataclass_from(cls, obj: dict, context: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - fields
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
+    for key, value in obj.items():
+        # a number field takes its default's type; an int is also a valid float
+        default = fields[key].default
+        if isinstance(default, bool) or not isinstance(default, (int, float)):
+            continue
+        allowed = int if isinstance(default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValidationError(
+                f"{context}.{key}: expected {type(default).__name__}, got {value!r}")
     return cls(**obj)
+
+
+def _pos_set(values, context: str) -> frozenset:
+    try:
+        return frozenset(cm.Pos(p) for p in values)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{context}: expected a list of POS tags, got {values!r}") from exc
 
 
 def load_config(path: Path | None, args) -> PipelineConfig:
@@ -110,9 +127,9 @@ def load_config(path: Path | None, args) -> PipelineConfig:
     per_talk_raw = inter_obj.pop("per_talk", {})
     intra_obj = dict(raw.get("intra", {}))
     if "content_pos" in intra_obj:
-        intra_obj["content_pos"] = frozenset(cm.Pos(p) for p in intra_obj["content_pos"])
+        intra_obj["content_pos"] = _pos_set(intra_obj["content_pos"], "intra.content_pos")
     if "coverage_pos" in inter_obj:
-        inter_obj["coverage_pos"] = frozenset(cm.Pos(p) for p in inter_obj["coverage_pos"])
+        inter_obj["coverage_pos"] = _pos_set(inter_obj["coverage_pos"], "inter.coverage_pos")
 
     for flag, field_name in _ALIGN_FLAG_MAP.items():
         value = getattr(args, flag, None)
@@ -127,14 +144,18 @@ def load_config(path: Path | None, args) -> PipelineConfig:
     per_talk = {}
     for talk_id, overrides in per_talk_raw.items():
         merged = {**inter_obj, **overrides}
-        if "coverage_pos" in merged and not isinstance(merged["coverage_pos"], frozenset):
-            merged["coverage_pos"] = frozenset(cm.Pos(p) for p in merged["coverage_pos"])
-        per_talk[talk_id] = _dataclass_from(fi.InterFilterParams, merged, f"inter.per_talk.{talk_id}")
+        context = f"inter.per_talk.{talk_id}"
+        if "coverage_pos" in overrides:
+            merged["coverage_pos"] = _pos_set(overrides["coverage_pos"], f"{context}.coverage_pos")
+        per_talk[talk_id] = _dataclass_from(fi.InterFilterParams, merged, context)
 
-    synth_obj = raw.get("synth", {})
+    synth_obj = dict(raw.get("synth", {}))
     noise_obj = dict(raw.get("noise", {}))
+    for flag in _SYNTH_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            synth_obj[flag] = value
     if getattr(args, "seed", None) is not None:
-        synth_obj = {**synth_obj, "seed": args.seed}
         noise_obj["rng_seed"] = args.seed
 
     em.EmbeddingProviderSpec.from_dict(raw.get("embedding", {}))  # validate early
@@ -218,35 +239,14 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
-def _links_jsonl(talk_id: str, links) -> str:
-    rows = []
-    for link in links:
-        rows.append(json.dumps({
-            "talk_id": talk_id,
-            "src_start": link.src_start, "src_len": link.src_len,
-            "tgt_start": link.tgt_start, "tgt_len": link.tgt_len,
-            "cost": link.cost, "dropped": link.dropped, "drop_reason": link.drop_reason,
-        }, ensure_ascii=False, sort_keys=True))
-    return "".join(r + "\n" for r in rows)
-
-
 def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
     if cfg.corpus is None:
         raise ValidationError("config needs a 'corpus' path for this command")
-    obj = json.loads(Path(cfg.corpus).read_text(encoding="utf-8"))
-    base = Path(cfg.corpus).parent
-    docs = []
-    for rel in obj["talks"]:
-        manifest = cm.read_manifest(base / rel)
-        docs.append(cm.load_document_pair(manifest))
+    docs = [cm.load_document_pair(cm.read_manifest(path)) for path in cm.read_corpus(cfg.corpus)]
     ids = [d.talk_id for d in docs]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate talk_id in corpus")
     return docs
-
-
-def _ranks(cfg: PipelineConfig) -> dict[str, cm.Rank]:
-    return {d.talk_id: d.interpreter_rank for d in load_corpus(cfg)}
 
 
 def build_table(doc: cm.DocumentPair, cfg: PipelineConfig) -> em.EmbeddingTable:
@@ -278,49 +278,33 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     out = cfg.out_dir
     rels = []
     for talk in talks:
-        talk_dir = out / "talks" / talk.doc.talk_id
-        manifest_path = cm.write_document_pair(talk.doc, talk_dir)
-        rels.append(str(manifest_path.relative_to(out)))
-        for name in ("source_units.txt", "target_units.txt",
-                     "source_tags.tsv", "target_tags.tsv", "manifest.json"):
-            text = (talk_dir / name).read_text(encoding="utf-8")
-            manifest.artifacts[str((talk_dir / name).relative_to(out))] = \
-                hashlib.sha256(text.encode("utf-8")).hexdigest()
-        manifest.write_artifact(out / "gold" / f"{talk.doc.talk_id}.gold.jsonl",
-                                _links_jsonl(talk.doc.talk_id, talk.gold.links))
-        manifest.write_artifact(
-            out / "gold" / f"{talk.doc.talk_id}.provenance.json",
-            json.dumps(list(talk.provenance), ensure_ascii=False) + "\n")
+        talk_id = talk.doc.talk_id
+        talk_dir = out / "talks" / talk_id
+        for name, text in cm.talk_texts(talk.doc).items():
+            manifest.write_artifact(talk_dir / name, text)
+        rels.append(str((talk_dir / cm.MANIFEST_NAME).relative_to(out)))
+        manifest.write_artifact(out / "gold" / f"{talk_id}.gold.jsonl",
+                                al.links_text(talk_id, talk.gold.links))
+        manifest.write_artifact(out / "gold" / f"{talk_id}.provenance.json",
+                                sb.provenance_text(talk))
         ref = sb.build_reference(talk.doc, cfg.align_params.max_src_span)
-        ref_rows = []
-        for (start, length) in sorted(ref.entries):
-            entry = ref.entries[(start, length)]
-            ref_rows.append(json.dumps({
-                "talk_id": ref.talk_id, "src_start": start, "src_len": length,
-                "text": entry.text,
-                "tokens": [[t.surface, t.pos.value] for t in entry.tokens],
-            }, ensure_ascii=False, sort_keys=True))
-        manifest.write_artifact(out / "refs" / f"{talk.doc.talk_id}.refs.jsonl",
-                                "".join(r + "\n" for r in ref_rows))
-    manifest.write_artifact(
-        out / "corpus.json",
-        json.dumps({"talks": rels}, indent=2, sort_keys=True) + "\n")
-    manifest.write_artifact(
-        out / "allowlist.txt",
-        "".join(t.doc.talk_id + "\n" for t in talks))
+        manifest.write_artifact(out / "refs" / f"{talk_id}.refs.jsonl",
+                                fi.references_text(ref))
+    manifest.write_artifact(out / "corpus.json", cm.corpus_text(rels))
+    manifest.write_artifact(out / "allowlist.txt",
+                            sp.allowlist_text(t.doc.talk_id for t in talks))
     manifest.save()
     log.info("synthesized %d talks into %s", len(talks), out)
     return EXIT_OK
 
 
-def cmd_align(cfg: PipelineConfig) -> int:
+def cmd_align(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     manifest = RunManifest("align", cfg)
     manifest.add_input(cfg.corpus)
-    docs = load_corpus(cfg)
     results = _map_talks(_align_one, docs, cfg)
     for doc, aset in zip(docs, results):
         manifest.write_artifact(cfg.out_dir / STAGE_COARSE / f"{doc.talk_id}.jsonl",
-                                _links_jsonl(doc.talk_id, aset.links))
+                                al.links_text(doc.talk_id, aset.links))
     manifest.save()
     return EXIT_OK
 
@@ -347,51 +331,29 @@ def cmd_validate(cfg: PipelineConfig) -> int:
         auto = _read_stage(cfg, STAGE_COARSE, doc.talk_id)
         report = rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons))
         reports.append(report)
-        obj = {
-            "talk_id": report.talk_id,
-            "per_sentence": [[i, s] for i, s in report.per_sentence],
-            "accuracy_at": {repr(e): a for e, a in sorted(report.accuracy_at.items())},
-        }
-        manifest.write_artifact(
-            cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
-            json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    epsilons = sorted({e for r in reports for e in r.accuracy_at})
-    lines = ["talk_id\tn_links\t" + "\t".join(f"acc@{e:g}" for e in epsilons)]
-    for r in reports:
-        cells = [f"{r.accuracy_at.get(e, 0.0):.4f}" for e in epsilons]
-        lines.append(f"{r.talk_id}\t{len(r.per_sentence)}\t" + "\t".join(cells))
+        manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
+                                rv.report_text(report))
     manifest.write_artifact(cfg.out_dir / "reports" / "recovery.tsv",
-                            "\n".join(lines) + "\n")
+                            rv.summary_tsv_text(reports))
     manifest.save()
     return EXIT_OK
 
 
-def cmd_filter_intra(cfg: PipelineConfig) -> int:
+def cmd_filter_intra(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     manifest = RunManifest("filter-intra", cfg)
     manifest.add_input(cfg.corpus)
-    docs = load_corpus(cfg)
     for doc in docs:
-        coarse = _read_stage(cfg, STAGE_COARSE, doc.talk_id)
-        results = fa.apply_intra_filter(coarse.kept(), doc, cfg.intra_params)
-        out_links = [r.pair for r in results]
+        pairs = _read_stage(cfg, STAGE_COARSE, doc.talk_id).kept()
+        results = fa.apply_intra_filter(pairs, doc, cfg.intra_params)
         manifest.write_artifact(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.jsonl",
-                                _links_jsonl(doc.talk_id, out_links))
-        trim_rows = []
-        for original, r in zip(coarse.kept(), results):
-            trim_rows.append(json.dumps({
-                "talk_id": doc.talk_id,
-                "src_start": original.src_start, "src_len": original.src_len,
-                "tgt_start": original.tgt_start, "tgt_len": original.tgt_len,
-                "new_tgt_start": r.pair.tgt_start, "new_tgt_len": r.pair.tgt_len,
-                "trims": list(r.trims), "flagged": r.flagged,
-            }, ensure_ascii=False, sort_keys=True))
+                                al.links_text(doc.talk_id, [r.pair for r in results]))
         manifest.write_artifact(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.trims.jsonl",
-                                "".join(t + "\n" for t in trim_rows))
+                                fa.trims_text(doc.talk_id, pairs, results))
     manifest.save()
     return EXIT_OK
 
 
-def cmd_filter_inter(cfg: PipelineConfig) -> int:
+def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     manifest = RunManifest("filter-inter", cfg)
     manifest.add_input(cfg.corpus)
     if cfg.refs_dir is None:
@@ -400,74 +362,40 @@ def cmd_filter_inter(cfg: PipelineConfig) -> int:
     if cfg.scores_path is not None:
         manifest.add_input(cfg.scores_path)
         scorer = fi.read_external_scores(cfg.scores_path)
-    docs = load_corpus(cfg)
     for doc in docs:
         ref_path = cfg.refs_dir / f"{doc.talk_id}.refs.jsonl"
         manifest.add_input(ref_path)
         ref = fi.read_reference_jsonl(ref_path, talk_id=doc.talk_id)
         intra = _read_stage(cfg, STAGE_INTRA, doc.talk_id)
-        trims = _read_trims(cfg, doc.talk_id)
+        trims = fa.read_trims(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.trims.jsonl")
         params = cfg.per_talk_inter.get(doc.talk_id, cfg.inter_params)
         kept, decisions = fi.apply_inter_filter(
             intra.kept(), doc, ref, params, scorer=scorer, trims_by_pair=trims)
         manifest.write_artifact(cfg.out_dir / STAGE_INTER / f"{doc.talk_id}.jsonl",
-                                _links_jsonl(doc.talk_id, kept))
-        rows = []
-        for d in decisions:
-            rows.append(json.dumps({
-                "talk_id": d.talk_id,
-                "src_start": d.src_start, "src_len": d.src_len,
-                "tgt_start": d.tgt_start, "tgt_len": d.tgt_len,
-                "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
-                "trims": list(d.trims), "verdict": d.verdict, "reasons": list(d.reasons),
-            }, ensure_ascii=False, sort_keys=True))
+                                al.links_text(doc.talk_id, kept))
         manifest.write_artifact(cfg.out_dir / "decisions" / f"{doc.talk_id}.jsonl",
-                                "".join(r + "\n" for r in rows))
+                                fi.decisions_text(decisions))
     manifest.save()
     return EXIT_OK
 
 
-def _read_trims(cfg: PipelineConfig, talk_id: str) -> dict:
-    path = cfg.out_dir / STAGE_INTRA / f"{talk_id}.trims.jsonl"
-    trims = {}
-    if not path.exists():
-        return trims
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            key = (obj["src_start"], obj["src_len"], obj["new_tgt_start"], obj["new_tgt_len"])
-            trims[key] = tuple(obj["trims"])
-    return trims
-
-
-def cmd_split(cfg: PipelineConfig) -> int:
+def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     manifest = RunManifest("split", cfg)
     manifest.add_input(cfg.corpus)
     if cfg.allowlist is None:
         raise ValidationError("config needs 'allowlist' for split")
     manifest.add_input(cfg.allowlist)
-    talk_ids = [d.talk_id for d in load_corpus(cfg)]
     allow = sp.read_allowlist(cfg.allowlist)
-    split = sp.make_split(talk_ids, allow, cfg.dev_ids, cfg.test_ids,
+    split = sp.make_split([d.talk_id for d in docs], allow, cfg.dev_ids, cfg.test_ids,
                           allowlist_source=str(cfg.allowlist))
-    obj = {
-        "train_ids": sorted(split.train_ids),
-        "dev_ids": sorted(split.dev_ids),
-        "test_ids": sorted(split.test_ids),
-        "allowlist_id_source": Path(split.allowlist_id_source).name,
-    }
-    manifest.write_artifact(cfg.out_dir / "split.json",
-                            json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    manifest.write_artifact(cfg.out_dir / "split.json", sp.split_text(split))
     manifest.save()
     return EXIT_OK
 
 
-def cmd_stats(cfg: PipelineConfig) -> int:
+def cmd_stats(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     manifest = RunManifest("stats", cfg)
     manifest.add_input(cfg.corpus)
-    docs = load_corpus(cfg)
     ranks = {d.talk_id: d.interpreter_rank for d in docs}
     pair_counts: dict[str, dict[str, int]] = {}
     for stage in (STAGE_COARSE, STAGE_INTRA, STAGE_INTER):
@@ -497,14 +425,8 @@ def cmd_export_anno(cfg: PipelineConfig, stage: str) -> int:
         aset = _read_stage(cfg, stage, doc.talk_id)
         pairs = [l for l in aset.kept() if not l.src_empty and not l.tgt_empty]
         by_talk[doc.talk_id] = (pairs, doc)
-    records = cu.export_annotations(by_talk)
-    lines = ["\t".join(cu.HEADER)]
-    for r in records:
-        lines.append("\t".join((
-            r.talk_id, str(r.src_start), str(r.src_len), str(r.tgt_start), str(r.tgt_len),
-            r.source_text, r.target_text, "", "", "",
-        )))
-    manifest.write_artifact(cfg.out_dir / "annotations.tsv", "\n".join(lines) + "\n")
+    manifest.write_artifact(cfg.out_dir / "annotations.tsv",
+                            cu.annotations_text(cu.export_annotations(by_talk)))
     manifest.save()
     return EXIT_OK
 
@@ -517,51 +439,49 @@ def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> int:
         docs = {d.talk_id: d for d in load_corpus(cfg)}
         manifest.add_input(cfg.corpus)
     kept, label_counts = cu.import_annotations(anno_path, docs)
-    rows = []
-    for c in kept:
-        rows.append(json.dumps({
-            "talk_id": c.talk_id,
-            "src_start": c.pair.src_start, "src_len": c.pair.src_len,
-            "tgt_start": c.pair.tgt_start, "tgt_len": c.pair.tgt_len,
-            "source_text": c.source_text, "target_text": c.target_text,
-        }, ensure_ascii=False, sort_keys=True))
-    manifest.write_artifact(cfg.out_dir / "curated.jsonl",
-                            "".join(r + "\n" for r in rows))
-    counts_obj = {f"{a or 'unset'}/{m or 'unset'}": n
-                  for (a, m), n in sorted(label_counts.items())}
-    manifest.write_artifact(cfg.out_dir / "curation_counts.json",
-                            json.dumps(counts_obj, indent=2, sort_keys=True) + "\n")
+    manifest.write_artifact(cfg.out_dir / "curated.jsonl", cu.curated_text(kept))
+    manifest.write_artifact(cfg.out_dir / "curation_counts.json", cu.counts_text(label_counts))
     manifest.save()
     return EXIT_OK
 
 
 def cmd_bench(cfg: PipelineConfig) -> int:
     manifest = RunManifest("bench", cfg)
-    lines = ["omission_rate\tmistranslation_rate\tsplit_rate\tmerge_rate\tfiller_rate"
-             "\ttalks\tprecision\trecall\tf1"]
+    rows = []
     for om in cfg.bench_omission_rates:
         noise = dataclasses.replace(cfg.noise, omission_rate=om)
         triple = sb.run_bench_setting(cfg.synth_seed, cfg.bench_talks,
                                       cfg.synth_sentences, noise, cfg.synth_vocab,
                                       params=cfg.align_params)
-        lines.append("\t".join((
-            f"{noise.omission_rate:g}", f"{noise.mistranslation_rate:g}",
-            f"{noise.split_rate:g}", f"{noise.merge_rate:g}", f"{noise.filler_rate:g}",
-            str(cfg.bench_talks),
-            f"{triple.precision:.4f}", f"{triple.recall:.4f}", f"{triple.f1:.4f}",
-        )))
-    manifest.write_artifact(cfg.out_dir / "bench.tsv", "\n".join(lines) + "\n")
+        rows.append((noise, cfg.bench_talks, triple))
+    text = sb.bench_text(rows)
+    manifest.write_artifact(cfg.out_dir / "bench.tsv", text)
     manifest.save()
-    print("\n".join(lines))
+    print(text, end="")
     return EXIT_OK
 
 
-def cmd_pipeline(cfg: PipelineConfig) -> int:
+def cmd_pipeline(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     for step in (cmd_align, cmd_filter_intra, cmd_filter_inter, cmd_split, cmd_stats):
-        code = step(cfg)
-        if code != EXIT_OK:
-            return code
+        step(cfg, docs)
     return EXIT_OK
+
+
+# command -> handler(cfg, parsed args); the five pipeline stages take the
+# corpus as loaded documents so that `pipeline` parses it once
+COMMANDS = {
+    "synth": lambda cfg, args: cmd_synth(cfg),
+    "align": lambda cfg, args: cmd_align(cfg, load_corpus(cfg)),
+    "validate": lambda cfg, args: cmd_validate(cfg),
+    "filter-intra": lambda cfg, args: cmd_filter_intra(cfg, load_corpus(cfg)),
+    "filter-inter": lambda cfg, args: cmd_filter_inter(cfg, load_corpus(cfg)),
+    "split": lambda cfg, args: cmd_split(cfg, load_corpus(cfg)),
+    "stats": lambda cfg, args: cmd_stats(cfg, load_corpus(cfg)),
+    "export-anno": lambda cfg, args: cmd_export_anno(cfg, args.stage),
+    "import-anno": lambda cfg, args: cmd_import_anno(cfg, args.annotations),
+    "bench": lambda cfg, args: cmd_bench(cfg),
+    "pipeline": lambda cfg, args: cmd_pipeline(cfg, load_corpus(cfg)),
+}
 
 
 def build_parser() -> _Parser:
@@ -582,18 +502,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="si-align",
                      description="SI corpus alignment and filtering pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("align", "validate", "filter-intra", "filter-inter",
-                 "split", "stats", "bench", "pipeline"):
-        sub.add_parser(name, parents=[common])
-    p_synth = sub.add_parser("synth", parents=[common])
-    p_synth.add_argument("--talks", type=int, default=None)
-    p_synth.add_argument("--sentences", type=int, default=None)
-    p_synth.add_argument("--vocab-size", type=int, default=None)
-    p_export = sub.add_parser("export-anno", parents=[common])
-    p_export.add_argument("--stage", choices=(STAGE_COARSE, STAGE_INTRA, STAGE_INTER),
-                          default=STAGE_INTER)
-    p_import = sub.add_parser("import-anno", parents=[common])
-    p_import.add_argument("annotations", type=Path)
+    subs = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    subs["synth"].add_argument("--talks", type=int, default=None)
+    subs["synth"].add_argument("--sentences", type=int, default=None)
+    subs["synth"].add_argument("--vocab-size", type=int, default=None)
+    subs["export-anno"].add_argument("--stage", choices=(STAGE_COARSE, STAGE_INTRA, STAGE_INTER),
+                                     default=STAGE_INTER)
+    subs["import-anno"].add_argument("annotations", type=Path)
     return parser
 
 
@@ -606,33 +521,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args)
-        if args.command == "synth":
-            if args.talks is not None:
-                cfg.synth_talks = args.talks
-            if args.sentences is not None:
-                cfg.synth_sentences = args.sentences
-            if args.vocab_size is not None:
-                cfg.synth_vocab = args.vocab_size
-            return cmd_synth(cfg)
-        if args.command == "align":
-            return cmd_align(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "filter-intra":
-            return cmd_filter_intra(cfg)
-        if args.command == "filter-inter":
-            return cmd_filter_inter(cfg)
-        if args.command == "split":
-            return cmd_split(cfg)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "export-anno":
-            return cmd_export_anno(cfg, args.stage)
-        if args.command == "import-anno":
-            return cmd_import_anno(cfg, args.annotations)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        return cmd_pipeline(cfg)
+        return COMMANDS[args.command](cfg, args)
     except (ParseError, FileNotFoundError, em.MissingWindowError,
             fi.MissingReferenceError) as exc:
         log.error("%s", exc)

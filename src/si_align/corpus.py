@@ -77,9 +77,6 @@ class TextUnit:
     text: str
     tokens: tuple[Token, ...]
 
-    def has_pos(self, tags) -> bool:
-        return any(t.pos in tags for t in self.tokens)
-
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -289,26 +286,41 @@ def load_document_pair(manifest: TalkManifest) -> DocumentPair:
     return doc
 
 
-def write_document_pair(doc: DocumentPair, out_dir) -> Path:
-    """Write the four talk files plus manifest.json; returns the manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = {
-        "source_units_path": "source_units.txt",
-        "target_units_path": "target_units.txt",
-        "source_tags_path": "source_tags.tsv",
-        "target_tags_path": "target_tags.tsv",
-    }
-    for attr, units in (("source", doc.source_units), ("target", doc.target_units)):
-        unit_lines = "".join(u.text + "\n" for u in units)
-        (out_dir / names[f"{attr}_units_path"]).write_text(unit_lines, encoding="utf-8")
-        tag_lines = "\n".join(
+TALK_FILES = {
+    "source_units_path": "source_units.txt",
+    "target_units_path": "target_units.txt",
+    "source_tags_path": "source_tags.tsv",
+    "target_tags_path": "target_tags.tsv",
+}
+MANIFEST_NAME = "manifest.json"
+
+
+def talk_texts(doc: DocumentPair) -> dict[str, str]:
+    """File name -> contents of the four talk files plus the talk manifest."""
+    texts = {}
+    for side, units in (("source", doc.source_units), ("target", doc.target_units)):
+        texts[TALK_FILES[f"{side}_units_path"]] = "".join(u.text + "\n" for u in units)
+        texts[TALK_FILES[f"{side}_tags_path"]] = "\n".join(
             "".join(f"{tok.surface}\t{tok.pos.value}\n" for tok in u.tokens) for u in units
         )
-        (out_dir / names[f"{attr}_tags_path"]).write_text(tag_lines, encoding="utf-8")
-    manifest_path = out_dir / "manifest.json"
-    obj = {"talk_id": doc.talk_id, "interpreter_rank": doc.interpreter_rank.value, **names}
-    manifest_path.write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest_path
+    obj = {"talk_id": doc.talk_id, "interpreter_rank": doc.interpreter_rank.value, **TALK_FILES}
+    texts[MANIFEST_NAME] = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return texts
+
+
+def corpus_text(manifest_paths) -> str:
+    """Corpus file listing talk manifests by path relative to it."""
+    return json.dumps({"talks": list(manifest_paths)}, indent=2, sort_keys=True) + "\n"
+
+
+def read_corpus(path) -> list[Path]:
+    """Talk manifest paths of a corpus file `{"talks": [...]}`."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid corpus JSON: {exc}", path=path) from exc
+    talks = obj.get("talks") if isinstance(obj, dict) else None
+    if not isinstance(talks, list) or not all(isinstance(t, str) for t in talks):
+        raise ParseError('corpus needs "talks": a list of manifest paths', path=path)
+    return [path.parent / rel for rel in talks]

@@ -8,6 +8,7 @@ loudly instead of silently defaulting.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -81,18 +82,18 @@ def export_annotations(pairs_by_talk: dict[str, tuple[list[AlignedPair], Documen
     return records
 
 
-def write_annotations_tsv(records, path) -> None:
+def annotations_text(records) -> str:
     # normalized text cannot contain tabs or newlines, so plain TSV is safe
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\t".join(HEADER) + "\n")
-        for r in records:
-            handle.write("\t".join((
-                r.talk_id, str(r.src_start), str(r.src_len),
-                str(r.tgt_start), str(r.tgt_len),
-                r.source_text, r.target_text,
-                _bool_str(r.good_align), _bool_str(r.good_mt),
-                r.edited_target if r.edited_target is not None else "",
-            )) + "\n")
+    lines = ["\t".join(HEADER)]
+    for r in records:
+        lines.append("\t".join((
+            r.talk_id, str(r.src_start), str(r.src_len),
+            str(r.tgt_start), str(r.tgt_len),
+            r.source_text, r.target_text,
+            _bool_str(r.good_align), _bool_str(r.good_mt),
+            r.edited_target if r.edited_target is not None else "",
+        )))
+    return "\n".join(lines) + "\n"
 
 
 def _bool_str(value: bool | None) -> str:
@@ -174,3 +175,19 @@ def import_annotations(path, docs: dict[str, DocumentPair] | None = None,
             ))
     log.info("imported %d of %d records", len(kept), len(records))
     return kept, label_counts
+
+
+def curated_text(kept) -> str:
+    """curated.jsonl: one row per kept pair, in the given order."""
+    return "".join(json.dumps({
+        "talk_id": c.talk_id,
+        "src_start": c.pair.src_start, "src_len": c.pair.src_len,
+        "tgt_start": c.pair.tgt_start, "tgt_len": c.pair.tgt_len,
+        "source_text": c.source_text, "target_text": c.target_text,
+    }, ensure_ascii=False, sort_keys=True) + "\n" for c in kept)
+
+
+def counts_text(label_counts: Counter) -> str:
+    """curation_counts.json: records per `good_align/good_mt` label pair."""
+    obj = {f"{a or 'unset'}/{m or 'unset'}": n for (a, m), n in sorted(label_counts.items())}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -167,9 +167,6 @@ class EmbeddingTable:
         except KeyError:
             raise MissingWindowError(side, start, window_len) from None
 
-    def max_window(self, side: str) -> int:
-        return self.max_src_window if side == SOURCE else self.max_tgt_window
-
     def validate(self) -> None:
         for key in expected_window_keys(
             self.n_source_units, self.n_target_units, self.max_src_window, self.max_tgt_window

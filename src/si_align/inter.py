@@ -180,13 +180,6 @@ class ExternalScorer:
         return self._scores[key]
 
 
-def semantic_score(f_text: str, t_text: str, scorer=None) -> float:
-    """Similarity of F to T under the given scorer (builtin chrF by default)."""
-    if scorer is None:
-        scorer = BuiltinScorer()
-    return scorer.score("", (0, 0), f_text, t_text)
-
-
 def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
                        params: InterFilterParams, scorer=None,
                        trims_by_pair: dict | None = None,
@@ -225,15 +218,14 @@ def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
     return kept, decisions
 
 
-def write_reference_jsonl(ref: ReferenceTranslation, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for (start, length) in sorted(ref.entries):
-            entry = ref.entries[(start, length)]
-            handle.write(json.dumps({
-                "talk_id": ref.talk_id, "src_start": start, "src_len": length,
-                "text": entry.text,
-                "tokens": [[t.surface, t.pos.value] for t in entry.tokens],
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+def references_text(ref: ReferenceTranslation) -> str:
+    """JSON Lines, one reference entry per row, ordered by source span."""
+    return "".join(json.dumps({
+        "talk_id": ref.talk_id, "src_start": start, "src_len": length,
+        "text": entry.text,
+        "tokens": [[t.surface, t.pos.value] for t in entry.tokens],
+    }, ensure_ascii=False, sort_keys=True) + "\n"
+        for (start, length), entry in sorted(ref.entries.items()))
 
 
 def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
@@ -279,14 +271,13 @@ def read_external_scores(path) -> ExternalScorer:
     return ExternalScorer(scores)
 
 
-def write_decisions_jsonl(decisions, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for d in decisions:
-            handle.write(json.dumps({
-                "talk_id": d.talk_id,
-                "src_start": d.src_start, "src_len": d.src_len,
-                "tgt_start": d.tgt_start, "tgt_len": d.tgt_len,
-                "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
-                "trims": list(d.trims),
-                "verdict": d.verdict, "reasons": list(d.reasons),
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+def decisions_text(decisions) -> str:
+    """JSON Lines, one filter decision per row, in the given order."""
+    return "".join(json.dumps({
+        "talk_id": d.talk_id,
+        "src_start": d.src_start, "src_len": d.src_len,
+        "tgt_start": d.tgt_start, "tgt_len": d.tgt_len,
+        "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
+        "trims": list(d.trims),
+        "verdict": d.verdict, "reasons": list(d.reasons),
+    }, ensure_ascii=False, sort_keys=True) + "\n" for d in decisions)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from pathlib import Path
 
 from .align import AlignmentSet
 from .corpus import DocumentPair, ValidationError, normalize_text
@@ -78,22 +77,21 @@ def recovery_accuracy(auto: AlignmentSet, gold: AlignmentSet, pair: DocumentPair
     )
 
 
-def write_report_json(report: RecoveryReport, path) -> None:
+def report_text(report: RecoveryReport) -> str:
+    """One talk's per-sentence similarities and accuracy curve as JSON."""
     obj = {
         "talk_id": report.talk_id,
         "per_sentence": [[i, s] for i, s in report.per_sentence],
         "accuracy_at": {repr(eps): acc for eps, acc in sorted(report.accuracy_at.items())},
     }
-    Path(path).write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-def write_report_tsv(reports: list[RecoveryReport], path) -> None:
+def summary_tsv_text(reports: list[RecoveryReport]) -> str:
     """One row per talk, one column per epsilon, for spreadsheet use."""
     epsilons = sorted({eps for r in reports for eps in r.accuracy_at})
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("talk_id\tn_links\t" + "\t".join(f"acc@{eps:g}" for eps in epsilons) + "\n")
-        for r in reports:
-            cells = [f"{r.accuracy_at.get(eps, 0.0):.4f}" for eps in epsilons]
-            handle.write(f"{r.talk_id}\t{len(r.per_sentence)}\t" + "\t".join(cells) + "\n")
+    lines = ["talk_id\tn_links\t" + "\t".join(f"acc@{eps:g}" for eps in epsilons)]
+    for r in reports:
+        cells = [f"{r.accuracy_at.get(eps, 0.0):.4f}" for eps in epsilons]
+        lines.append(f"{r.talk_id}\t{len(r.per_sentence)}\t" + "\t".join(cells))
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,26 +68,16 @@ def make_split(talks, allowlist, dev_ids, test_ids,
     )
 
 
-def sample_eval_ids(talks, n_dev: int, n_test: int, seed: int) -> tuple[list[str], list[str]]:
-    """Convenience seeded selector for dev/test ids; never the default path."""
-    pool = sorted(talks)
-    if n_dev + n_test > len(pool):
-        raise ValidationError(f"cannot draw {n_dev}+{n_test} talks from {len(pool)}")
-    rng = random.Random(seed)
-    picked = rng.sample(pool, n_dev + n_test)
-    return picked[:n_dev], picked[n_dev:]
-
-
-def write_split_manifest(split: SplitManifest, path) -> None:
+def split_text(split: SplitManifest) -> str:
+    """split.json. Only the allowlist's file name is recorded, so the bytes
+    do not depend on the directory the run used."""
     obj = {
         "train_ids": sorted(split.train_ids),
         "dev_ids": sorted(split.dev_ids),
         "test_ids": sorted(split.test_ids),
-        "allowlist_id_source": split.allowlist_id_source,
+        "allowlist_id_source": Path(split.allowlist_id_source).name,
     }
-    Path(path).write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def read_split_manifest(path) -> SplitManifest:
@@ -99,6 +88,10 @@ def read_split_manifest(path) -> SplitManifest:
         test_ids=frozenset(obj["test_ids"]),
         allowlist_id_source=obj.get("allowlist_id_source", ""),
     )
+
+
+def allowlist_text(talk_ids) -> str:
+    return "".join(talk_id + "\n" for talk_id in talk_ids)
 
 
 def read_allowlist(path) -> set[str]:

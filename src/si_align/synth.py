@@ -11,6 +11,7 @@ merging, and content-free boundary fillers.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
 from dataclasses import dataclass
@@ -286,6 +287,11 @@ def build_reference(doc: DocumentPair, max_src_len: int):
     return ReferenceTranslation(talk_id=doc.talk_id, entries=entries)
 
 
+def provenance_text(talk: GoldTalk) -> str:
+    """One JSON list of per-target-unit provenance tags."""
+    return json.dumps(list(talk.provenance), ensure_ascii=False) + "\n"
+
+
 @dataclass(frozen=True)
 class ScoreTriple:
     precision: float
@@ -335,3 +341,17 @@ def run_bench_setting(base_seed: int, n_talks: int, m: int, noise: NoiseParams,
         recall=sum(s.recall for s in scores) / n,
         f1=sum(s.f1 for s in scores) / n,
     )
+
+
+def bench_text(rows) -> str:
+    """bench.tsv from (noise, talk count, mean scores) rows, one per setting."""
+    lines = ["omission_rate\tmistranslation_rate\tsplit_rate\tmerge_rate\tfiller_rate"
+             "\ttalks\tprecision\trecall\tf1"]
+    for noise, n_talks, triple in rows:
+        lines.append("\t".join((
+            f"{noise.omission_rate:g}", f"{noise.mistranslation_rate:g}",
+            f"{noise.split_rate:g}", f"{noise.merge_rate:g}", f"{noise.filler_rate:g}",
+            str(n_talks),
+            f"{triple.precision:.4f}", f"{triple.recall:.4f}", f"{triple.f1:.4f}",
+        )))
+    return "\n".join(lines) + "\n"

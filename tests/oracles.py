@@ -2,7 +2,9 @@
 paths. These deliberately avoid the library's own algorithms: plain DP
 tables, explicit enumeration, and dict counting."""
 
-from si_align.embeddings import SOURCE, TARGET, FallbackParams, build_fallback_table, cosine
+from si_align.corpus import ValidationError
+from si_align.embeddings import (SOURCE, TARGET, FallbackParams, MissingWindowError,
+                                 build_fallback_table, cosine)
 
 from conftest import doc
 
@@ -20,6 +22,25 @@ def quadratic_lcs(a, b):
                     best = cur[j]
         prev = cur
     return best
+
+
+def link_cost(src_span, tgt_span, table, denom, skip_penalty):
+    """Cost of one link, the aligner's step cost written out for one pair.
+
+    Both spans non-empty: (1 - cos) / denom scaled by (|src| + |tgt|) / 2 so
+    merged links pay proportionally. One empty span: skip_penalty per unit.
+    """
+    (si, sl), (ti, tl) = src_span, tgt_span
+    if sl == 0 and tl == 0:
+        raise ValidationError("link needs at least one non-empty span")
+    if sl == 0 or tl == 0:
+        return skip_penalty * (sl + tl)
+    if sl > table.max_src_window:
+        raise MissingWindowError(SOURCE, si, sl)
+    if tl > table.max_tgt_window:
+        raise MissingWindowError(TARGET, ti, tl)
+    sim = cosine(table.vector(SOURCE, si, sl), table.vector(TARGET, ti, tl))
+    return (1.0 - sim) / denom * (sl + tl) / 2.0
 
 
 def step_cost_table(table, params, denom, m, n):

@@ -13,8 +13,8 @@ import pytest
 from si_align.align import AlignParams, dp_align, normalization_denominator
 from si_align.cli import main as cli_main
 from si_align.corpus import AlignedPair
-from si_align.curation import AnnotationRecord, export_annotations, import_annotations, \
-    write_annotations_tsv
+from si_align.curation import AnnotationRecord, annotations_text, export_annotations, \
+    import_annotations
 from si_align.inter import InterFilterParams, apply_inter_filter
 from si_align.intra import IntraFilterParams, apply_intra_filter, \
     has_content_word, trim_boundaries
@@ -183,7 +183,7 @@ def test_criterion_8_curation_round_trip(tmp_path):
     labeled = [AnnotationRecord(**{**r.__dict__, "good_align": True, "good_mt": True})
                for r in records]
     path = tmp_path / "anno.tsv"
-    write_annotations_tsv(labeled, path)
+    path.write_text(annotations_text(labeled), encoding="utf-8")
     kept, _ = import_annotations(path, {"cur": document})
     assert [c.pair.key() for c in kept] == [p.key() for p in pairs]
 

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from si_align.align import (AlignParams, AlignmentSet, dp_align, link_cost,
+from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
                             normalization_denominator, prune, validate_alignment,
-                            write_alignment_jsonl, read_alignment_jsonl)
+                            read_alignment_jsonl)
 from si_align.corpus import AlignedPair, DocumentPair, Rank, ValidationError
 from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
                                  build_fallback_table, cosine, fallback_embed)
@@ -13,7 +13,7 @@ from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
 from conftest import doc, unit
 
 
-from oracles import exhaustive_best, random_instance, step_cost_table
+from oracles import exhaustive_best, link_cost, random_instance, step_cost_table
 
 
 def basis_table(src_ids, tgt_ids, dim=64, max_window=3):
@@ -159,8 +159,8 @@ def test_dp_deterministic_serialization(tmp_path):
     a = dp_align(document, table, params)
     b = dp_align(document, table, params)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_alignment_jsonl(a, pa)
-    write_alignment_jsonl(b, pb)
+    pa.write_text(links_text(a.talk_id, a.links), encoding="utf-8")
+    pb.write_text(links_text(b.talk_id, b.links), encoding="utf-8")
     assert pa.read_bytes() == pb.read_bytes()
 
 
@@ -236,7 +236,7 @@ def test_alignment_jsonl_round_trip(tmp_path):
                                                         dropped=True, drop_reason="empty")]
     aset = _aset(links, talk_id="rt")
     path = tmp_path / "a.jsonl"
-    write_alignment_jsonl(aset, path)
+    path.write_text(links_text(aset.talk_id, aset.links), encoding="utf-8")
     loaded = read_alignment_jsonl(path)
     assert loaded.talk_id == "rt"
     assert [l.key() for l in loaded.links] == [l.key() for l in links]

@@ -154,3 +154,49 @@ def test_flag_overrides_config(tmp_path):
     coarse = (tmp_path / "out" / "coarse" / "talk0000.jsonl").read_text().splitlines()
     dropped = [json.loads(l)["dropped"] for l in coarse if l.strip()]
     assert all(dropped)  # everything above the tiny threshold
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"talk": []}'])
+def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):
+    cfg = write_config(tmp_path)
+    corpus = tmp_path / "out" / "corpus.json"
+    corpus.parent.mkdir()
+    corpus.write_text(text, encoding="utf-8")
+    assert run(["align", "--config", cfg]) == 2
+    assert str(corpus) in capsys.readouterr().err
+
+
+def test_malformed_trims_line_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    assert run(["filter-intra", "--config", cfg]) == 0
+    trims = tmp_path / "out" / "intra" / "talk0000.trims.jsonl"
+    first = trims.read_text(encoding="utf-8").splitlines()[0]
+    trims.write_text(first + "\nnot json\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["filter-inter", "--config", cfg]) == 2
+    assert f"{trims}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [("align", "max_src_span", "4"),
+                                               ("align", "max_src_span", 4.0),
+                                               ("intra", "content_pos", "NOUN")])
+def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, **{section: {key: value}})
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_loads_each_talk_once(tmp_path, monkeypatch):
+    from si_align import corpus
+
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "3", "--sentences", "5"]) == 0
+    loaded = []
+    load = corpus.load_document_pair
+    monkeypatch.setattr(corpus, "load_document_pair",
+                        lambda manifest: loaded.append(manifest.talk_id) or load(manifest))
+    assert run(["pipeline", "--config", cfg]) == 0
+    assert sorted(loaded) == ["talk0000", "talk0001", "talk0002"]

@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from si_align.corpus import (DocumentPair, ParseError, Pos, Rank, ValidationError,
-                             load_document_pair, normalize_text, read_manifest,
-                             write_document_pair)
+from si_align.corpus import (MANIFEST_NAME, DocumentPair, ParseError, Pos, Rank,
+                             ValidationError, load_document_pair, normalize_text,
+                             read_manifest, talk_texts)
 
 from conftest import doc, unit
 
@@ -110,6 +110,13 @@ def test_empty_unit_line_rejected(tmp_path):
                        [[("aa", "NOUN")], [("bb", "NOUN")]], [[("tt", "NOUN")]])
     with pytest.raises(ParseError):
         load_document_pair(read_manifest(path))
+
+
+def write_document_pair(document, out_dir):
+    out_dir.mkdir()
+    for name, text in talk_texts(document).items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return out_dir / MANIFEST_NAME
 
 
 def test_round_trip_identity(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from si_align.corpus import AlignedPair, ParseError, ValidationError
 from si_align.curation import (AnnotationRecord, export_annotations,
-                               import_annotations, read_annotations_tsv,
-                               write_annotations_tsv)
+                               annotations_text, import_annotations,
+                               read_annotations_tsv)
 
 from conftest import doc
 
@@ -38,7 +38,7 @@ def test_export_sorted_after_shuffle():
 
 def _round_trip(tmp_path, records):
     path = tmp_path / "anno.tsv"
-    write_annotations_tsv(records, path)
+    path.write_text(annotations_text(records), encoding="utf-8")
     return path
 
 

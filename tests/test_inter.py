@@ -7,8 +7,7 @@ from si_align.inter import (BuiltinScorer, ExternalScorer,
                             InterFilterParams, MissingReferenceError, RefEntry,
                             ReferenceTranslation, apply_inter_filter, chrf_score,
                             content_coverage, length_ratio, read_external_scores,
-                            read_reference_jsonl, semantic_score,
-                            write_reference_jsonl)
+                            read_reference_jsonl, references_text)
 
 from conftest import doc
 
@@ -144,10 +143,6 @@ def test_eta_matches_oracle_on_random_pairs():
         assert chrf_score(f, t) == pytest.approx(chrf_oracle(f, t), abs=1e-9)
 
 
-def test_semantic_score_default_scorer():
-    assert semantic_score("kamo", "kamo") == 1.0
-
-
 def test_external_scorer_lookup_and_missing():
     scorer = ExternalScorer({("t0", 0, 1): 0.42})
     assert scorer.score("t0", (0, 1), "f", "t") == 0.42
@@ -255,7 +250,7 @@ def test_params_validation():
 def test_reference_round_trip(tmp_path):
     _, ref, _ = _setup(3)
     path = tmp_path / "refs.jsonl"
-    write_reference_jsonl(ref, path)
+    path.write_text(references_text(ref), encoding="utf-8")
     loaded = read_reference_jsonl(path)
     assert loaded == ref
 

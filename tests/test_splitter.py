@@ -3,8 +3,7 @@ import pytest
 from si_align.corpus import Rank, ValidationError
 from si_align.splitter import (ContaminationError, StatsTable,
                                corpus_stats, make_split, read_allowlist,
-                               read_split_manifest, sample_eval_ids,
-                               write_split_manifest)
+                               read_split_manifest, split_text)
 
 
 TALKS = [f"talk{i}" for i in range(10)]
@@ -44,19 +43,8 @@ def test_split_determinism_and_round_trip(tmp_path):
     split_b = make_split(TALKS, set(TALKS[5:]), {"talk0"}, {"talk1"}, "mustc-train")
     assert split_a == split_b
     path = tmp_path / "split.json"
-    write_split_manifest(split_a, path)
+    path.write_text(split_text(split_a), encoding="utf-8")
     assert read_split_manifest(path) == split_a
-
-
-def test_sample_eval_ids_seeded():
-    a = sample_eval_ids(TALKS, 2, 3, seed=5)
-    b = sample_eval_ids(TALKS, 2, 3, seed=5)
-    assert a == b
-    dev, test = a
-    assert len(dev) == 2 and len(test) == 3
-    assert not set(dev) & set(test)
-    with pytest.raises(ValidationError):
-        sample_eval_ids(TALKS, 8, 5, seed=1)
 
 
 def test_allowlist_reader(tmp_path):

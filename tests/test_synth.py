@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from si_align.align import AlignmentSet, validate_alignment, write_alignment_jsonl
+from si_align.align import AlignmentSet, links_text, validate_alignment
 from si_align.corpus import AlignedPair, ValidationError
 from si_align.inter import InterFilterParams, apply_inter_filter
 from si_align.intra import has_content_word, CONTENT_POS_DEFAULT
@@ -119,8 +119,8 @@ def test_determinism_byte_identical(tmp_path):
     b = generate_talk(77, m=25, noise=noise, vocab_size=120)
     assert a == b
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_alignment_jsonl(a.gold, pa)
-    write_alignment_jsonl(b.gold, pb)
+    pa.write_text(links_text(a.gold.talk_id, a.gold.links), encoding="utf-8")
+    pb.write_text(links_text(b.gold.talk_id, b.gold.links), encoding="utf-8")
     assert pa.read_bytes() == pb.read_bytes()
     corpus_a = generate_corpus(5, 3, 10, noise)
     corpus_b = generate_corpus(5, 3, 10, noise)
