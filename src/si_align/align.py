@@ -31,8 +31,6 @@ DROP_EMPTY = "empty"
 
 @dataclass(frozen=True)
 class AlignParams:
-    # skip_penalty must stay below prune_cost_threshold so untranslated
-    # units can be routed into skips instead of forcing bad links
     max_src_span: int = 4
     max_tgt_span: int = 4
     skip_penalty: float = 0.70
@@ -47,6 +45,10 @@ class AlignParams:
             raise ValidationError(f"skip_penalty must be non-negative, got {self.skip_penalty}")
         if self.prune_cost_threshold <= 0:
             raise ValidationError("prune_cost_threshold must be positive")
+        # so that untranslated units are routed into skips instead of forcing bad links
+        if self.skip_penalty >= self.prune_cost_threshold:
+            raise ValidationError(f"skip_penalty {self.skip_penalty} must be below "
+                                  f"prune_cost_threshold {self.prune_cost_threshold}")
         if self.norm_sample_size < 1:
             raise ValidationError("norm_sample_size must be >= 1")
 
@@ -80,16 +82,12 @@ def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int
     return max(acc / sample_size, DENOM_FLOOR)
 
 
-def _cosine_grid(table: EmbeddingTable, m: int, n: int,
-                 max_a: int, max_b: int) -> dict[tuple[int, int], np.ndarray]:
+def _cosine_grid(table: EmbeddingTable, max_a: int,
+                 max_b: int) -> dict[tuple[int, int], np.ndarray]:
     """cos[(a, b)][i, j] = cosine of source window (i, a) and target window (j, b),
-    one matmul per span-size pair."""
-    src = {a: np.stack([table.vector(SOURCE, i, a) for i in range(m - a + 1)])
-           for a in range(1, max_a + 1) if m - a + 1 > 0}
-    tgt = {b: np.stack([table.vector(TARGET, j, b) for j in range(n - b + 1)])
-           for b in range(1, max_b + 1) if n - b + 1 > 0}
-    return {(a, b): np.clip(sa @ sb.T, -1.0, 1.0)
-            for a, sa in src.items() for b, sb in tgt.items()}
+    one matmul of two table blocks per span-size pair."""
+    return {(a, b): np.clip(table.windows(SOURCE, a) @ table.windows(TARGET, b).T, -1.0, 1.0)
+            for a in range(1, max_a + 1) for b in range(1, max_b + 1)}
 
 
 def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> AlignmentSet:
@@ -110,7 +108,7 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     denom = 1.0
     if m > 0 and n > 0:
         denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
-        grids = _cosine_grid(table, m, n, max_a, max_b)
+        grids = _cosine_grid(table, max_a, max_b)
 
     # transitions in tie-break preference order: (src_span, tgt_span, is_skip)
     moves = [(0, 1, True), (1, 0, True)]

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,21 +85,33 @@ _INTER_FLAGS = ("alpha_min", "gamma_min", "gamma_max", "eta_min")
 _SYNTH_FLAGS = ("talks", "sentences", "vocab_size", "seed")
 
 
+def _typed(value, default, name: str):
+    """A config value checked against its default: a number takes the
+    default's type (an int is also a valid float) and must be finite, and a
+    tuple of numbers takes a list of them. Other values pass unchecked."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValidationError(f"{name}: expected a list, got {value!r}")
+        return tuple(_typed(v, default[0], name) for v in value)
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return value
+    allowed = int if isinstance(default, int) else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ValidationError(f"{name}: expected a finite {type(default).__name__}, got {value!r}")
+    return value
+
+
 def _dataclass_from(cls, obj: dict, context: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(defaults)
     if unknown:
         raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
-    for key, value in obj.items():
-        # a number field takes its default's type; an int is also a valid float
-        default = fields[key].default
-        if isinstance(default, bool) or not isinstance(default, (int, float)):
-            continue
-        allowed = int if isinstance(default, int) else (int, float)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValidationError(
-                f"{context}.{key}: expected {type(default).__name__}, got {value!r}")
-    return cls(**obj)
+    typed = {key: _typed(value, defaults[key], f"{context}.{key}") for key, value in obj.items()}
+    try:
+        return cls(**typed)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _pos_set(values, context: str) -> frozenset:
@@ -158,7 +171,17 @@ def load_config(path: Path | None, args) -> PipelineConfig:
     if getattr(args, "seed", None) is not None:
         noise_obj["rng_seed"] = args.seed
 
-    em.EmbeddingProviderSpec.from_dict(raw.get("embedding", {}))  # validate early
+    embedding = raw.get("embedding", {})
+    for key in ("dim", "orders", "seed"):
+        if key in embedding:
+            _typed(embedding[key], getattr(em.FallbackParams, key), f"embedding.{key}")
+    em.EmbeddingProviderSpec.from_dict(embedding)  # validate early
+
+    def top(key, default):
+        return _typed(raw[key], default, key) if key in raw else default
+
+    def synth(key, default):
+        return _typed(synth_obj[key], default, f"synth.{key}") if key in synth_obj else default
 
     out_dir = getattr(args, "out_dir", None) or raw.get("out_dir") or "out"
     cfg = PipelineConfig(
@@ -170,21 +193,20 @@ def load_config(path: Path | None, args) -> PipelineConfig:
         allowlist=respath("allowlist"),
         dev_ids=tuple(raw.get("dev_ids", ())),
         test_ids=tuple(raw.get("test_ids", ())),
-        embedding=raw.get("embedding", {}),
+        embedding=embedding,
         align_params=_dataclass_from(al.AlignParams, align_obj, "align"),
         intra_params=_dataclass_from(fa.IntraFilterParams, intra_obj, "intra"),
         inter_params=inter_params,
         per_talk_inter=per_talk,
         noise=_dataclass_from(sb.NoiseParams, noise_obj, "noise"),
-        synth_talks=int(synth_obj.get("talks", 5)),
-        synth_sentences=int(synth_obj.get("sentences", 40)),
-        synth_vocab=int(synth_obj.get("vocab_size", 200)),
-        synth_seed=int(synth_obj.get("seed", 7)),
-        epsilons=tuple(raw.get("epsilons", PipelineConfig.epsilons)),
-        bench_omission_rates=tuple(raw.get("bench_omission_rates",
-                                           PipelineConfig.bench_omission_rates)),
-        bench_talks=int(raw.get("bench_talks", 20)),
-        jobs=getattr(args, "jobs", None) or int(raw.get("jobs", 1)),
+        synth_talks=synth("talks", PipelineConfig.synth_talks),
+        synth_sentences=synth("sentences", PipelineConfig.synth_sentences),
+        synth_vocab=synth("vocab_size", PipelineConfig.synth_vocab),
+        synth_seed=synth("seed", PipelineConfig.synth_seed),
+        epsilons=top("epsilons", PipelineConfig.epsilons),
+        bench_omission_rates=top("bench_omission_rates", PipelineConfig.bench_omission_rates),
+        bench_talks=top("bench_talks", PipelineConfig.bench_talks),
+        jobs=getattr(args, "jobs", None) or top("jobs", PipelineConfig.jobs),
     )
     return cfg
 

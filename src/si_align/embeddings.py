@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,14 @@ SOURCE = "source"
 TARGET = "target"
 
 MAX_WINDOW_LIMIT = 6
-UNIT_NORM_TOL = 1e-6
 RENORM_WARN_TOL = 1e-3
 
 
 class MissingWindowError(KeyError):
-    def __init__(self, side: str, start: int, window_len: int):
-        super().__init__(f"no embedding for window ({side}, start={start}, len={window_len})")
+    def __init__(self, side: str, start: int, window_len: int, path=None):
+        where = f" in {path}" if path is not None else ""
+        super().__init__(
+            f"no embedding for window ({side}, start={start}, len={window_len}){where}")
         self.window = (side, start, window_len)
 
 
@@ -88,9 +89,9 @@ class EmbeddingProviderSpec:
     def from_dict(cls, obj: dict) -> "EmbeddingProviderSpec":
         kind = obj.get("kind", PROVIDER_FALLBACK)
         fallback = FallbackParams(
-            dim=int(obj.get("dim", FallbackParams.dim)),
+            dim=obj.get("dim", FallbackParams.dim),
             orders=tuple(obj.get("orders", FallbackParams.orders)),
-            seed=int(obj.get("seed", FallbackParams.seed)),
+            seed=obj.get("seed", FallbackParams.seed),
         ) if kind == PROVIDER_FALLBACK else FallbackParams()
         return cls(kind=kind, fallback=fallback, path_pattern=obj.get("path_pattern"))
 
@@ -104,10 +105,8 @@ def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
     path = Path(spec.path_pattern.replace("{talk_id}", doc.talk_id))
     if not path.is_absolute() and base_dir is not None:
         path = Path(base_dir) / path
-    expected = list(expected_window_keys(
-        len(doc.source_units), len(doc.target_units), max_src_window, max_tgt_window))
-    return load_precomputed(path, expected, len(doc.source_units),
-                            len(doc.target_units), max_src_window, max_tgt_window)
+    return load_precomputed(path, len(doc.source_units), len(doc.target_units),
+                            max_src_window, max_tgt_window)
 
 
 @functools.lru_cache(maxsize=1 << 20)
@@ -152,89 +151,90 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass
 class EmbeddingTable:
-    """Vectors for every window of both documents, keyed (side, start, len)."""
+    """Vectors for every window of both documents: one unit-norm row per
+    window of the `[windows, dim]` matrix `entries`, laid out by `window_rows`."""
 
-    dim: int
     n_source_units: int
     n_target_units: int
     max_src_window: int
     max_tgt_window: int
-    entries: dict[tuple[str, int, int], np.ndarray]
+    entries: np.ndarray
+    rows: dict[tuple[str, int], range] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rows = window_rows(self.n_source_units, self.n_target_units,
+                                self.max_src_window, self.max_tgt_window)
+
+    def windows(self, side: str, window_len: int) -> np.ndarray:
+        """View of the rows of every window of one side and length, by start."""
+        block = self.rows[(side, window_len)]
+        return self.entries[block.start:block.stop]
 
     def vector(self, side: str, start: int, window_len: int) -> np.ndarray:
-        try:
-            return self.entries[(side, start, window_len)]
-        except KeyError:
-            raise MissingWindowError(side, start, window_len) from None
-
-    def validate(self) -> None:
-        for key in expected_window_keys(
-            self.n_source_units, self.n_target_units, self.max_src_window, self.max_tgt_window
-        ):
-            if key not in self.entries:
-                raise MissingWindowError(*key)
-        for key, vec in self.entries.items():
-            if vec.shape != (self.dim,):
-                raise ValidationError(f"window {key}: dimension {vec.shape} != ({self.dim},)")
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
-                raise ValidationError(f"window {key}: norm {norm} not unit")
+        block = self.rows.get((side, window_len), range(0))
+        if not 0 <= start < len(block):
+            raise MissingWindowError(side, start, window_len)
+        return self.entries[block[start]]
 
 
-def expected_window_keys(n_source: int, n_target: int,
-                         max_src_window: int, max_tgt_window: int):
-    """Every (side, start, window_len) key an aligner may ask for."""
+def window_rows(n_source: int, n_target: int,
+                max_src_window: int, max_tgt_window: int) -> dict[tuple[str, int], range]:
+    """Row range of each (side, window length) block of an EmbeddingTable.
+
+    Rows go source before target, then by window length, then by start, so
+    window (side, start, w) is row `rows[(side, w)][start]`.
+    """
+    rows, stop = {}, 0
     for side, count, max_w in ((SOURCE, n_source, max_src_window),
                                (TARGET, n_target, max_tgt_window)):
         if max_w < 1 or max_w > MAX_WINDOW_LIMIT:
             raise ValidationError(f"{side} max window {max_w} outside 1..{MAX_WINDOW_LIMIT}")
         for w in range(1, max_w + 1):
-            for start in range(0, count - w + 1):
-                yield (side, start, w)
+            rows[(side, w)] = range(stop, stop + max(count - w + 1, 0))
+            stop = rows[(side, w)].stop
+    return rows
 
 
 def build_fallback_table(doc: DocumentPair, params: FallbackParams,
                          max_src_window: int = 4, max_tgt_window: int = 4) -> EmbeddingTable:
-    entries = {}
+    rows = window_rows(len(doc.source_units), len(doc.target_units),
+                       max_src_window, max_tgt_window)
+    entries = np.empty((rows[(TARGET, max_tgt_window)].stop, params.dim))
     for side, units, max_w in ((SOURCE, doc.source_units, max_src_window),
                                (TARGET, doc.target_units, max_tgt_window)):
-        if max_w < 1 or max_w > MAX_WINDOW_LIMIT:
-            raise ValidationError(f"{side} max window {max_w} outside 1..{MAX_WINDOW_LIMIT}")
         for start, w, text in enumerate_windows(units, max_w):
-            entries[(side, start, w)] = fallback_embed(text, params)
-    return EmbeddingTable(
-        dim=params.dim,
-        n_source_units=len(doc.source_units),
-        n_target_units=len(doc.target_units),
-        max_src_window=max_src_window,
-        max_tgt_window=max_tgt_window,
-        entries=entries,
-    )
+            entries[rows[(side, w)][start]] = fallback_embed(text, params)
+    return EmbeddingTable(len(doc.source_units), len(doc.target_units),
+                          max_src_window, max_tgt_window, entries)
 
 
 def write_table_file(table: EmbeddingTable, path) -> None:
-    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in key order."""
-    path = Path(path)
+    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in table order."""
     with open(path, "w", encoding="utf-8") as handle:
-        for (side, start, w) in sorted(table.entries):
-            values = ",".join(repr(float(x)) for x in table.entries[(side, start, w)])
-            handle.write(f"{side}\t{start}\t{w}\t{values}\n")
+        for (side, w), block in table.rows.items():
+            for start, row in enumerate(block):
+                values = ",".join(repr(float(x)) for x in table.entries[row])
+                handle.write(f"{side}\t{start}\t{w}\t{values}\n")
 
 
-def load_precomputed(path, expected_windows, n_source: int, n_target: int,
+def load_precomputed(path, n_source: int, n_target: int,
                      max_src_window: int, max_tgt_window: int) -> EmbeddingTable:
-    """Load an external-encoder vector file covering exactly expected_windows.
+    """Load an external-encoder vector file covering every window of the table.
 
-    Vectors whose norm strays beyond a loose tolerance are renormalized with
-    a warning; rows for unexpected windows are ignored.
+    Rows may come in any order; rows for windows the table does not hold are
+    ignored. Every row must be valid UTF-8 with finite values. Vectors whose
+    norm strays beyond a loose tolerance are renormalized with a warning.
     """
     path = Path(path)
-    expected = set(expected_windows)
-    entries: dict[tuple[str, int, int], np.ndarray] = {}
-    dim = None
-    with open(path, encoding="utf-8") as handle:
+    rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
+    filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
+    entries = None
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc}", path=path, line=lineno) from exc
             if not line.strip():
                 continue
             cols = line.split("\t")
@@ -248,30 +248,29 @@ def load_precomputed(path, expected_windows, n_source: int, n_target: int,
                 vec = np.array([float(x) for x in cols[3].split(",")])
             except ValueError as exc:
                 raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
+            if not np.isfinite(vec).all():
+                raise ParseError("non-finite vector value", path=path, line=lineno)
+            if entries is None:
+                entries = np.empty((len(filled), vec.shape[0]))
+            elif vec.shape[0] != entries.shape[1]:
                 raise ParseError(
-                    f"dimension {vec.shape[0]} differs from first row's {dim}",
+                    f"dimension {vec.shape[0]} differs from first row's {entries.shape[1]}",
                     path=path, line=lineno,
                 )
-            key = (side, start, w)
-            if key not in expected:
+            block = rows.get((side, w), range(0))
+            if not 0 <= start < len(block):
                 continue
+            key = (side, start, w)
             norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise ParseError(f"zero vector for window {key}", path=path, line=lineno)
+            if norm == 0.0 or not np.isfinite(norm):
+                raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
             if abs(norm - 1.0) > RENORM_WARN_TOL:
                 log.warning("%s:%d: window %s has norm %.6g, renormalizing", path, lineno, key, norm)
-            entries[key] = vec / norm
-    missing = expected - set(entries)
-    if missing:
-        raise MissingWindowError(*sorted(missing)[0])
-    return EmbeddingTable(
-        dim=dim,
-        n_source_units=n_source,
-        n_target_units=n_target,
-        max_src_window=max_src_window,
-        max_tgt_window=max_tgt_window,
-        entries=entries,
-    )
+            entries[block[start]] = vec / norm
+            filled[block[start]] = True
+    for (side, w), block in rows.items():
+        for start, row in enumerate(block):
+            if not filled[row]:
+                raise MissingWindowError(side, start, w, path)
+    return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
+                          entries if entries is not None else np.empty((0, 0)))

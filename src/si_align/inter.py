@@ -10,6 +10,7 @@ directions are fixed.
 from __future__ import annotations
 
 import json
+import math
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -265,9 +266,12 @@ def read_external_scores(path) -> ExternalScorer:
             if len(cols) != 4:
                 raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
             try:
-                scores[(cols[0], int(cols[1]), int(cols[2]))] = float(cols[3])
+                key, score = (cols[0], int(cols[1]), int(cols[2])), float(cols[3])
             except ValueError as exc:
                 raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+            if not math.isfinite(score):
+                raise ParseError(f"non-finite score {cols[3]!r}", path=path, line=lineno)
+            scores[key] = score
     return ExternalScorer(scores)
 
 

@@ -80,16 +80,6 @@ def split_text(split: SplitManifest) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def read_split_manifest(path) -> SplitManifest:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SplitManifest(
-        train_ids=frozenset(obj["train_ids"]),
-        dev_ids=frozenset(obj["dev_ids"]),
-        test_ids=frozenset(obj["test_ids"]),
-        allowlist_id_source=obj.get("allowlist_id_source", ""),
-    )
-
-
 def allowlist_text(talk_ids) -> str:
     return "".join(talk_id + "\n" for talk_id in talk_ids)
 

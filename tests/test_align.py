@@ -25,14 +25,12 @@ def basis_table(src_ids, tgt_ids, dim=64, max_window=3):
             v[i % dim] += 1.0
         return v / np.linalg.norm(v)
 
-    entries = {}
-    for side, ids in ((SOURCE, src_ids), (TARGET, tgt_ids)):
-        for w in range(1, max_window + 1):
-            for start in range(len(ids) - w + 1):
-                entries[(side, start, w)] = vec(ids[start:start + w])
-    return EmbeddingTable(dim=dim, n_source_units=len(src_ids), n_target_units=len(tgt_ids),
+    # rows in table order: source before target, then by window length, then by start
+    rows = [vec(ids[start:start + w]) for ids in (src_ids, tgt_ids)
+            for w in range(1, max_window + 1) for start in range(len(ids) - w + 1)]
+    return EmbeddingTable(n_source_units=len(src_ids), n_target_units=len(tgt_ids),
                           max_src_window=max_window, max_tgt_window=max_window,
-                          entries=entries)
+                          entries=np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +68,8 @@ def test_denominator_matches_seeded_replay():
 def test_identical_singletons_cost_zero():
     params = FallbackParams()
     v = fallback_embed("same text", params)
-    table = EmbeddingTable(dim=params.dim, n_source_units=1, n_target_units=1,
-                           max_src_window=1, max_tgt_window=1,
-                           entries={(SOURCE, 0, 1): v, (TARGET, 0, 1): v})
+    table = EmbeddingTable(n_source_units=1, n_target_units=1,
+                           max_src_window=1, max_tgt_window=1, entries=np.stack([v, v]))
     assert link_cost((0, 1), (0, 1), table, denom=0.9, skip_penalty=0.5) == \
         pytest.approx(0.0, abs=1e-9)
 

@@ -60,9 +60,15 @@ def test_unknown_subcommand_exit_one(tmp_path):
     assert exc.value.code == 1
 
 
-def test_config_validation_before_artifacts(tmp_path):
+def test_config_validation_before_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path, align={"max_src_span": 0})
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
+    assert not (tmp_path / "out").exists()
+    # skip_penalty must stay below prune_cost_threshold
+    cfg = write_config(tmp_path, align={"skip_penalty": 0.9, "prune_cost_threshold": 0.8})
+    capsys.readouterr()
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
+    assert "align: skip_penalty 0.9" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -149,8 +155,10 @@ def test_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "1",
                 "--sentences", "6"]) == 0
-    # an absurd skip penalty forces the aligner to prefer links regardless
-    assert run(["align", "--config", cfg, "--prune-cost", "0.0001"]) == 0
+    # the flag reaches AlignParams: a threshold below the default skip penalty is rejected
+    assert run(["align", "--config", cfg, "--prune-cost", "0.0001"]) == 1
+    assert run(["align", "--config", cfg, "--prune-cost", "0.0001",
+                "--skip-penalty", "0.00005"]) == 0
     coarse = (tmp_path / "out" / "coarse" / "talk0000.jsonl").read_text().splitlines()
     dropped = [json.loads(l)["dropped"] for l in coarse if l.strip()]
     assert all(dropped)  # everything above the tiny threshold
@@ -181,11 +189,18 @@ def test_malformed_trims_line_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("section,key,value", [("align", "max_src_span", "4"),
                                                ("align", "max_src_span", 4.0),
-                                               ("intra", "content_pos", "NOUN")])
+                                               ("intra", "content_pos", "NOUN"),
+                                               (None, "jobs", "x"),
+                                               (None, "epsilons", 5),
+                                               ("embedding", "dim", "abc"),
+                                               ("synth", "vocab_size", "two"),
+                                               ("inter", "gamma_min", float("nan")),
+                                               ("inter", "eta_min", float("nan"))])
 def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value):
-    cfg = write_config(tmp_path, **{section: {key: value}})
+    # section None: a top-level key
+    cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

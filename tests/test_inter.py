@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from si_align.corpus import AlignedPair, Pos, Token, ValidationError
+from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
 from si_align.inter import (BuiltinScorer, ExternalScorer,
                             InterFilterParams, MissingReferenceError, RefEntry,
                             ReferenceTranslation, apply_inter_filter, chrf_score,
@@ -261,3 +261,12 @@ def test_external_scores_file(tmp_path):
     scorer = read_external_scores(path)
     assert scorer.score("t0", (0, 1), "", "") == 0.91
     assert scorer.score("t0", (1, 2), "", "") == 0.13
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_external_scores_non_finite_rejected(tmp_path, score):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"t0\t0\t1\t0.91\nt0\t1\t2\t{score}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_external_scores(path)
+    assert f"{path}:2" in str(err.value)

@@ -1,9 +1,10 @@
+import json
+
 import pytest
 
 from si_align.corpus import Rank, ValidationError
 from si_align.splitter import (ContaminationError, StatsTable,
-                               corpus_stats, make_split, read_allowlist,
-                               read_split_manifest, split_text)
+                               corpus_stats, make_split, read_allowlist, split_text)
 
 
 TALKS = [f"talk{i}" for i in range(10)]
@@ -38,13 +39,13 @@ def test_unknown_id_rejected():
     assert "nope" in str(err.value)
 
 
-def test_split_determinism_and_round_trip(tmp_path):
+def test_split_determinism_and_round_trip():
     split_a = make_split(TALKS, set(TALKS[5:]), {"talk0"}, {"talk1"}, "mustc-train")
     split_b = make_split(TALKS, set(TALKS[5:]), {"talk0"}, {"talk1"}, "mustc-train")
     assert split_a == split_b
-    path = tmp_path / "split.json"
-    path.write_text(split_text(split_a), encoding="utf-8")
-    assert read_split_manifest(path) == split_a
+    obj = json.loads(split_text(split_a))
+    assert obj == {"train_ids": sorted(split_a.train_ids), "dev_ids": ["talk0"],
+                   "test_ids": ["talk1"], "allowlist_id_source": "mustc-train"}
 
 
 def test_allowlist_reader(tmp_path):
