@@ -9,15 +9,13 @@ one-sided, mirroring the removal of no-translation candidates.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import AlignedPair, DocumentPair, ParseError, ValidationError
+from .corpus import AlignedPair, DocumentPair, ValidationError, jsonl_text, read_jsonl
 from .embeddings import SOURCE, TARGET, EmbeddingTable, cosine
 
 log = logging.getLogger(__name__)
@@ -198,44 +196,35 @@ def validate_alignment(alignment: AlignmentSet, m: int, n: int) -> None:
 
 def links_text(talk_id: str, links) -> str:
     """JSON Lines, one link per row, in the given order."""
-    return "".join(json.dumps({
+    return jsonl_text({
         "talk_id": talk_id,
         "src_start": link.src_start, "src_len": link.src_len,
         "tgt_start": link.tgt_start, "tgt_len": link.tgt_len,
         "cost": link.cost,
         "dropped": link.dropped, "drop_reason": link.drop_reason,
-    }, ensure_ascii=False, sort_keys=True) + "\n" for link in links)
+    } for link in links)
 
 
 def read_alignment_jsonl(path) -> AlignmentSet:
-    path = Path(path)
-    links, talk_id = [], None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", path=path, line=lineno) from exc
-            try:
-                link = AlignedPair(
-                    src_start=obj["src_start"], src_len=obj["src_len"],
-                    tgt_start=obj["tgt_start"], tgt_len=obj["tgt_len"],
-                    cost=obj["cost"], dropped=obj.get("dropped", False),
-                    drop_reason=obj.get("drop_reason"),
-                )
-            except (KeyError, ValidationError) as exc:
-                raise ParseError(f"bad link row: {exc}", path=path, line=lineno) from exc
-            if talk_id is None:
-                talk_id = obj.get("talk_id")
-            elif obj.get("talk_id") != talk_id:
-                raise ParseError(
-                    f"mixed talk_ids {talk_id!r} and {obj.get('talk_id')!r}",
-                    path=path, line=lineno,
-                )
-            links.append(link)
-    return AlignmentSet(
-        talk_id=talk_id or "", links=tuple(links), params_used=None,
-        total_cost=sum(l.cost for l in links),
-    )
+    """The links of one talk; every row must name the same talk_id."""
+    talk_id = None
+
+    def link(obj) -> AlignedPair:
+        nonlocal talk_id
+        row_talk = obj.get("talk_id")
+        if row_talk is not None and not isinstance(row_talk, str):
+            raise TypeError(f"talk_id must be a string, got {row_talk!r}")
+        if talk_id is None:
+            talk_id = row_talk
+        elif row_talk != talk_id:
+            raise ValueError(f"mixed talk_ids {talk_id!r} and {row_talk!r}")
+        return AlignedPair(
+            src_start=obj["src_start"], src_len=obj["src_len"],
+            tgt_start=obj["tgt_start"], tgt_len=obj["tgt_len"],
+            cost=obj["cost"], dropped=obj.get("dropped", False),
+            drop_reason=obj.get("drop_reason"),
+        )
+
+    links = tuple(read_jsonl(path, link))
+    return AlignmentSet(talk_id=talk_id or "", links=links, params_used=None,
+                        total_cost=sum(l.cost for l in links))

@@ -87,12 +87,17 @@ _SYNTH_FLAGS = ("talks", "sentences", "vocab_size", "seed")
 
 def _typed(value, default, name: str):
     """A config value checked against its default: a number takes the
-    default's type (an int is also a valid float) and must be finite, and a
-    tuple of numbers takes a list of them. Other values pass unchecked."""
+    default's type (an int is also a valid float) and must be finite, a
+    string or object takes a string or object, and a tuple takes a list of
+    values like its first element (strings when it is empty). Other values
+    pass unchecked."""
     if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ValidationError(f"{name}: expected a list, got {value!r}")
-        return tuple(_typed(v, default[0], name) for v in value)
+        return tuple(_typed(v, default[0] if default else "", name) for v in value)
+    for kind, word in ((str, "string"), (dict, "JSON object")):
+        if isinstance(default, kind) and not isinstance(value, kind):
+            raise ValidationError(f"{name}: expected a {word}, got {value!r}")
     if isinstance(default, bool) or not isinstance(default, (int, float)):
         return value
     allowed = int if isinstance(default, int) else (int, float)
@@ -122,23 +127,28 @@ def _pos_set(values, context: str) -> frozenset:
 
 
 def load_config(path: Path | None, args) -> PipelineConfig:
-    """Merge config file and CLI flags; flags win."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid config JSON: {exc}", path=path) from exc
-    base = Path(path).parent if path is not None else Path(".")
+    """Merge config file and CLI flags; flags win. An invalid value is a
+    ValidationError naming the config file and the key."""
+    if path is None:
+        return _merge_config({}, Path("."), args)
+    try:
+        return _merge_config(_typed(cm.read_json(path), {}, "root"), Path(path).parent, args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
+    def top(key, default):
+        return _typed(raw[key], default, key) if key in raw else default
 
     def respath(key):
         value = raw.get(key)
-        return (base / value) if value is not None else None
+        return (base / _typed(value, "", key)) if value is not None else None
 
-    align_obj = dict(raw.get("align", {}))
-    inter_obj = dict(raw.get("inter", {}))
-    per_talk_raw = inter_obj.pop("per_talk", {})
-    intra_obj = dict(raw.get("intra", {}))
+    align_obj = dict(top("align", {}))
+    inter_obj = dict(top("inter", {}))
+    per_talk_raw = _typed(inter_obj.pop("per_talk", {}), {}, "inter.per_talk")
+    intra_obj = dict(top("intra", {}))
     if "content_pos" in intra_obj:
         intra_obj["content_pos"] = _pos_set(intra_obj["content_pos"], "intra.content_pos")
     if "coverage_pos" in inter_obj:
@@ -156,14 +166,14 @@ def load_config(path: Path | None, args) -> PipelineConfig:
     inter_params = _dataclass_from(fi.InterFilterParams, inter_obj, "inter")
     per_talk = {}
     for talk_id, overrides in per_talk_raw.items():
-        merged = {**inter_obj, **overrides}
         context = f"inter.per_talk.{talk_id}"
+        merged = {**inter_obj, **_typed(overrides, {}, context)}
         if "coverage_pos" in overrides:
             merged["coverage_pos"] = _pos_set(overrides["coverage_pos"], f"{context}.coverage_pos")
         per_talk[talk_id] = _dataclass_from(fi.InterFilterParams, merged, context)
 
-    synth_obj = dict(raw.get("synth", {}))
-    noise_obj = dict(raw.get("noise", {}))
+    synth_obj = dict(top("synth", {}))
+    noise_obj = dict(top("noise", {}))
     for flag in _SYNTH_FLAGS:
         value = getattr(args, flag, None)
         if value is not None:
@@ -171,28 +181,26 @@ def load_config(path: Path | None, args) -> PipelineConfig:
     if getattr(args, "seed", None) is not None:
         noise_obj["rng_seed"] = args.seed
 
-    embedding = raw.get("embedding", {})
-    for key in ("dim", "orders", "seed"):
+    embedding = top("embedding", {})
+    defaults = {**dataclasses.asdict(em.FallbackParams()), "kind": "", "path_pattern": ""}
+    for key, default in defaults.items():
         if key in embedding:
-            _typed(embedding[key], getattr(em.FallbackParams, key), f"embedding.{key}")
+            _typed(embedding[key], default, f"embedding.{key}")
     em.EmbeddingProviderSpec.from_dict(embedding)  # validate early
-
-    def top(key, default):
-        return _typed(raw[key], default, key) if key in raw else default
 
     def synth(key, default):
         return _typed(synth_obj[key], default, f"synth.{key}") if key in synth_obj else default
 
-    out_dir = getattr(args, "out_dir", None) or raw.get("out_dir") or "out"
+    out_dir = getattr(args, "out_dir", None) or _typed(raw.get("out_dir") or "out", "", "out_dir")
     cfg = PipelineConfig(
-        out_dir=(base / out_dir) if not Path(out_dir).is_absolute() else Path(out_dir),
+        out_dir=base / out_dir,
         corpus=respath("corpus"),
         gold_dir=respath("gold_dir"),
         refs_dir=respath("refs_dir"),
         scores_path=respath("scores_path"),
         allowlist=respath("allowlist"),
-        dev_ids=tuple(raw.get("dev_ids", ())),
-        test_ids=tuple(raw.get("test_ids", ())),
+        dev_ids=top("dev_ids", PipelineConfig.dev_ids),
+        test_ids=top("test_ids", PipelineConfig.test_ids),
         embedding=embedding,
         align_params=_dataclass_from(al.AlignParams, align_obj, "align"),
         intra_params=_dataclass_from(fa.IntraFilterParams, intra_obj, "intra"),
@@ -544,7 +552,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args)
         return COMMANDS[args.command](cfg, args)
-    except (ParseError, FileNotFoundError, em.MissingWindowError,
+    except (ParseError, OSError, em.MissingWindowError,
             fi.MissingReferenceError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,17 @@
 A talk is a pair of documents: source sentences and target chunks, both
 pre-tokenized and POS-tagged upstream. Units arrive one per line; token
 annotations arrive in blank-line-separated TSV blocks.
+
+This module is also the input codec of the whole program: every file is
+read through `read_lines`, `read_jsonl` or `read_json`, and every JSON Lines
+artifact is framed by `jsonl_text`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +36,56 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """A structural invariant does not hold."""
+
+
+def read_lines(path):
+    """Yield (line number, text) of a UTF-8 file, one line at a time, each
+    without its `\n` or `\r\n` ending."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc}", path=path, line=lineno) from exc
+            yield lineno, text.removesuffix("\n").removesuffix("\r")
+
+
+def read_jsonl(path, parse_row):
+    """Yield `parse_row(row)` for each JSON object row of a JSON Lines file,
+    skipping blank lines. A row that is not a JSON object, or whose fields
+    `parse_row` rejects with KeyError, TypeError or ValueError, is a
+    ParseError naming the line."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            value = parse_row(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad row: {exc}", path=path, line=lineno) from exc
+        yield value
+
+
+def read_json(path):
+    """The JSON value of a whole UTF-8 document."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc}", path=path, line=line) from exc
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+
+
+def jsonl_text(rows) -> str:
+    """JSON Lines: one object per line, keys sorted, non-ASCII kept."""
+    return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
 
 
 class Pos(str, Enum):
@@ -96,12 +151,16 @@ class AlignedPair:
     drop_reason: str | None = None
 
     def __post_init__(self):
-        if self.src_len < 0 or self.tgt_len < 0 or self.src_start < 0 or self.tgt_start < 0:
+        if not all(type(v) is int for v in self.key()):
+            raise ValidationError(f"span fields must be ints: {self.key()}")
+        if min(self.key()) < 0:
             raise ValidationError(f"negative span field in {self.key()}")
         if self.src_len == 0 and self.tgt_len == 0:
             raise ValidationError("both spans empty")
-        if self.cost < 0:
-            raise ValidationError(f"negative cost {self.cost}")
+        if isinstance(self.cost, bool) or not 0 <= self.cost < math.inf:
+            raise ValidationError(f"cost {self.cost!r} is not finite and non-negative")
+        if not isinstance(self.dropped, bool):
+            raise ValidationError(f"dropped must be a bool, got {self.dropped!r}")
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.src_start, self.src_len, self.tgt_start, self.tgt_len)
@@ -169,46 +228,42 @@ class TalkManifest:
     target_tags_path: Path
 
 
+TALK_FILES = {
+    "source_units_path": "source_units.txt",
+    "target_units_path": "target_units.txt",
+    "source_tags_path": "source_tags.tsv",
+    "target_tags_path": "target_tags.tsv",
+}
+MANIFEST_NAME = "manifest.json"
+
+
 def read_manifest(path) -> TalkManifest:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid manifest JSON: {exc}", path=path) from exc
-    required = (
-        "talk_id",
-        "interpreter_rank",
-        "source_units_path",
-        "target_units_path",
-        "source_tags_path",
-        "target_tags_path",
-    )
-    missing = [k for k in required if k not in obj]
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError("manifest must be a JSON object", path=path)
+    missing = [k for k in ("talk_id", "interpreter_rank", *TALK_FILES) if k not in obj]
     if missing:
         raise ParseError(f"manifest missing keys: {', '.join(missing)}", path=path)
+    not_str = [k for k in ("talk_id", *TALK_FILES) if not isinstance(obj[k], str) or not obj[k]]
+    if not_str:
+        raise ParseError(f"manifest keys must be non-empty strings: {', '.join(not_str)}",
+                         path=path)
     try:
         rank = Rank(obj["interpreter_rank"])
     except ValueError:
         raise ParseError(f"unknown interpreter_rank {obj['interpreter_rank']!r}", path=path)
-    base = path.parent
-    return TalkManifest(
-        talk_id=str(obj["talk_id"]),
-        interpreter_rank=rank,
-        source_units_path=base / obj["source_units_path"],
-        target_units_path=base / obj["target_units_path"],
-        source_tags_path=base / obj["source_tags_path"],
-        target_tags_path=base / obj["target_tags_path"],
-    )
+    return TalkManifest(talk_id=obj["talk_id"], interpreter_rank=rank,
+                        **{key: path.parent / obj[key] for key in TALK_FILES})
 
 
 def _read_unit_lines(path: Path) -> list[str]:
     texts = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = normalize_text(raw)
-            if not text:
-                raise ParseError("empty unit line", path=path, line=lineno)
-            texts.append(text)
+    for lineno, line in read_lines(path):
+        text = normalize_text(line)
+        if not text:
+            raise ParseError("empty unit line", path=path, line=lineno)
+        texts.append(text)
     return texts
 
 
@@ -221,29 +276,27 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
     blocks: list[tuple[int, list[Token]]] = []
     current: list[Token] = []
     block_start = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if current:
-                    blocks.append((block_start, current))
-                    current, block_start = [], None
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}",
-                                 path=path, line=lineno)
-            surface = normalize_text(cols[0])
-            if not surface:
-                raise ParseError("empty token surface", path=path, line=lineno)
-            try:
-                pos = Pos(cols[1].strip())
-            except ValueError:
-                raise ParseError(f"POS tag {cols[1].strip()!r} outside the tag enumeration",
-                                 path=path, line=lineno)
-            if block_start is None:
-                block_start = lineno
-            current.append(Token(surface, pos))
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            if current:
+                blocks.append((block_start, current))
+                current, block_start = [], None
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}",
+                             path=path, line=lineno)
+        surface = normalize_text(cols[0])
+        if not surface:
+            raise ParseError("empty token surface", path=path, line=lineno)
+        try:
+            pos = Pos(cols[1].strip())
+        except ValueError:
+            raise ParseError(f"POS tag {cols[1].strip()!r} outside the tag enumeration",
+                             path=path, line=lineno)
+        if block_start is None:
+            block_start = lineno
+        current.append(Token(surface, pos))
     if current:
         blocks.append((block_start, current))
     return blocks
@@ -260,7 +313,7 @@ def _build_units(texts: list[str], blocks, units_path, tags_path) -> tuple[TextU
         joined = "".join(tok.surface for tok in tokens)
         if "".join(joined.split()) != "".join(text.split()):
             raise ParseError(
-                f"token surfaces do not re-concatenate to unit {i} text",
+                f"token surfaces do not re-concatenate to unit {i} text of {units_path}",
                 path=tags_path, line=lineno,
             )
         units.append(TextUnit(index=i, text=text, tokens=tuple(tokens)))
@@ -286,15 +339,6 @@ def load_document_pair(manifest: TalkManifest) -> DocumentPair:
     return doc
 
 
-TALK_FILES = {
-    "source_units_path": "source_units.txt",
-    "target_units_path": "target_units.txt",
-    "source_tags_path": "source_tags.tsv",
-    "target_tags_path": "target_tags.tsv",
-}
-MANIFEST_NAME = "manifest.json"
-
-
 def talk_texts(doc: DocumentPair) -> dict[str, str]:
     """File name -> contents of the four talk files plus the talk manifest."""
     texts = {}
@@ -316,10 +360,7 @@ def corpus_text(manifest_paths) -> str:
 def read_corpus(path) -> list[Path]:
     """Talk manifest paths of a corpus file `{"talks": [...]}`."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid corpus JSON: {exc}", path=path) from exc
+    obj = read_json(path)
     talks = obj.get("talks") if isinstance(obj, dict) else None
     if not isinstance(talks, list) or not all(isinstance(t, str) for t in talks):
         raise ParseError('corpus needs "talks": a list of manifest paths', path=path)

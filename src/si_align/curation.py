@@ -12,9 +12,9 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
-from .corpus import AlignedPair, DocumentPair, ParseError, ValidationError, normalize_text
+from .corpus import (AlignedPair, DocumentPair, ParseError, ValidationError, jsonl_text,
+                     normalize_text, read_lines)
 
 log = logging.getLogger(__name__)
 
@@ -101,13 +101,12 @@ def _bool_str(value: bool | None) -> str:
 
 
 def read_annotations_tsv(path) -> list[AnnotationRecord]:
-    path = Path(path)
     records = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or tuple(lines[0].split("\t")) != HEADER:
+    lines = read_lines(path)
+    _, header = next(lines, (1, ""))
+    if tuple(header.split("\t")) != HEADER:
         raise ParseError(f"missing or wrong header, expected {','.join(HEADER)}", path=path, line=1)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -179,12 +178,12 @@ def import_annotations(path, docs: dict[str, DocumentPair] | None = None,
 
 def curated_text(kept) -> str:
     """curated.jsonl: one row per kept pair, in the given order."""
-    return "".join(json.dumps({
+    return jsonl_text({
         "talk_id": c.talk_id,
         "src_start": c.pair.src_start, "src_len": c.pair.src_len,
         "tgt_start": c.pair.tgt_start, "tgt_len": c.pair.tgt_len,
         "source_text": c.source_text, "target_text": c.target_text,
-    }, ensure_ascii=False, sort_keys=True) + "\n" for c in kept)
+    } for c in kept)
 
 
 def counts_text(label_counts: Counter) -> str:

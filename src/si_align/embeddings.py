@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DocumentPair, ParseError, TextUnit, ValidationError
+from .corpus import DocumentPair, ParseError, TextUnit, ValidationError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -229,45 +229,40 @@ def load_precomputed(path, n_source: int, n_target: int,
     rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
     filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
     entries = None
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8: {exc}", path=path, line=lineno) from exc
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
-            side = cols[0]
-            if side not in (SOURCE, TARGET):
-                raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
-            try:
-                start, w = int(cols[1]), int(cols[2])
-                vec = np.array([float(x) for x in cols[3].split(",")])
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
-            if not np.isfinite(vec).all():
-                raise ParseError("non-finite vector value", path=path, line=lineno)
-            if entries is None:
-                entries = np.empty((len(filled), vec.shape[0]))
-            elif vec.shape[0] != entries.shape[1]:
-                raise ParseError(
-                    f"dimension {vec.shape[0]} differs from first row's {entries.shape[1]}",
-                    path=path, line=lineno,
-                )
-            block = rows.get((side, w), range(0))
-            if not 0 <= start < len(block):
-                continue
-            key = (side, start, w)
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.isfinite(norm):
-                raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
-            if abs(norm - 1.0) > RENORM_WARN_TOL:
-                log.warning("%s:%d: window %s has norm %.6g, renormalizing", path, lineno, key, norm)
-            entries[block[start]] = vec / norm
-            filled[block[start]] = True
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
+        side = cols[0]
+        if side not in (SOURCE, TARGET):
+            raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
+        try:
+            start, w = int(cols[1]), int(cols[2])
+            vec = np.array([float(x) for x in cols[3].split(",")])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+        if not np.isfinite(vec).all():
+            raise ParseError("non-finite vector value", path=path, line=lineno)
+        if entries is None:
+            entries = np.empty((len(filled), vec.shape[0]))
+        elif vec.shape[0] != entries.shape[1]:
+            raise ParseError(
+                f"dimension {vec.shape[0]} differs from first row's {entries.shape[1]}",
+                path=path, line=lineno,
+            )
+        block = rows.get((side, w), range(0))
+        if not 0 <= start < len(block):
+            continue
+        key = (side, start, w)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
+        if abs(norm - 1.0) > RENORM_WARN_TOL:
+            log.warning("%s:%d: window %s has norm %.6g, renormalizing", path, lineno, key, norm)
+        entries[block[start]] = vec / norm
+        filled[block[start]] = True
     for (side, w), block in rows.items():
         for start, row in enumerate(block):
             if not filled[row]:

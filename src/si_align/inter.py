@@ -9,15 +9,13 @@ directions are fixed.
 
 from __future__ import annotations
 
-import json
 import math
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
-from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token,
-                     ValidationError, char_len, normalize_text)
+from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token, ValidationError,
+                     char_len, jsonl_text, normalize_text, read_jsonl, read_lines)
 
 log = logging.getLogger(__name__)
 
@@ -221,67 +219,58 @@ def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
 
 def references_text(ref: ReferenceTranslation) -> str:
     """JSON Lines, one reference entry per row, ordered by source span."""
-    return "".join(json.dumps({
+    return jsonl_text({
         "talk_id": ref.talk_id, "src_start": start, "src_len": length,
         "text": entry.text,
         "tokens": [[t.surface, t.pos.value] for t in entry.tokens],
-    }, ensure_ascii=False, sort_keys=True) + "\n"
-        for (start, length), entry in sorted(ref.entries.items()))
+    } for (start, length), entry in sorted(ref.entries.items()))
+
+
+def _reference_row(obj) -> tuple[str, tuple[int, int], RefEntry]:
+    span = (obj["src_start"], obj["src_len"])
+    if not all(type(v) is int for v in span):
+        raise TypeError(f"span fields must be ints: {span}")
+    tokens = tuple(Token(s, Pos(p)) for s, p in obj["tokens"])
+    return str(obj["talk_id"]), span, RefEntry(text=normalize_text(obj["text"]), tokens=tokens)
 
 
 def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
-    path = Path(path)
+    """Entries of `talk_id` (by default the first row's talk) from reference JSON Lines."""
     entries: dict[tuple[int, int], RefEntry] = {}
-    seen_talk = talk_id
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-                tokens = tuple(Token(s, Pos(p)) for s, p in obj["tokens"])
-                entry = RefEntry(text=normalize_text(obj["text"]), tokens=tokens)
-                key = (int(obj["src_start"]), int(obj["src_len"]))
-                row_talk = str(obj["talk_id"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ParseError(f"bad reference row: {exc}", path=path, line=lineno) from exc
-            if seen_talk is None:
-                seen_talk = row_talk
-            if row_talk != seen_talk:
-                continue
-            entries[key] = entry
-    return ReferenceTranslation(talk_id=seen_talk or "", entries=entries)
+    for row_talk, span, entry in read_jsonl(path, _reference_row):
+        if talk_id is None:
+            talk_id = row_talk
+        if row_talk == talk_id:
+            entries[span] = entry
+    return ReferenceTranslation(talk_id=talk_id or "", entries=entries)
 
 
 def read_external_scores(path) -> ExternalScorer:
     """TSV `talk_id<TAB>src_start<TAB>src_len<TAB>score`."""
-    path = Path(path)
     scores: dict[tuple[str, int, int], float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
-            try:
-                key, score = (cols[0], int(cols[1]), int(cols[2])), float(cols[3])
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
-            if not math.isfinite(score):
-                raise ParseError(f"non-finite score {cols[3]!r}", path=path, line=lineno)
-            scores[key] = score
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
+        try:
+            key, score = (cols[0], int(cols[1]), int(cols[2])), float(cols[3])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {cols[3]!r}", path=path, line=lineno)
+        scores[key] = score
     return ExternalScorer(scores)
 
 
 def decisions_text(decisions) -> str:
     """JSON Lines, one filter decision per row, in the given order."""
-    return "".join(json.dumps({
+    return jsonl_text({
         "talk_id": d.talk_id,
         "src_start": d.src_start, "src_len": d.src_len,
         "tgt_start": d.tgt_start, "tgt_len": d.tgt_len,
         "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
         "trims": list(d.trims),
         "verdict": d.verdict, "reasons": list(d.reasons),
-    }, ensure_ascii=False, sort_keys=True) + "\n" for d in decisions)
+    } for d in decisions)

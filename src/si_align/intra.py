@@ -7,11 +7,11 @@ Trimming never drops a pair and never touches the source span.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import AlignedPair, DocumentPair, ParseError, Pos, TextUnit, ValidationError
+from .corpus import (AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text,
+                     read_jsonl)
 
 CONTENT_POS_DEFAULT = frozenset({Pos.NOUN, Pos.PROPN, Pos.PRON, Pos.VERB, Pos.NUM})
 
@@ -96,29 +96,25 @@ def apply_intra_filter(pairs, doc: DocumentPair,
 
 def trims_text(talk_id: str, originals, results) -> str:
     """*.trims.jsonl: each input pair's spans before and after trimming."""
-    return "".join(json.dumps({
+    return jsonl_text({
         "talk_id": talk_id,
         "src_start": original.src_start, "src_len": original.src_len,
         "tgt_start": original.tgt_start, "tgt_len": original.tgt_len,
         "new_tgt_start": r.pair.tgt_start, "new_tgt_len": r.pair.tgt_len,
         "trims": list(r.trims), "flagged": r.flagged,
-    }, ensure_ascii=False, sort_keys=True) + "\n" for original, r in zip(originals, results))
+    } for original, r in zip(originals, results))
+
+
+def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
+    trimmed = AlignedPair(obj["src_start"], obj["src_len"],
+                          obj["new_tgt_start"], obj["new_tgt_len"], 0.0)
+    trims = obj["trims"]
+    if not isinstance(trims, list) or not all(isinstance(t, str) for t in trims):
+        raise TypeError(f"trims must be a list of strings, got {trims!r}")
+    return trimmed.key(), tuple(trims)
 
 
 def read_trims(path) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
     """Trims keyed by the trimmed pair's key; empty when the file is absent."""
     path = Path(path)
-    trims = {}
-    if not path.exists():
-        return trims
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-                key = (obj["src_start"], obj["src_len"], obj["new_tgt_start"], obj["new_tgt_len"])
-                trims[key] = tuple(obj["trims"])
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ParseError(f"bad trims row: {exc}", path=path, line=lineno) from exc
-    return trims
+    return dict(read_jsonl(path, _trims_row)) if path.exists() else {}

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Rank, ValidationError
+from .corpus import Rank, ValidationError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -86,13 +86,7 @@ def allowlist_text(talk_ids) -> str:
 
 def read_allowlist(path) -> set[str]:
     """Plain text, one talk id per line; blank lines ignored."""
-    ids = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            talk_id = line.strip()
-            if talk_id:
-                ids.add(talk_id)
-    return ids
+    return {line.strip() for _, line in read_lines(path) if line.strip()}
 
 
 @dataclass(frozen=True)

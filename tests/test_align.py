@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
                             normalization_denominator, prune, validate_alignment,
                             read_alignment_jsonl)
-from si_align.corpus import AlignedPair, DocumentPair, Rank, ValidationError
+from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, Rank,
+                             ValidationError, read_manifest)
 from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
                                  build_fallback_table, cosine, fallback_embed)
+from si_align.intra import read_trims
 
 from conftest import doc, unit
 
@@ -238,3 +241,42 @@ def test_alignment_jsonl_round_trip(tmp_path):
     assert loaded.talk_id == "rt"
     assert [l.key() for l in loaded.links] == [l.key() for l in links]
     assert loaded.links[1].dropped and loaded.links[1].drop_reason == "empty"
+
+
+LINK_ROW = {"talk_id": "t", "src_start": 0, "src_len": 1, "tgt_start": 0, "tgt_len": 1,
+            "cost": 0.5, "dropped": False, "drop_reason": None}
+TRIMS_ROW = {"talk_id": "t", "src_start": 0, "src_len": 1, "tgt_start": 0, "tgt_len": 2,
+             "new_tgt_start": 1, "new_tgt_len": 1, "trims": ["begin:1"], "flagged": False}
+MANIFEST = {"talk_id": "t", "interpreter_rank": "S", **TALK_FILES}
+
+
+@pytest.mark.parametrize("reader,bad", [
+    (read_alignment_jsonl, [1, 2]),
+    (read_alignment_jsonl, {**LINK_ROW, "src_start": "x"}),
+    (read_alignment_jsonl, {**LINK_ROW, "cost": None}),
+    (read_alignment_jsonl, {**LINK_ROW, "cost": float("nan")}),
+    (read_alignment_jsonl, {**LINK_ROW, "cost": float("inf")}),
+    (read_alignment_jsonl, {**LINK_ROW, "src_start": 0.5}),
+    (read_alignment_jsonl, {**LINK_ROW, "tgt_len": True}),
+    (read_alignment_jsonl, {**LINK_ROW, "dropped": "no"}),
+    (read_alignment_jsonl, {**LINK_ROW, "talk_id": 5}),
+    (read_trims, {**TRIMS_ROW, "trims": "ab"}),
+    (read_trims, {**TRIMS_ROW, "new_tgt_start": 1.0}),
+    (read_manifest, {**MANIFEST, "source_units_path": 5}),
+    (read_manifest, {**MANIFEST, "talk_id": 5}),
+    (read_manifest, [MANIFEST]),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_mistyped_row_names_file_and_line(tmp_path, reader, bad):
+    """A row of the wrong shape or type is a ParseError naming its location,
+    never a traceback or a silently accepted value."""
+    path = tmp_path / "input"
+    if reader is read_manifest:
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        where = str(path)
+    else:
+        good = LINK_ROW if reader is read_alignment_jsonl else TRIMS_ROW
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        where = f"{path}:2"
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert where in str(err.value)

@@ -195,13 +195,28 @@ def test_malformed_trims_line_exit_two(tmp_path, capsys):
                                                ("embedding", "dim", "abc"),
                                                ("synth", "vocab_size", "two"),
                                                ("inter", "gamma_min", float("nan")),
-                                               ("inter", "eta_min", float("nan"))])
+                                               ("inter", "eta_min", float("nan")),
+                                               (None, "align", 5),
+                                               (None, "embedding", 5),
+                                               (None, "corpus", 5),
+                                               (None, "out_dir", 5),
+                                               (None, "dev_ids", 5),
+                                               ("inter", "per_talk", 5),
+                                               ("embedding", "path_pattern", 5)])
 def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value):
     # section None: a top-level key
     cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
-    assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"{section}.{key}" if section else key) in err and str(cfg) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_root_not_object_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[]", encoding="utf-8")
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
+    assert f"{cfg}: root" in capsys.readouterr().err
 
 
 def test_pipeline_loads_each_talk_once(tmp_path, monkeypatch):

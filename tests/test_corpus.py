@@ -112,22 +112,24 @@ def test_empty_unit_line_rejected(tmp_path):
         load_document_pair(read_manifest(path))
 
 
-def write_document_pair(document, out_dir):
+def write_document_pair(document, out_dir, newline="\n"):
     out_dir.mkdir()
     for name, text in talk_texts(document).items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        (out_dir / name).write_text(text, encoding="utf-8", newline=newline)
     return out_dir / MANIFEST_NAME
 
 
-def test_round_trip_identity(tmp_path):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_round_trip_identity(tmp_path, newline):
     original = doc(["aa bb", "cc dd ee"], ["xx", "yy zz"],
                    src_tags=[[Pos.NOUN, Pos.OTHER], [Pos.VERB, Pos.NUM, Pos.PRON]],
                    tgt_tags=[[Pos.PROPN], [Pos.NOUN, Pos.OTHER]])
-    manifest_path = write_document_pair(original, tmp_path / "talk")
+    manifest_path = write_document_pair(original, tmp_path / "talk", newline)
+    assert newline.encode() in manifest_path.with_name("source_tags.tsv").read_bytes()
     reloaded = load_document_pair(read_manifest(manifest_path))
     assert reloaded == original
     # and a second write/load cycle is stable
-    second = write_document_pair(reloaded, tmp_path / "talk2")
+    second = write_document_pair(reloaded, tmp_path / "talk2", newline)
     assert load_document_pair(read_manifest(second)) == original
 
 

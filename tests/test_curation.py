@@ -36,18 +36,20 @@ def test_export_sorted_after_shuffle():
     assert [r.src_start for r in records] == sorted(r.src_start for r in records)
 
 
-def _round_trip(tmp_path, records):
+def _round_trip(tmp_path, records, newline="\n"):
     path = tmp_path / "anno.tsv"
-    path.write_text(annotations_text(records), encoding="utf-8")
+    path.write_text(annotations_text(records), encoding="utf-8", newline=newline)
     return path
 
 
-def test_round_trip_identity(tmp_path):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_round_trip_identity(tmp_path, newline):
     document = _doc()
     records = export_annotations({"curate": (_pairs(), document)})
     labeled = [AnnotationRecord(**{**r.__dict__, "good_align": True, "good_mt": True})
                for r in records]
-    path = _round_trip(tmp_path, labeled)
+    path = _round_trip(tmp_path, labeled, newline)
+    assert path.read_bytes().count(newline.encode()) == len(records) + 1
     kept, counts = import_annotations(path, {"curate": document})
     assert [(c.pair.key()) for c in kept] == [p.key() for p in _pairs()]
     assert [c.target_text for c in kept] == [f"target {i}" for i in range(5)]

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align.corpus import ParseError, ValidationError
 from si_align.embeddings import (FallbackParams, MissingWindowError, SOURCE, TARGET,
@@ -188,34 +187,6 @@ def test_precomputed_non_finite_value_named(tmp_path, value):
     with pytest.raises(ParseError) as err:
         load_precomputed(path, 1, 1, 1, 1)
     assert f"{path}:2" in str(err.value)
-
-
-# a valid file for a 2 x 2 talk at window limit 2, dim 3
-VECTOR_FILE = "".join(f"{side}\t{start}\t{w}\t0.6,0.8,{0.1 * start}\n"
-                      for side in (SOURCE, TARGET) for w in (1, 2)
-                      for start in range(3 - w)).encode("utf-8")
-FUZZ_TOKENS = [b"\t", b"\n", b",", b"-", b"0", b"9", b"e999", b"nan", b"inf", b"\xff",
-               b"source", b"target"]
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(edits=st.lists(st.tuples(st.integers(0, len(VECTOR_FILE)), st.integers(0, 8),
-                                st.one_of(st.sampled_from(FUZZ_TOKENS), st.binary(max_size=4))),
-                      max_size=4))
-def test_precomputed_reader_fuzz(tmp_path, edits):
-    """A mutated vector file loads as a finite table or fails naming the file."""
-    data = VECTOR_FILE
-    for pos, cut, insert in edits:
-        data = data[:pos] + insert + data[pos + cut:]
-    path = tmp_path / "emb.tsv"
-    path.write_bytes(data)
-    try:
-        table = load_precomputed(path, 2, 2, 2, 2)
-    except (ParseError, MissingWindowError) as exc:
-        assert str(path) in str(exc)
-    else:
-        assert len(table.entries) == 6 and np.isfinite(table.entries).all()
 
 
 def test_provider_spec_validation_and_dispatch(tmp_path):
