@@ -322,18 +322,17 @@ def _build_units(texts: list[str], blocks, units_path, tags_path) -> tuple[TextU
 
 def load_document_pair(manifest: TalkManifest) -> DocumentPair:
     """Load, normalize, and validate one talk."""
-    src_texts = _read_unit_lines(manifest.source_units_path)
-    tgt_texts = _read_unit_lines(manifest.target_units_path)
-    src_blocks = _read_tag_blocks(manifest.source_tags_path)
-    tgt_blocks = _read_tag_blocks(manifest.target_tags_path)
-    doc = DocumentPair(
-        talk_id=manifest.talk_id,
-        interpreter_rank=manifest.interpreter_rank,
-        source_units=_build_units(src_texts, src_blocks,
-                                  manifest.source_units_path, manifest.source_tags_path),
-        target_units=_build_units(tgt_texts, tgt_blocks,
-                                  manifest.target_units_path, manifest.target_tags_path),
-    )
+    sides = []
+    for units_path, tags_path in ((manifest.source_units_path, manifest.source_tags_path),
+                                  (manifest.target_units_path, manifest.target_tags_path)):
+        units = _build_units(_read_unit_lines(units_path), _read_tag_blocks(tags_path),
+                             units_path, tags_path)
+        if not units:
+            raise ValidationError(
+                f"{manifest.talk_id}: both sides must have at least one unit [{units_path}]")
+        sides.append(units)
+    doc = DocumentPair(talk_id=manifest.talk_id, interpreter_rank=manifest.interpreter_rank,
+                       source_units=sides[0], target_units=sides[1])
     doc.validate()
     log.debug("loaded %s: M=%d N=%d", doc.talk_id, len(doc.source_units), len(doc.target_units))
     return doc

@@ -100,7 +100,12 @@ def _bool_str(value: bool | None) -> str:
     return "" if value is None else ("true" if value else "false")
 
 
-def read_annotations_tsv(path) -> list[AnnotationRecord]:
+def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
+                         ) -> list[AnnotationRecord]:
+    """Records of an annotation file, each validated: labels always, span
+    bounds against `docs` when supplied (annotators may re-chunk by editing
+    tgt span fields). A record that fails is a ValidationError naming the
+    file and its line."""
     records = []
     lines = read_lines(path)
     _, header = next(lines, (1, ""))
@@ -121,14 +126,34 @@ def read_annotations_tsv(path) -> list[AnnotationRecord]:
             if col not in _BOOL:
                 raise ParseError(f"{name} must be true/false/empty, got {col!r}",
                                  path=path, line=lineno)
-        records.append(AnnotationRecord(
+        record = AnnotationRecord(
             talk_id=cols[0],
             src_start=src_start, src_len=src_len, tgt_start=tgt_start, tgt_len=tgt_len,
             source_text=cols[5], target_text=cols[6],
             good_align=_BOOL[cols[7]], good_mt=_BOOL[cols[8]],
             edited_target=cols[9] if cols[9] != "" else None,
-        ))
+        )
+        try:
+            record.validate()
+            if docs is not None and record.talk_id in docs:
+                _check_bounds(record, docs[record.talk_id])
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} [{path}:{lineno}]") from None
+        records.append(record)
     return records
+
+
+def _check_bounds(record: AnnotationRecord, doc: DocumentPair) -> None:
+    if record.src_start + record.src_len > len(doc.source_units):
+        raise ValidationError(
+            f"{record.talk_id}: source span ({record.src_start},{record.src_len}) "
+            f"exceeds document bounds"
+        )
+    if record.tgt_start + record.tgt_len > len(doc.target_units):
+        raise ValidationError(
+            f"{record.talk_id}: target span ({record.tgt_start},{record.tgt_len}) "
+            f"exceeds document bounds"
+        )
 
 
 def import_annotations(path, docs: dict[str, DocumentPair] | None = None,
@@ -136,29 +161,15 @@ def import_annotations(path, docs: dict[str, DocumentPair] | None = None,
     """Build the curated pair list from an annotated file.
 
     Keeps records labeled good_align=true and good_mt=true, applying
-    edited_target when present. Validates the label implication on every
-    record and, when documents are supplied, span bounds (annotators may
-    re-chunk by editing tgt span fields). Returns (kept pairs, counts of
-    each (good_align, good_mt) label combination).
+    edited_target when present; every record is validated as
+    `read_annotations_tsv` does. Returns (kept pairs, counts of each
+    (good_align, good_mt) label combination).
     """
-    records = read_annotations_tsv(path)
+    records = read_annotations_tsv(path, docs)
     label_counts: Counter = Counter()
     kept = []
     for record in records:
-        record.validate()
         label_counts[(_bool_str(record.good_align), _bool_str(record.good_mt))] += 1
-        if docs is not None and record.talk_id in docs:
-            doc = docs[record.talk_id]
-            if record.src_start + record.src_len > len(doc.source_units):
-                raise ValidationError(
-                    f"{record.talk_id}: source span ({record.src_start},{record.src_len}) "
-                    f"exceeds document bounds"
-                )
-            if record.tgt_start + record.tgt_len > len(doc.target_units):
-                raise ValidationError(
-                    f"{record.talk_id}: target span ({record.tgt_start},{record.tgt_len}) "
-                    f"exceeds document bounds"
-                )
         if record.good_align is True and record.good_mt is True:
             target = record.target_text
             if record.edited_target is not None:

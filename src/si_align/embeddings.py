@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DocumentPair, ParseError, TextUnit, ValidationError, read_lines
+from .corpus import DocumentPair, ParseError, ValidationError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -33,22 +33,6 @@ class MissingWindowError(KeyError):
         super().__init__(
             f"no embedding for window ({side}, start={start}, len={window_len}){where}")
         self.window = (side, start, window_len)
-
-
-def enumerate_windows(units, max_window: int) -> list[tuple[int, int, str]]:
-    """All (start, window_length, concatenated_text) windows, shortest first.
-
-    Texts of consecutive units are joined with a single space. Yields
-    sum over w of max(0, len(units) - w + 1) entries.
-    """
-    if max_window < 1:
-        raise ValidationError(f"max_window must be >= 1, got {max_window}")
-    texts = [u.text if isinstance(u, TextUnit) else str(u) for u in units]
-    out = []
-    for w in range(1, max_window + 1):
-        for start in range(0, len(texts) - w + 1):
-            out.append((start, w, " ".join(texts[start : start + w])))
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,25 +104,6 @@ def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     return value % dim, 1 if value >> 63 else -1
 
 
-def fallback_embed(text: str, params: FallbackParams) -> np.ndarray:
-    """Signed hashed bag of character n-grams, L2-normalized.
-
-    Text yielding no n-grams (in particular the empty string) maps to basis
-    vector 0 so downstream cosines stay defined.
-    """
-    vec = np.zeros(params.dim)
-    stripped = text.strip()
-    for n in params.orders:
-        for i in range(len(stripped) - n + 1):
-            bucket, sign = _gram_slot(stripped[i : i + n], params.seed, params.dim)
-            vec[bucket] += sign
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        vec[0] = 1.0
-        return vec
-    return vec / norm
-
-
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]."""
     if u.shape != v.shape:
@@ -197,15 +162,69 @@ def window_rows(n_source: int, n_target: int,
 
 def build_fallback_table(doc: DocumentPair, params: FallbackParams,
                          max_src_window: int = 4, max_tgt_window: int = 4) -> EmbeddingTable:
+    """Signed hashed bags of character n-grams of every window, L2-normalized.
+
+    A window's text is its units' texts joined with single spaces, stripped
+    of surrounding whitespace; its vector adds each n-gram's sign into the
+    n-gram's bucket. Each side's units are joined once and every n-gram of
+    that text is hashed once, so a window is a character range of it and the
+    whole table is one weighted `bincount`. Counts are small integers, exact
+    in float64, so the sums do not depend on order. A window yielding no
+    n-grams (all whitespace, or shorter than every order) maps to basis
+    vector 0 so downstream cosines stay defined.
+    """
     rows = window_rows(len(doc.source_units), len(doc.target_units),
                        max_src_window, max_tgt_window)
-    entries = np.empty((rows[(TARGET, max_tgt_window)].stop, params.dim))
+    n_rows, dim = rows[(TARGET, max_tgt_window)].stop, params.dim
+    cells, signs = [], []
     for side, units, max_w in ((SOURCE, doc.source_units, max_src_window),
                                (TARGET, doc.target_units, max_tgt_window)):
-        for start, w, text in enumerate_windows(units, max_w):
-            entries[rows[(side, w)][start]] = fallback_embed(text, params)
+        text = " ".join(u.text for u in units)
+        starts = np.cumsum([0] + [len(u.text) + 1 for u in units])
+        first, last = _stripped_bounds(text)
+        row, lo, hi = [], [], []
+        for w in range(1, max_w + 1):
+            block = rows[(side, w)]
+            # [a, b): each window's characters in `text`, before stripping
+            a, b = starts[:len(block)], starts[w:w + len(block)] - 1
+            row.append(np.arange(block.start, block.stop))
+            lo.append(np.minimum(first[a], b))
+            hi.append(np.maximum(last[b], lo[-1]))
+        row, lo, hi = np.concatenate(row), np.concatenate(lo), np.concatenate(hi)
+        for n in params.orders:
+            slots = np.array([_gram_slot(text[i:i + n], params.seed, dim)
+                              for i in range(len(text) - n + 1)], dtype=np.int64).reshape(-1, 2)
+            count = np.maximum(hi - lo - n + 1, 0)
+            offset = np.cumsum(count) - count
+            pos = np.repeat(lo - offset, count) + np.arange(count.sum())
+            cells.append(np.repeat(row * dim, count) + slots[pos, 0])
+            signs.append(slots[pos, 1].astype(np.int8))
+    # concatenate one array at a time, so each list of pieces is freed before the next copy
+    cells = np.concatenate(cells)
+    signs = np.concatenate(signs, dtype=float)
+    # astype: bincount of no values returns integer zeros whatever the weights
+    entries = np.bincount(cells, weights=signs, minlength=n_rows * dim
+                          ).astype(float, copy=False).reshape(n_rows, dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", entries, entries))
+    empty = norms == 0.0
+    norms[empty] = 1.0
+    entries /= norms[:, None]
+    entries[empty, 0] = 1.0
     return EmbeddingTable(len(doc.source_units), len(doc.target_units),
                           max_src_window, max_tgt_window, entries)
+
+
+def _stripped_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """For each position p in 0..len(text): `first[p]`, the first
+    non-whitespace position at or after p (len(text) if none), and
+    `last[p]`, one past the last non-whitespace position before p (0 if
+    none). Range [a, b) stripped as `str.strip` does is
+    [min(first[a], b), max(last[b], that))."""
+    solid = ~np.fromiter(map(str.isspace, text), dtype=bool, count=len(text))
+    pos = np.arange(len(text) + 1)
+    first = np.minimum.accumulate(np.where(np.append(solid, True), pos, len(text))[::-1])[::-1]
+    last = np.maximum.accumulate(np.where(np.insert(solid, 0, True), pos, 0))
+    return first, last
 
 
 def write_table_file(table: EmbeddingTable, path) -> None:

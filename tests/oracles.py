@@ -1,12 +1,49 @@
 """Independent reference implementations used to check the package's fast
 paths. These deliberately avoid the library's own algorithms: plain DP
-tables, explicit enumeration, and dict counting."""
+tables, explicit enumeration, per-window loops, and dict counting."""
 
-from si_align.corpus import ValidationError
+import numpy as np
+
+from si_align.corpus import TextUnit, ValidationError
 from si_align.embeddings import (SOURCE, TARGET, FallbackParams, MissingWindowError,
-                                 build_fallback_table, cosine)
+                                 _gram_slot, build_fallback_table, cosine)
 
 from conftest import doc
+
+
+def enumerate_windows(units, max_window: int) -> list[tuple[int, int, str]]:
+    """All (start, window_length, concatenated_text) windows, shortest first.
+
+    Texts of consecutive units are joined with a single space. Yields
+    sum over w of max(0, len(units) - w + 1) entries.
+    """
+    if max_window < 1:
+        raise ValidationError(f"max_window must be >= 1, got {max_window}")
+    texts = [u.text if isinstance(u, TextUnit) else str(u) for u in units]
+    out = []
+    for w in range(1, max_window + 1):
+        for start in range(0, len(texts) - w + 1):
+            out.append((start, w, " ".join(texts[start : start + w])))
+    return out
+
+
+def fallback_embed(text: str, params: FallbackParams) -> np.ndarray:
+    """Signed hashed bag of character n-grams of one window text, L2-normalized.
+
+    Text yielding no n-grams (in particular the empty string) maps to basis
+    vector 0 so downstream cosines stay defined.
+    """
+    vec = np.zeros(params.dim)
+    stripped = text.strip()
+    for n in params.orders:
+        for i in range(len(stripped) - n + 1):
+            bucket, sign = _gram_slot(stripped[i : i + n], params.seed, params.dim)
+            vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
 
 
 def quadratic_lcs(a, b):

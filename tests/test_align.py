@@ -10,13 +10,14 @@ from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
 from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, Rank,
                              ValidationError, read_manifest)
 from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
-                                 build_fallback_table, cosine, fallback_embed)
+                                 build_fallback_table, cosine)
 from si_align.intra import read_trims
 
 from conftest import doc, unit
 
 
-from oracles import exhaustive_best, link_cost, random_instance, step_cost_table
+from oracles import (exhaustive_best, fallback_embed, link_cost, random_instance,
+                     step_cost_table)
 
 
 def basis_table(src_ids, tgt_ids, dim=64, max_window=3):

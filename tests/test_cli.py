@@ -108,13 +108,18 @@ def test_full_pipeline_attrition_and_validate(tmp_path):
     assert all(a >= b for a, b in zip(accs, accs[1:]))
 
 
-def test_annotation_export_import_cycle(tmp_path):
+def export_annotations(tmp_path):
+    """Config and exported annotation file of a one-talk pipeline run."""
     cfg = write_config(tmp_path, noise={})
     assert run(["synth", "--config", cfg, "--seed", "2", "--talks", "1",
                 "--sentences", "6"]) == 0
     assert run(["pipeline", "--config", cfg]) == 0
     assert run(["export-anno", "--config", cfg, "--stage", "inter"]) == 0
-    anno = tmp_path / "out" / "annotations.tsv"
+    return cfg, tmp_path / "out" / "annotations.tsv"
+
+
+def test_annotation_export_import_cycle(tmp_path):
+    cfg, anno = export_annotations(tmp_path)
     lines = anno.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 7  # header + 6 pairs
     labeled = [lines[0]]
@@ -128,6 +133,21 @@ def test_annotation_export_import_cycle(tmp_path):
     assert len(curated) == 6
     counts = json.loads((tmp_path / "out" / "curation_counts.json").read_text())
     assert counts == {"true/true": 6}
+
+
+def test_annotation_label_error_names_file_and_line(tmp_path, capsys):
+    cfg, anno = export_annotations(tmp_path)
+    lines = anno.read_text(encoding="utf-8").splitlines()
+    cols = lines[3].split("\t")
+    cols[7], cols[8] = "", "true"  # good_mt set, good_align not
+    lines[3] = "\t".join(cols)
+    anno.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["import-anno", "--config", cfg, anno]) == 1
+    err = capsys.readouterr().err
+    assert "good_mt is set but good_align is not" in err
+    assert f"{anno}:4" in err
+    assert not (tmp_path / "out" / "curated.jsonl").exists()
 
 
 def test_per_talk_threshold_override(tmp_path):

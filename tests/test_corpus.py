@@ -112,6 +112,19 @@ def test_empty_unit_line_rejected(tmp_path):
         load_document_pair(read_manifest(path))
 
 
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_empty_side_names_its_units_file(tmp_path, empty):
+    lines = {side: [] if side == empty else ["aa"] for side in ("source", "target")}
+    blocks = {side: [[("aa", "NOUN")]] if lines[side] else [] for side in lines}
+    path = _write_talk(tmp_path, lines["source"], lines["target"],
+                       blocks["source"], blocks["target"])
+    with pytest.raises(ValidationError) as err:
+        load_document_pair(read_manifest(path))
+    named = tmp_path / ("s.txt" if empty == "source" else "t.txt")
+    assert f"[{named}]" in str(err.value)
+    assert "both sides must have at least one unit" in str(err.value)
+
+
 def write_document_pair(document, out_dir, newline="\n"):
     out_dir.mkdir()
     for name, text in talk_texts(document).items():

@@ -99,8 +99,9 @@ def test_import_rejects_invalid_combo_in_file(tmp_path):
     base = export_annotations({"curate": (_pairs(1), document)})[0]
     bad = AnnotationRecord(**{**base.__dict__, "good_align": None, "good_mt": True})
     path = _round_trip(tmp_path, [bad])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         import_annotations(path)
+    assert f"{path}:2" in str(err.value)
 
 
 def test_empty_edited_target_rejected():
@@ -116,8 +117,9 @@ def test_span_edit_validated_against_bounds(tmp_path):
     resized = AnnotationRecord(**{**base.__dict__, "good_align": True, "good_mt": True,
                                   "tgt_len": 99})
     path = _round_trip(tmp_path, [resized])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         import_annotations(path, {"curate": document})
+    assert f"{path}:2" in str(err.value)
     # without documents the file is structurally fine
     kept, _ = import_annotations(path)
     assert len(kept) == 1

@@ -3,13 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from si_align.corpus import ParseError, ValidationError
+from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
 from si_align.embeddings import (FallbackParams, MissingWindowError, SOURCE, TARGET,
-                                 build_fallback_table, cosine, enumerate_windows,
-                                 fallback_embed, load_precomputed, write_table_file)
+                                 build_fallback_table, cosine, load_precomputed,
+                                 window_rows, write_table_file)
 
 from conftest import doc, unit
+from oracles import enumerate_windows, fallback_embed
 
 
 def brute_force_windows(texts, max_window):
@@ -125,6 +127,34 @@ def test_table_vectors_unit_norm():
     assert len(table.entries) == 6
     for key in all_windows(document, 2):
         assert abs(np.linalg.norm(table.vector(*key)) - 1.0) <= 1e-6
+
+
+# raw unit texts, not normalized: empty, shorter than an order, whitespace of
+# several kinds at either end or repeated, non-ASCII letters
+UNIT_TEXTS = st.lists(st.text(st.sampled_from(["a", "b", "é", "字", " ", "\t", "\n", "\u3000",
+                                               "\u2028"]), max_size=8), max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(src=UNIT_TEXTS, tgt=UNIT_TEXTS,
+       orders=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True),
+       max_src_window=st.integers(1, 6), max_tgt_window=st.integers(1, 6),
+       seed=st.integers(0, 1 << 16))
+def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_tgt_window,
+                                         seed):
+    """Every row is bit-for-bit the oracle's vector of that window's text."""
+    units = {side: tuple(TextUnit(i, text, ()) for i, text in enumerate(texts))
+             for side, texts in ((SOURCE, src), (TARGET, tgt))}
+    document = DocumentPair("t", Rank.S, units[SOURCE], units[TARGET])
+    params = FallbackParams(dim=64, orders=tuple(orders), seed=seed)
+    rows = window_rows(len(src), len(tgt), max_src_window, max_tgt_window)
+    expected = np.empty((rows[(TARGET, max_tgt_window)].stop, 64))
+    for side, max_w in ((SOURCE, max_src_window), (TARGET, max_tgt_window)):
+        for start, w, text in enumerate_windows(units[side], max_w):
+            expected[rows[(side, w)][start]] = fallback_embed(text, params)
+    table = build_fallback_table(document, params, max_src_window, max_tgt_window)
+    assert table.entries.shape == expected.shape
+    assert table.entries.tobytes() == expected.tobytes()
 
 
 def test_precomputed_round_trip_and_counts(tmp_path):
