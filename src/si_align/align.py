@@ -5,6 +5,15 @@ either pairs a source window with a target window (cost proportional to
 normalized embedding distance, scaled by merged size) or skips one unit on
 one side (flat penalty). Pruning then flags links that are too costly or
 one-sided, mirroring the removal of no-translation candidates.
+
+The DP table is filled one source row at a time. Every move with a source
+span reads only earlier rows, so its totals for the whole row are one numpy
+addition, `cost[i - a, j - b] + step`; the moves are stacked in tie-break
+preference order and `argmin` keeps the first minimum. Only the (0, 1) skip
+reads the row being filled; it runs as a scalar pass and, being first in
+preference order, keeps a cell unless another move is strictly cheaper.
+Each total is the same float operations on the same values as a cell-by-cell
+scan with a strict `<`, so costs and links are identical to it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import AlignedPair, DocumentPair, ValidationError, jsonl_text, read_jsonl
-from .embeddings import SOURCE, TARGET, EmbeddingTable, cosine
+from .embeddings import SOURCE, TARGET, EmbeddingTable
 
 log = logging.getLogger(__name__)
 
@@ -67,16 +76,23 @@ def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int
 
     Fixes the scale on which the prune threshold of 1 is meaningful: a cost
     of 1 is "as dissimilar as a random sentence pair". One (source, target)
-    index pair is drawn per iteration, source index first.
+    index pair is drawn per iteration, source index first. Each distinct row
+    is normed once; the samples are summed in drawing order.
     """
     if table.n_source_units < 1 or table.n_target_units < 1:
         raise ValidationError("denominator needs at least one singleton window per side")
     rng = random.Random(seed)
+    pairs = [(rng.randrange(table.n_source_units), rng.randrange(table.n_target_units))
+             for _ in range(sample_size)]
+    src, tgt = table.windows(SOURCE, 1), table.windows(TARGET, 1)
+    src_norm = {i: np.linalg.norm(src[i]) for i in {i for i, _ in pairs}}
+    tgt_norm = {j: np.linalg.norm(tgt[j]) for j in {j for _, j in pairs}}
+    if 0.0 in src_norm.values() or 0.0 in tgt_norm.values():
+        raise ValidationError("cosine undefined for zero vector")
     acc = 0.0
-    for _ in range(sample_size):
-        i = rng.randrange(table.n_source_units)
-        j = rng.randrange(table.n_target_units)
-        acc += 1.0 - cosine(table.vector(SOURCE, i, 1), table.vector(TARGET, j, 1))
+    for i, j in pairs:
+        sim = np.dot(src[i], tgt[j]) / (src_norm[i] * tgt_norm[j])
+        acc += 1.0 - min(max(float(sim), -1.0), 1.0)
     return max(acc / sample_size, DENOM_FLOOR)
 
 
@@ -91,9 +107,10 @@ def _cosine_grid(table: EmbeddingTable, max_a: int,
 def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> AlignmentSet:
     """Minimum-cost monotone segmentation of the two documents into links.
 
-    Ties are broken deterministically: smaller source span, then smaller
-    target span, then non-skip over skip. The result is identical across
-    runs and platforms for identical inputs.
+    Ties are broken deterministically by a fixed preference order of the
+    moves: the (0, 1) skip, the (1, 0) skip, then links by source span and
+    then target span. The cheapest move earliest in that order wins, so the
+    result is identical across runs and platforms for identical inputs.
     """
     m, n = len(doc.source_units), len(doc.target_units)
     if params.max_src_span > table.max_src_window or params.max_tgt_span > table.max_tgt_window:
@@ -102,55 +119,61 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
             f"({table.max_src_window}, {table.max_tgt_window})"
         )
     max_a, max_b = params.max_src_span, params.max_tgt_span
+    skip = params.skip_penalty
 
-    denom = 1.0
+    # (src_span, tgt_span) in tie-break preference order; back[i, j] indexes it
+    moves = [(0, 1), (1, 0)] + [(a, b) for a in range(1, max_a + 1) for b in range(1, max_b + 1)]
+    steps = {}
     if m > 0 and n > 0:
         denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
-        grids = _cosine_grid(table, max_a, max_b)
+        steps = _cosine_grid(table, max_a, max_b)
+        for (a, b), grid in steps.items():
+            # the step (1.0 - cos) / denom * (a + b) / 2.0, one operation at a time, in place
+            np.subtract(1.0, grid, out=grid)
+            grid /= denom
+            grid *= a + b
+            grid /= 2.0
+    link_moves = [(k, a, b) for k, (a, b) in enumerate(moves) if (a, b) in steps and b <= n]
 
-    # transitions in tie-break preference order: (src_span, tgt_span, is_skip)
-    moves = [(0, 1, True), (1, 0, True)]
-    moves += [(a, b, False) for a in range(1, max_a + 1) for b in range(1, max_b + 1)]
-    moves.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    inf = float("inf")
-    cost = [[inf] * (n + 1) for _ in range(m + 1)]
-    back: list[list[tuple[int, int, bool] | None]] = [[None] * (n + 1) for _ in range(m + 1)]
-    cost[0][0] = 0.0
+    cost = np.empty((m + 1, n + 1))
+    back = np.zeros((m + 1, n + 1), dtype=np.int8)
+    # totals of each move into each cell of the current row, one row per move;
+    # the (0, 1) skip's row stays inf, as does a slot whose move would start
+    # left of column 0 or above row 0
+    cand = np.full((len(moves), n + 1), np.inf)
+    cols = np.arange(n + 1)
     for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                continue
-            best, best_move = inf, None
-            for a, b, is_skip in moves:
-                pi, pj = i - a, j - b
-                if pi < 0 or pj < 0 or cost[pi][pj] == inf:
-                    continue
-                if is_skip:
-                    step = params.skip_penalty * (a + b)
-                else:
-                    step = (1.0 - grids[(a, b)][pi, pj]) / denom * (a + b) / 2.0
-                total = cost[pi][pj] + step
-                if total < best:
-                    best, best_move = total, (a, b, is_skip)
-            cost[i][j] = best
-            back[i][j] = best_move
+        if i == 0:
+            row, row_back = [0.0] + [np.inf] * n, [0] * (n + 1)
+        else:
+            np.add(cost[i - 1], skip, out=cand[1])
+            for k, a, b in link_moves:
+                if a <= i:
+                    np.add(cost[i - a, :n + 1 - b], steps[(a, b)][i - a], out=cand[k, b:])
+            best = cand.argmin(axis=0)  # the first minimum, as a strict-< scan keeps
+            row, row_back = cand[best, cols].tolist(), best.tolist()
+        # the (0, 1) skip reads this row, so it runs left to right; being first
+        # in preference order, it loses only to a strictly cheaper move
+        for j in range(1, n + 1):
+            total = row[j - 1] + skip
+            if not row[j] < total:
+                row[j], row_back[j] = total, 0
+        cost[i], back[i] = row, row_back
 
     links: list[AlignedPair] = []
     i, j = m, n
     while i > 0 or j > 0:
-        a, b, _ = back[i][j]
+        a, b = moves[back[i, j]]
         pi, pj = i - a, j - b
         links.append(AlignedPair(
             src_start=pi, src_len=a, tgt_start=pj, tgt_len=b,
-            cost=cost[i][j] - cost[pi][pj],
+            cost=float(cost[i, j] - cost[pi, pj]),
         ))
         i, j = pi, pj
     links.reverse()
 
-    total = cost[m][n] if (m or n) else 0.0
     result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links),
-                          params_used=params, total_cost=total)
+                          params_used=params, total_cost=float(cost[m, n]))
     validate_alignment(result, m, n)
     return result
 

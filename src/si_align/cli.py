@@ -296,7 +296,7 @@ def _map_talks(fn, docs, cfg: PipelineConfig):
     """Talk-level parallelism; results returned in input order."""
     if cfg.jobs <= 1 or len(docs) <= 1:
         return [fn(d, cfg) for d in docs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(docs))) as pool:
         futures = [pool.submit(fn, d, cfg) for d in docs]
         return [f.result() for f in futures]
 
@@ -560,6 +560,10 @@ def main(argv=None) -> int:
     except (ValidationError, sp.ContaminationError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -25,6 +25,11 @@ TARGET = "target"
 
 MAX_WINDOW_LIMIT = 6
 RENORM_WARN_TOL = 1e-3
+# bounds that turn an absurd `embedding.dim` into a validation error instead
+# of an allocation failure: the hashed dimension, and one talk's windows x dim
+# table (2**26 float64 cells are 512 MiB)
+MAX_FALLBACK_DIM = 1 << 16
+MAX_TABLE_CELLS = 1 << 26
 
 
 class MissingWindowError(KeyError):
@@ -33,6 +38,11 @@ class MissingWindowError(KeyError):
         super().__init__(
             f"no embedding for window ({side}, start={start}, len={window_len}){where}")
         self.window = (side, start, window_len)
+        self.path = path
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so a `--jobs` worker can send it back
+        return type(self), (*self.window, self.path)
 
 
 @dataclass(frozen=True)
@@ -44,8 +54,9 @@ class FallbackParams:
     seed: int = 17
 
     def __post_init__(self):
-        if self.dim < 64:
-            raise ValidationError(f"fallback dim must be >= 64, got {self.dim}")
+        if not 64 <= self.dim <= MAX_FALLBACK_DIM:
+            raise ValidationError(
+                f"embedding.dim must be in 64..{MAX_FALLBACK_DIM}, got {self.dim}")
         if not self.orders or any(n < 1 or n > 5 for n in self.orders):
             raise ValidationError(f"n-gram orders must be a non-empty subset of 1..5: {self.orders}")
 
@@ -104,16 +115,6 @@ def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     return value % dim, 1 if value >> 63 else -1
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]."""
-    if u.shape != v.shape:
-        raise ValidationError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValidationError("cosine undefined for zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 @dataclass
 class EmbeddingTable:
     """Vectors for every window of both documents: one unit-norm row per
@@ -134,12 +135,6 @@ class EmbeddingTable:
         """View of the rows of every window of one side and length, by start."""
         block = self.rows[(side, window_len)]
         return self.entries[block.start:block.stop]
-
-    def vector(self, side: str, start: int, window_len: int) -> np.ndarray:
-        block = self.rows.get((side, window_len), range(0))
-        if not 0 <= start < len(block):
-            raise MissingWindowError(side, start, window_len)
-        return self.entries[block[start]]
 
 
 def window_rows(n_source: int, n_target: int,
@@ -176,6 +171,9 @@ def build_fallback_table(doc: DocumentPair, params: FallbackParams,
     rows = window_rows(len(doc.source_units), len(doc.target_units),
                        max_src_window, max_tgt_window)
     n_rows, dim = rows[(TARGET, max_tgt_window)].stop, params.dim
+    if n_rows * dim > MAX_TABLE_CELLS:
+        raise ValidationError(f"{doc.talk_id}: embedding.dim {dim} x {n_rows} windows exceeds "
+                              f"the table limit of {MAX_TABLE_CELLS} cells")
     cells, signs = [], []
     for side, units, max_w in ((SOURCE, doc.source_units, max_src_window),
                                (TARGET, doc.target_units, max_tgt_window)):

@@ -37,6 +37,10 @@ class MissingReferenceError(KeyError):
         )
         self.span = (talk_id, src_start, src_len)
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so a `--jobs` worker can send it back
+        return type(self), self.span
+
 
 @dataclass(frozen=True)
 class InterFilterParams:

@@ -2,11 +2,14 @@
 paths. These deliberately avoid the library's own algorithms: plain DP
 tables, explicit enumeration, per-window loops, and dict counting."""
 
+import random
+
 import numpy as np
 
-from si_align.corpus import TextUnit, ValidationError
-from si_align.embeddings import (SOURCE, TARGET, FallbackParams, MissingWindowError,
-                                 _gram_slot, build_fallback_table, cosine)
+from si_align.align import DENOM_FLOOR, AlignmentSet, _cosine_grid, validate_alignment
+from si_align.corpus import AlignedPair, TextUnit, ValidationError
+from si_align.embeddings import (SOURCE, TARGET, EmbeddingTable, FallbackParams,
+                                 MissingWindowError, _gram_slot, build_fallback_table)
 
 from conftest import doc
 
@@ -46,6 +49,103 @@ def fallback_embed(text: str, params: FallbackParams) -> np.ndarray:
     return vec / norm
 
 
+def window_vector(table: EmbeddingTable, side: str, start: int, window_len: int) -> np.ndarray:
+    """The row of window (side, start, window_len) of a table."""
+    block = table.rows.get((side, window_len), range(0))
+    if not 0 <= start < len(block):
+        raise MissingWindowError(side, start, window_len)
+    return table.entries[block[start]]
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity clamped to [-1, 1]."""
+    if u.shape != v.shape:
+        raise ValidationError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValidationError("cosine undefined for zero vector")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def reference_denominator(table: EmbeddingTable, sample_size: int, seed: int) -> float:
+    """Mean (1 - cosine) over seeded random source/target singleton pairs,
+    one `cosine` call per sample."""
+    if table.n_source_units < 1 or table.n_target_units < 1:
+        raise ValidationError("denominator needs at least one singleton window per side")
+    rng = random.Random(seed)
+    acc = 0.0
+    for _ in range(sample_size):
+        i = rng.randrange(table.n_source_units)
+        j = rng.randrange(table.n_target_units)
+        acc += 1.0 - cosine(window_vector(table, SOURCE, i, 1),
+                            window_vector(table, TARGET, j, 1))
+    return max(acc / sample_size, DENOM_FLOOR)
+
+
+def reference_dp_align(doc, table, params) -> AlignmentSet:
+    """The aligner's DP filled cell by cell: every move of every cell is
+    scanned in tie-break preference order and kept only when strictly
+    cheaper than the best so far."""
+    m, n = len(doc.source_units), len(doc.target_units)
+    if params.max_src_span > table.max_src_window or params.max_tgt_span > table.max_tgt_window:
+        raise ValidationError(
+            f"span limits ({params.max_src_span}, {params.max_tgt_span}) exceed table windows "
+            f"({table.max_src_window}, {table.max_tgt_window})"
+        )
+    max_a, max_b = params.max_src_span, params.max_tgt_span
+
+    denom = 1.0
+    if m > 0 and n > 0:
+        denom = reference_denominator(table, params.norm_sample_size, params.rng_seed)
+        grids = _cosine_grid(table, max_a, max_b)
+
+    # transitions in tie-break preference order: (src_span, tgt_span, is_skip)
+    moves = [(0, 1, True), (1, 0, True)]
+    moves += [(a, b, False) for a in range(1, max_a + 1) for b in range(1, max_b + 1)]
+    moves.sort(key=lambda t: (t[0], t[1], t[2]))
+
+    inf = float("inf")
+    cost = [[inf] * (n + 1) for _ in range(m + 1)]
+    back: list[list[tuple[int, int, bool] | None]] = [[None] * (n + 1) for _ in range(m + 1)]
+    cost[0][0] = 0.0
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i == 0 and j == 0:
+                continue
+            best, best_move = inf, None
+            for a, b, is_skip in moves:
+                pi, pj = i - a, j - b
+                if pi < 0 or pj < 0 or cost[pi][pj] == inf:
+                    continue
+                if is_skip:
+                    step = params.skip_penalty * (a + b)
+                else:
+                    step = (1.0 - grids[(a, b)][pi, pj]) / denom * (a + b) / 2.0
+                total = cost[pi][pj] + step
+                if total < best:
+                    best, best_move = total, (a, b, is_skip)
+            cost[i][j] = best
+            back[i][j] = best_move
+
+    links: list[AlignedPair] = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        a, b, _ = back[i][j]
+        pi, pj = i - a, j - b
+        links.append(AlignedPair(
+            src_start=pi, src_len=a, tgt_start=pj, tgt_len=b,
+            cost=cost[i][j] - cost[pi][pj],
+        ))
+        i, j = pi, pj
+    links.reverse()
+
+    total = cost[m][n] if (m or n) else 0.0
+    result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links),
+                          params_used=params, total_cost=total)
+    validate_alignment(result, m, n)
+    return result
+
+
 def quadratic_lcs(a, b):
     """Classic O(|a|*|b|) longest-common-substring table."""
     best = 0
@@ -76,7 +176,7 @@ def link_cost(src_span, tgt_span, table, denom, skip_penalty):
         raise MissingWindowError(SOURCE, si, sl)
     if tl > table.max_tgt_window:
         raise MissingWindowError(TARGET, ti, tl)
-    sim = cosine(table.vector(SOURCE, si, sl), table.vector(TARGET, ti, tl))
+    sim = cosine(window_vector(table, SOURCE, si, sl), window_vector(table, TARGET, ti, tl))
     return (1.0 - sim) / denom * (sl + tl) / 2.0
 
 
@@ -92,7 +192,8 @@ def step_cost_table(table, params, denom, m, n):
         for b in range(1, params.max_tgt_span + 1):
             for i in range(m - a + 1):
                 for j in range(n - b + 1):
-                    sim = cosine(table.vector(SOURCE, i, a), table.vector(TARGET, j, b))
+                    sim = cosine(window_vector(table, SOURCE, i, a),
+                                 window_vector(table, TARGET, j, b))
                     costs[(i, j, a, b)] = (1.0 - sim) / denom * (a + b) / 2.0
     return costs
 

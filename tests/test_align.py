@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
                             normalization_denominator, prune, validate_alignment,
@@ -10,23 +11,27 @@ from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
 from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, Rank,
                              ValidationError, read_manifest)
 from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
-                                 build_fallback_table, cosine)
+                                 build_fallback_table)
 from si_align.intra import read_trims
 
 from conftest import doc, unit
 
 
-from oracles import (exhaustive_best, fallback_embed, link_cost, random_instance,
-                     step_cost_table)
+from oracles import (cosine, exhaustive_best, fallback_embed, link_cost, random_instance,
+                     reference_denominator, reference_dp_align, step_cost_table, window_vector)
 
 
-def basis_table(src_ids, tgt_ids, dim=64, max_window=3):
-    """Table whose window vector is the normalized sum of per-unit basis
-    vectors, giving exactly controllable cosines."""
+def basis_table(src_ids, tgt_ids, dim=64, max_window=3, unit_vectors=None):
+    """Table whose window vector is the normalized sum of per-unit vectors,
+    row `i % dim` of `unit_vectors`. The default basis vectors give exactly
+    controllable cosines."""
+    if unit_vectors is None:
+        unit_vectors = np.eye(dim)
+
     def vec(ids):
         v = np.zeros(dim)
         for i in ids:
-            v[i % dim] += 1.0
+            v += unit_vectors[i % dim]
         return v / np.linalg.norm(v)
 
     # rows in table order: source before target, then by window length, then by start
@@ -56,14 +61,7 @@ def test_denominator_matches_seeded_replay():
     tgt_ids = [rng0.randrange(8) for _ in range(5)]
     table = basis_table(src_ids, tgt_ids)
     got = normalization_denominator(table, 100, seed=7)
-    # independent replay of the documented sampling protocol
-    rng = random.Random(7)
-    acc = 0.0
-    for _ in range(100):
-        i = rng.randrange(6)
-        j = rng.randrange(5)
-        acc += 1.0 - cosine(table.vector(SOURCE, i, 1), table.vector(TARGET, j, 1))
-    assert got == pytest.approx(max(acc / 100, 1e-6), abs=1e-12)
+    assert float.hex(got) == float.hex(reference_denominator(table, 100, seed=7))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ def test_skip_cost_is_penalty_times_size():
 def test_merge_link_cost_hand_computed():
     table = basis_table([0, 1], [0, 2], max_window=2)
     denom = 0.8
-    sim = cosine(table.vector(SOURCE, 0, 1), table.vector(TARGET, 0, 2))
+    sim = cosine(window_vector(table, SOURCE, 0, 1), window_vector(table, TARGET, 0, 2))
     expected = (1.0 - sim) / denom * 1.5
     assert link_cost((0, 1), (0, 2), table, denom, 0.5) == pytest.approx(expected, abs=1e-12)
 
@@ -163,6 +161,54 @@ def test_dp_deterministic_serialization(tmp_path):
     pa.write_text(links_text(a.talk_id, a.links), encoding="utf-8")
     pb.write_text(links_text(b.talk_id, b.links), encoding="utf-8")
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@st.composite
+def tie_prone_instances(draw):
+    """0..9 units a side drawn from a few unit ids, each window's vector the
+    normalized sum of its units' vectors, so duplicate rows are common. The
+    unit vectors are basis vectors, or dense ones so that sums round; span
+    limits 1..4; a skip penalty that is often exactly a link's step or half
+    of one, so skips and links tie."""
+    unit_ids = st.lists(st.integers(0, draw(st.integers(0, 7))), max_size=9)
+    src_ids, tgt_ids = draw(unit_ids), draw(unit_ids)
+    document = doc([f"u{i}" for i in src_ids], [f"u{i}" for i in tgt_ids], talk_id="ties")
+    unit_vectors = None
+    if draw(st.booleans()):
+        unit_vectors = np.random.default_rng(draw(st.integers(0, 1 << 16))).normal(size=(8, 8))
+    table = basis_table(src_ids, tgt_ids, dim=8, max_window=4, unit_vectors=unit_vectors)
+    max_a, max_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sample_size, seed = draw(st.integers(1, 300)), draw(st.integers(0, 1 << 16))
+    skip = draw(st.sampled_from([0.0, 0.25, 0.5, 0.7]))
+    if src_ids and tgt_ids and draw(st.booleans()):
+        a = draw(st.integers(1, min(max_a, len(src_ids))))
+        b = draw(st.integers(1, min(max_b, len(tgt_ids))))
+        i = draw(st.integers(0, len(src_ids) - a))
+        j = draw(st.integers(0, len(tgt_ids) - b))
+        cos = cosine(window_vector(table, SOURCE, i, a), window_vector(table, TARGET, j, b))
+        step = (1.0 - cos) / reference_denominator(table, sample_size, seed) * (a + b) / 2.0
+        skip = step / draw(st.sampled_from([1.0, 2.0]))
+    params = AlignParams(max_src_span=max_a, max_tgt_span=max_b, skip_penalty=skip,
+                         prune_cost_threshold=skip + 1.0, norm_sample_size=sample_size,
+                         rng_seed=seed)
+    return document, table, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_prone_instances())
+def test_dp_bit_identical_to_cell_by_cell_oracle(instance):
+    """The row-vectorized fill picks the same move as a strict-< scan in every
+    cell, ties included, and every cost is the same float to the last bit."""
+    document, table, params = instance
+    got = dp_align(document, table, params)
+    want = reference_dp_align(document, table, params)
+    assert [(l.key(), float.hex(l.cost)) for l in got.links] == \
+        [(l.key(), float.hex(l.cost)) for l in want.links]
+    assert float.hex(got.total_cost) == float.hex(want.total_cost)
+    if document.source_units and document.target_units:
+        args = (table, params.norm_sample_size, params.rng_seed)
+        assert float.hex(normalization_denominator(*args)) == \
+            float.hex(reference_denominator(*args))
 
 
 def test_dp_rejects_spans_beyond_table():

@@ -1,8 +1,13 @@
+import concurrent.futures
 import json
+import pickle
 
 import pytest
 
+from si_align import align, cli, embeddings
 from si_align.cli import main
+from si_align.embeddings import MissingWindowError
+from si_align.inter import MissingReferenceError
 
 
 def write_config(tmp_path, **overrides):
@@ -213,6 +218,7 @@ def test_malformed_trims_line_exit_two(tmp_path, capsys):
                                                (None, "jobs", "x"),
                                                (None, "epsilons", 5),
                                                ("embedding", "dim", "abc"),
+                                               ("embedding", "dim", 10**12),
                                                ("synth", "vocab_size", "two"),
                                                ("inter", "gamma_min", float("nan")),
                                                ("inter", "eta_min", float("nan")),
@@ -250,3 +256,99 @@ def test_pipeline_loads_each_talk_once(tmp_path, monkeypatch):
                         lambda manifest: loaded.append(manifest.talk_id) or load(manifest))
     assert run(["pipeline", "--config", cfg]) == 0
     assert sorted(loaded) == ["talk0000", "talk0001", "talk0002"]
+
+
+def test_table_over_cell_limit_exit_one(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    monkeypatch.setattr(embeddings, "MAX_TABLE_CELLS", 1000)
+    capsys.readouterr()
+    assert run(["pipeline", "--config", cfg]) == 1
+    assert "talk0000: embedding.dim 1024" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coarse").exists()
+
+
+def test_memory_error_exit_one(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(align, "dp_align", exhausted)
+    capsys.readouterr()
+    assert run(["align", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "error: out of memory: Unable to allocate 7.28 TiB for an array" in err
+    assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize("error", [MissingWindowError("source", 3, 2, "emb/t0.tsv"),
+                                   MissingWindowError("target", 1, 1),
+                                   MissingReferenceError("t0", 2, 3)],
+                         ids=["window", "window-no-path", "reference"])
+def test_missing_errors_survive_pickling(error):
+    """A `--jobs` worker sends its exception back pickled."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert vars(copy) == vars(error)
+
+
+@pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
+def test_worker_count_capped_at_talks(monkeypatch, jobs, workers):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = cli.PipelineConfig(out_dir=".", jobs=jobs)
+    assert cli._map_talks(lambda doc, cfg: doc * 2, [1, 2, 3], cfg) == [2, 4, 6]
+    assert started == [workers]
+
+
+def test_jobs_parity(tmp_path, capsys):
+    """`--jobs 1` and `--jobs 2` write the same artifacts, and fail alike
+    when a vector row is missing."""
+    cfg = write_config(tmp_path, embedding={"kind": "precomputed_file",
+                                            "path_pattern": "vectors/{talk_id}.tsv"})
+    assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3",
+                "--sentences", "8"]) == 0
+    params = embeddings.FallbackParams(dim=128, orders=(3, 4))
+    out = tmp_path / "out"
+    (out / "vectors").mkdir()
+    for doc in cli.load_corpus(cli.PipelineConfig(out_dir=out, corpus=out / "corpus.json")):
+        table = embeddings.build_fallback_table(doc, params)
+        embeddings.write_table_file(table, out / "vectors" / f"{doc.talk_id}.tsv")
+
+    def artifacts(out_dir):
+        return {path.name: json.loads(path.read_text())["artifacts"]
+                for path in sorted((tmp_path / out_dir / "manifests").glob("*.json"))}
+
+    for jobs in (1, 2):
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
+    serial = artifacts("run1")
+    assert len(serial) == 5 and serial == artifacts("run2")
+
+    vectors = out / "vectors" / "talk0001.tsv"
+    lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    vectors.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+    errors = []
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"bad{jobs}"]) == 2
+        errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert str(vectors) in errors[0][0]

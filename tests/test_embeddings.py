@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
 from si_align.embeddings import (FallbackParams, MissingWindowError, SOURCE, TARGET,
-                                 build_fallback_table, cosine, load_precomputed,
-                                 window_rows, write_table_file)
+                                 build_fallback_table, load_precomputed, window_rows,
+                                 write_table_file)
 
 from conftest import doc, unit
-from oracles import enumerate_windows, fallback_embed
+from oracles import cosine, enumerate_windows, fallback_embed, window_vector
 
 
 def brute_force_windows(texts, max_window):
@@ -126,7 +126,7 @@ def test_table_vectors_unit_norm():
     table = build_fallback_table(document, FallbackParams(), 2, 2)
     assert len(table.entries) == 6
     for key in all_windows(document, 2):
-        assert abs(np.linalg.norm(table.vector(*key)) - 1.0) <= 1e-6
+        assert abs(np.linalg.norm(window_vector(table, *key)) - 1.0) <= 1e-6
 
 
 # raw unit texts, not normalized: empty, shorter than an order, whitespace of
@@ -165,7 +165,8 @@ def test_precomputed_round_trip_and_counts(tmp_path):
     write_table_file(table, path)
     loaded = load_precomputed(path, 2, 2, 2, 2)
     for key in all_windows(document, 2):
-        assert np.allclose(loaded.vector(*key), table.vector(*key), atol=1e-12)
+        assert np.allclose(window_vector(loaded, *key), window_vector(table, *key),
+                           atol=1e-12)
 
 
 def test_precomputed_rows_in_any_order_extra_rows_ignored(tmp_path):
@@ -199,7 +200,7 @@ def test_precomputed_renormalizes(tmp_path):
     rows = ["source\t0\t1\t0.5,0.0", "target\t0\t1\t0.0,1.0"]
     path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
     loaded = load_precomputed(path, 1, 1, 1, 1)
-    assert np.linalg.norm(loaded.vector(SOURCE, 0, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(window_vector(loaded, SOURCE, 0, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_precomputed_dimension_mismatch(tmp_path):
