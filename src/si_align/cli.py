@@ -37,9 +37,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-STAGE_COARSE = "coarse"
-STAGE_INTRA = "intra"
-STAGE_INTER = "inter"
+# stage -> the command whose run writes it, in pipeline order; each stage
+# after the first is made from the one before it
+STAGES = {"coarse": "align", "intra": "filter-intra", "inter": "filter-inter"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,8 +81,8 @@ _ALIGN_FLAG_MAP = {
     "max_tgt_span": "max_tgt_span",
     "skip_penalty": "skip_penalty",
 }
-_INTER_FLAGS = ("alpha_min", "gamma_min", "gamma_max", "eta_min")
-_SYNTH_FLAGS = ("talks", "sentences", "vocab_size", "seed")
+_INTER_FLAGS = {flag: flag for flag in ("alpha_min", "gamma_min", "gamma_max", "eta_min")}
+_SYNTH_FLAGS = {flag: flag for flag in ("talks", "sentences", "vocab_size", "seed")}
 
 
 def _typed(value, default, name: str):
@@ -145,23 +145,19 @@ def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
         value = raw.get(key)
         return (base / _typed(value, "", key)) if value is not None else None
 
-    align_obj = dict(top("align", {}))
-    inter_obj = dict(top("inter", {}))
+    def flagged(obj: dict, flags: dict) -> dict:
+        """obj with the value of each flag given on the command line, by key."""
+        given = {key: getattr(args, flag, None) for flag, key in flags.items()}
+        return {**obj, **{key: value for key, value in given.items() if value is not None}}
+
+    align_obj = flagged(top("align", {}), _ALIGN_FLAG_MAP)
+    inter_obj = flagged(top("inter", {}), _INTER_FLAGS)
     per_talk_raw = _typed(inter_obj.pop("per_talk", {}), {}, "inter.per_talk")
     intra_obj = dict(top("intra", {}))
     if "content_pos" in intra_obj:
         intra_obj["content_pos"] = _pos_set(intra_obj["content_pos"], "intra.content_pos")
     if "coverage_pos" in inter_obj:
         inter_obj["coverage_pos"] = _pos_set(inter_obj["coverage_pos"], "inter.coverage_pos")
-
-    for flag, field_name in _ALIGN_FLAG_MAP.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            align_obj[field_name] = value
-    for flag in _INTER_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            inter_obj[flag] = value
 
     inter_params = _dataclass_from(fi.InterFilterParams, inter_obj, "inter")
     per_talk = {}
@@ -171,15 +167,16 @@ def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
         if "coverage_pos" in overrides:
             merged["coverage_pos"] = _pos_set(overrides["coverage_pos"], f"{context}.coverage_pos")
         per_talk[talk_id] = _dataclass_from(fi.InterFilterParams, merged, context)
+    # the built-in chrF scorer scores in [0, 1]; an external score file has no fixed range
+    if raw.get("scores_path") is None:
+        for context, params in (("inter", inter_params),
+                                *((f"inter.per_talk.{t}", p) for t, p in per_talk.items())):
+            if not 0.0 <= params.eta_min <= 1.0:
+                raise ValidationError(f"{context}.eta_min: must be in [0, 1] with the built-in "
+                                      f"chrF scorer (no scores_path), got {params.eta_min!r}")
 
-    synth_obj = dict(top("synth", {}))
-    noise_obj = dict(top("noise", {}))
-    for flag in _SYNTH_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            synth_obj[flag] = value
-    if getattr(args, "seed", None) is not None:
-        noise_obj["rng_seed"] = args.seed
+    synth_obj = flagged(top("synth", {}), _SYNTH_FLAGS)
+    noise_obj = flagged(top("noise", {}), {"seed": "rng_seed"})
 
     embedding = top("embedding", {})
     defaults = {**dataclasses.asdict(em.FallbackParams()), "kind": "", "path_pattern": ""}
@@ -226,10 +223,28 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-class RunManifest:
-    """Records inputs, parameter hash, and artifact checksums for one run."""
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """A stage's result: per talk, the pairs it passes on and (intra only) the
+    trims; and its lineage, the run entry of every manifest behind it."""
 
-    def __init__(self, command: str, cfg: PipelineConfig):
+    pairs: dict[str, tuple[cm.AlignedPair, ...]]
+    lineage: dict[str, dict]
+    trims: dict[str, dict] = dataclasses.field(default_factory=dict)
+
+
+def _run_entry(manifest: dict) -> dict:
+    """How a consumer's manifest records one upstream run."""
+    canon = json.dumps(manifest.get("artifacts"), sort_keys=True).encode("utf-8")
+    return {"params_hash": manifest.get("params_hash"),
+            "artifacts_sha256": hashlib.sha256(canon).hexdigest()}
+
+
+class RunManifest:
+    """Records inputs, parameter hash, and artifact checksums for one run,
+    and the lineage (`upstream`) of the stages it consumed."""
+
+    def __init__(self, command: str, cfg: PipelineConfig, *consumed: Stage):
         self.command = command
         self.out_dir = cfg.out_dir
         cfg_obj = dataclasses.asdict(cfg)
@@ -237,6 +252,7 @@ class RunManifest:
         self.params_hash = hashlib.sha256(canon.encode("utf-8")).hexdigest()
         self.inputs: list[str] = []
         self.artifacts: dict[str, str] = {}
+        self.upstream = {cmd: entry for stage in consumed for cmd, entry in stage.lineage.items()}
 
     def add_input(self, path) -> None:
         if path is not None:
@@ -247,16 +263,54 @@ class RunManifest:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self.artifacts[str(path.relative_to(self.out_dir))] = digest
 
-    def save(self) -> Path:
+    def save(self) -> dict:
+        """Write the manifest; returns the lineage of this run's output."""
         obj = {
             "command": self.command,
             "params_hash": self.params_hash,
             "inputs": sorted(set(self.inputs)),
             "artifacts": dict(sorted(self.artifacts.items())),
         }
+        if self.upstream:
+            obj["upstream"] = self.upstream
         path = self.out_dir / "manifests" / f"{self.command}.json"
         atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        return path
+        return {self.command: _run_entry(obj), **self.upstream}
+
+
+def _saved_manifest(path: Path, needed_by: str) -> dict:
+    if not path.is_file():
+        raise ValidationError(f"{needed_by}, which is missing")
+    obj = cm.read_json(path)
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(key, {}), dict)
+                                          for key in ("artifacts", "upstream"))):
+        raise ParseError("not a run manifest", path=path)
+    return obj
+
+
+def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
+    """Read a stage back for every talk. The manifest of the run that wrote
+    it must list the files, and every manifest it records upstream must be
+    on disk as recorded; otherwise a ValidationError names the manifests. A
+    manifest that is not a JSON object of objects is a ParseError."""
+    path = cfg.out_dir / "manifests" / f"{STAGES[stage]}.json"
+    obj = _saved_manifest(path, f"stage {stage} needs {path}")
+    upstream = obj.get("upstream", {})
+    if not upstream and stage != next(iter(STAGES)):
+        raise ValidationError(f"{path} records no upstream manifests: rerun {STAGES[stage]}")
+    for command, entry in upstream.items():
+        up_path = path.parent / f"{command}.json"
+        if _run_entry(_saved_manifest(up_path, f"{path} was made from {up_path}")) != entry:
+            raise ValidationError(f"{path} was made from another {up_path}: rerun {STAGES[stage]}")
+    pairs, trims = {}, {}
+    for doc in docs:
+        links = f"{stage}/{doc.talk_id}.jsonl"
+        if links not in obj.get("artifacts", {}):
+            raise ValidationError(f"{path} does not list {links}")
+        pairs[doc.talk_id] = al.read_alignment_jsonl(cfg.out_dir / links).kept()
+        if stage == "intra":
+            trims[doc.talk_id] = fa.read_trims(cfg.out_dir / stage / f"{doc.talk_id}.trims.jsonl")
+    return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
 
 
 def _json_default(value):
@@ -279,15 +333,11 @@ def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
     return docs
 
 
-def build_table(doc: cm.DocumentPair, cfg: PipelineConfig) -> em.EmbeddingTable:
+def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
     spec = em.EmbeddingProviderSpec.from_dict(cfg.embedding)
     base = Path(cfg.corpus).parent if cfg.corpus is not None else None
-    return em.table_for(doc, spec, cfg.align_params.max_src_span,
-                        cfg.align_params.max_tgt_span, base_dir=base)
-
-
-def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
-    table = build_table(doc, cfg)
+    table = em.table_for(doc, spec, cfg.align_params.max_src_span,
+                         cfg.align_params.max_tgt_span, base_dir=base)
     aligned = al.dp_align(doc, table, cfg.align_params)
     return al.prune(aligned, cfg.align_params.prune_cost_threshold)
 
@@ -301,7 +351,7 @@ def _map_talks(fn, docs, cfg: PipelineConfig):
         return [f.result() for f in futures]
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
+def cmd_synth(cfg: PipelineConfig) -> None:
     manifest = RunManifest("synth", cfg)
     talks = sb.generate_corpus(cfg.synth_seed, cfg.synth_talks, cfg.synth_sentences,
                                cfg.noise, cfg.synth_vocab)
@@ -325,40 +375,29 @@ def cmd_synth(cfg: PipelineConfig) -> int:
                             sp.allowlist_text(t.doc.talk_id for t in talks))
     manifest.save()
     log.info("synthesized %d talks into %s", len(talks), out)
-    return EXIT_OK
 
 
-def cmd_align(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
+def cmd_align(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> Stage:
     manifest = RunManifest("align", cfg)
     manifest.add_input(cfg.corpus)
     results = _map_talks(_align_one, docs, cfg)
     for doc, aset in zip(docs, results):
-        manifest.write_artifact(cfg.out_dir / STAGE_COARSE / f"{doc.talk_id}.jsonl",
+        manifest.write_artifact(cfg.out_dir / "coarse" / f"{doc.talk_id}.jsonl",
                                 al.links_text(doc.talk_id, aset.links))
-    manifest.save()
-    return EXIT_OK
+    return Stage({doc.talk_id: aset.kept() for doc, aset in zip(docs, results)}, manifest.save())
 
 
-def _read_stage(cfg: PipelineConfig, stage: str, talk_id: str) -> al.AlignmentSet:
-    path = cfg.out_dir / stage / f"{talk_id}.jsonl"
-    aset = al.read_alignment_jsonl(path)
-    if aset.talk_id in ("", None):
-        aset = dataclasses.replace(aset, talk_id=talk_id)
-    return aset
-
-
-def cmd_validate(cfg: PipelineConfig) -> int:
-    manifest = RunManifest("validate", cfg)
+def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage) -> None:
+    manifest = RunManifest("validate", cfg, coarse)
     manifest.add_input(cfg.corpus)
     if cfg.gold_dir is None:
         raise ValidationError("config needs 'gold_dir' for validate")
-    docs = load_corpus(cfg)
     reports = []
     for doc in docs:
         gold_path = cfg.gold_dir / f"{doc.talk_id}.gold.jsonl"
         manifest.add_input(gold_path)
         gold = al.read_alignment_jsonl(gold_path)
-        auto = _read_stage(cfg, STAGE_COARSE, doc.talk_id)
+        auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], None, 0.0)
         report = rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons))
         reports.append(report)
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
@@ -366,25 +405,26 @@ def cmd_validate(cfg: PipelineConfig) -> int:
     manifest.write_artifact(cfg.out_dir / "reports" / "recovery.tsv",
                             rv.summary_tsv_text(reports))
     manifest.save()
-    return EXIT_OK
 
 
-def cmd_filter_intra(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
-    manifest = RunManifest("filter-intra", cfg)
+def cmd_filter_intra(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage) -> Stage:
+    manifest = RunManifest("filter-intra", cfg, coarse)
     manifest.add_input(cfg.corpus)
+    pairs, trims = {}, {}
     for doc in docs:
-        pairs = _read_stage(cfg, STAGE_COARSE, doc.talk_id).kept()
-        results = fa.apply_intra_filter(pairs, doc, cfg.intra_params)
-        manifest.write_artifact(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.jsonl",
+        results = fa.apply_intra_filter(coarse.pairs[doc.talk_id], doc, cfg.intra_params)
+        manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.jsonl",
                                 al.links_text(doc.talk_id, [r.pair for r in results]))
-        manifest.write_artifact(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.trims.jsonl",
-                                fa.trims_text(doc.talk_id, pairs, results))
-    manifest.save()
-    return EXIT_OK
+        manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.trims.jsonl",
+                                fa.trims_text(doc.talk_id, coarse.pairs[doc.talk_id], results))
+        # trimming keeps every pair it is given
+        pairs[doc.talk_id] = tuple(r.pair for r in results)
+        trims[doc.talk_id] = {r.pair.key(): r.trims for r in results}
+    return Stage(pairs, manifest.save(), trims)
 
 
-def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
-    manifest = RunManifest("filter-inter", cfg)
+def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair], intra: Stage) -> Stage:
+    manifest = RunManifest("filter-inter", cfg, intra)
     manifest.add_input(cfg.corpus)
     if cfg.refs_dir is None:
         raise ValidationError("config needs 'refs_dir' for filter-inter")
@@ -392,24 +432,24 @@ def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
     if cfg.scores_path is not None:
         manifest.add_input(cfg.scores_path)
         scorer = fi.read_external_scores(cfg.scores_path)
+    pairs = {}
     for doc in docs:
         ref_path = cfg.refs_dir / f"{doc.talk_id}.refs.jsonl"
         manifest.add_input(ref_path)
         ref = fi.read_reference_jsonl(ref_path, talk_id=doc.talk_id)
-        intra = _read_stage(cfg, STAGE_INTRA, doc.talk_id)
-        trims = fa.read_trims(cfg.out_dir / STAGE_INTRA / f"{doc.talk_id}.trims.jsonl")
         params = cfg.per_talk_inter.get(doc.talk_id, cfg.inter_params)
         kept, decisions = fi.apply_inter_filter(
-            intra.kept(), doc, ref, params, scorer=scorer, trims_by_pair=trims)
-        manifest.write_artifact(cfg.out_dir / STAGE_INTER / f"{doc.talk_id}.jsonl",
+            intra.pairs[doc.talk_id], doc, ref, params, scorer=scorer,
+            trims_by_pair=intra.trims[doc.talk_id])
+        manifest.write_artifact(cfg.out_dir / "inter" / f"{doc.talk_id}.jsonl",
                                 al.links_text(doc.talk_id, kept))
         manifest.write_artifact(cfg.out_dir / "decisions" / f"{doc.talk_id}.jsonl",
                                 fi.decisions_text(decisions))
-    manifest.save()
-    return EXIT_OK
+        pairs[doc.talk_id] = tuple(kept)
+    return Stage(pairs, manifest.save())
 
 
-def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
+def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> None:
     manifest = RunManifest("split", cfg)
     manifest.add_input(cfg.corpus)
     if cfg.allowlist is None:
@@ -420,48 +460,34 @@ def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
                           allowlist_source=str(cfg.allowlist))
     manifest.write_artifact(cfg.out_dir / "split.json", sp.split_text(split))
     manifest.save()
-    return EXIT_OK
 
 
-def cmd_stats(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
-    manifest = RunManifest("stats", cfg)
+def _linked(pairs) -> list[cm.AlignedPair]:
+    return [l for l in pairs if not l.src_empty and not l.tgt_empty]
+
+
+def cmd_stats(cfg: PipelineConfig, docs: list[cm.DocumentPair], *stages: Stage) -> None:
+    """Talks and pairs of every stage, given in STAGES order."""
+    manifest = RunManifest("stats", cfg, *stages)
     manifest.add_input(cfg.corpus)
-    ranks = {d.talk_id: d.interpreter_rank for d in docs}
-    pair_counts: dict[str, dict[str, int]] = {}
-    for stage in (STAGE_COARSE, STAGE_INTRA, STAGE_INTER):
-        counts = {}
-        for doc in docs:
-            path = cfg.out_dir / stage / f"{doc.talk_id}.jsonl"
-            if not path.exists():
-                continue
-            aset = al.read_alignment_jsonl(path)
-            counts[doc.talk_id] = sum(
-                1 for l in aset.kept() if not l.src_empty and not l.tgt_empty)
-        if counts:
-            pair_counts[stage] = counts
-    table = sp.corpus_stats(pair_counts, ranks)
+    pair_counts = {name: {talk_id: len(_linked(pairs)) for talk_id, pairs in stage.pairs.items()}
+                   for name, stage in zip(STAGES, stages)}
+    table = sp.corpus_stats(pair_counts, {d.talk_id: d.interpreter_rank for d in docs})
     manifest.write_artifact(cfg.out_dir / "stats.tsv", table.as_tsv())
     manifest.write_artifact(cfg.out_dir / "stats.txt", table.as_text())
     manifest.save()
-    return EXIT_OK
 
 
-def cmd_export_anno(cfg: PipelineConfig, stage: str) -> int:
-    manifest = RunManifest("export-anno", cfg)
+def cmd_export_anno(cfg: PipelineConfig, docs: list[cm.DocumentPair], stage: Stage) -> None:
+    manifest = RunManifest("export-anno", cfg, stage)
     manifest.add_input(cfg.corpus)
-    docs = load_corpus(cfg)
-    by_talk = {}
-    for doc in docs:
-        aset = _read_stage(cfg, stage, doc.talk_id)
-        pairs = [l for l in aset.kept() if not l.src_empty and not l.tgt_empty]
-        by_talk[doc.talk_id] = (pairs, doc)
+    by_talk = {doc.talk_id: (_linked(stage.pairs[doc.talk_id]), doc) for doc in docs}
     manifest.write_artifact(cfg.out_dir / "annotations.tsv",
                             cu.annotations_text(cu.export_annotations(by_talk)))
     manifest.save()
-    return EXIT_OK
 
 
-def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> int:
+def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> None:
     manifest = RunManifest("import-anno", cfg)
     manifest.add_input(anno_path)
     docs = None
@@ -472,10 +498,9 @@ def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> int:
     manifest.write_artifact(cfg.out_dir / "curated.jsonl", cu.curated_text(kept))
     manifest.write_artifact(cfg.out_dir / "curation_counts.json", cu.counts_text(label_counts))
     manifest.save()
-    return EXIT_OK
 
 
-def cmd_bench(cfg: PipelineConfig) -> int:
+def cmd_bench(cfg: PipelineConfig) -> None:
     manifest = RunManifest("bench", cfg)
     rows = []
     for om in cfg.bench_omission_rates:
@@ -488,26 +513,35 @@ def cmd_bench(cfg: PipelineConfig) -> int:
     manifest.write_artifact(cfg.out_dir / "bench.tsv", text)
     manifest.save()
     print(text, end="")
-    return EXIT_OK
 
 
-def cmd_pipeline(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> int:
-    for step in (cmd_align, cmd_filter_intra, cmd_filter_inter, cmd_split, cmd_stats):
-        step(cfg, docs)
-    return EXIT_OK
+def cmd_pipeline(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> None:
+    """align -> intra -> inter -> split -> stats, each stage handed over in memory."""
+    coarse = cmd_align(cfg, docs)
+    intra = cmd_filter_intra(cfg, docs, coarse)
+    inter = cmd_filter_inter(cfg, docs, intra)
+    cmd_split(cfg, docs)
+    cmd_stats(cfg, docs, coarse, intra, inter)
 
 
-# command -> handler(cfg, parsed args); the five pipeline stages take the
-# corpus as loaded documents so that `pipeline` parses it once
+def _upstream(cfg: PipelineConfig, *stages: str) -> tuple:
+    """The corpus and the named stages, read back for a standalone command."""
+    docs = load_corpus(cfg)
+    return docs, *(load_stage(cfg, stage, docs) for stage in stages)
+
+
+# command -> handler(cfg, parsed args); the pipeline stages take the corpus
+# as loaded documents and their upstream stage in memory, so that `pipeline`
+# parses the corpus once and reads no stage back
 COMMANDS = {
     "synth": lambda cfg, args: cmd_synth(cfg),
     "align": lambda cfg, args: cmd_align(cfg, load_corpus(cfg)),
-    "validate": lambda cfg, args: cmd_validate(cfg),
-    "filter-intra": lambda cfg, args: cmd_filter_intra(cfg, load_corpus(cfg)),
-    "filter-inter": lambda cfg, args: cmd_filter_inter(cfg, load_corpus(cfg)),
+    "validate": lambda cfg, args: cmd_validate(cfg, *_upstream(cfg, "coarse")),
+    "filter-intra": lambda cfg, args: cmd_filter_intra(cfg, *_upstream(cfg, "coarse")),
+    "filter-inter": lambda cfg, args: cmd_filter_inter(cfg, *_upstream(cfg, "intra")),
     "split": lambda cfg, args: cmd_split(cfg, load_corpus(cfg)),
-    "stats": lambda cfg, args: cmd_stats(cfg, load_corpus(cfg)),
-    "export-anno": lambda cfg, args: cmd_export_anno(cfg, args.stage),
+    "stats": lambda cfg, args: cmd_stats(cfg, *_upstream(cfg, *STAGES)),
+    "export-anno": lambda cfg, args: cmd_export_anno(cfg, *_upstream(cfg, args.stage)),
     "import-anno": lambda cfg, args: cmd_import_anno(cfg, args.annotations),
     "bench": lambda cfg, args: cmd_bench(cfg),
     "pipeline": lambda cfg, args: cmd_pipeline(cfg, load_corpus(cfg)),
@@ -536,8 +570,7 @@ def build_parser() -> _Parser:
     subs["synth"].add_argument("--talks", type=int, default=None)
     subs["synth"].add_argument("--sentences", type=int, default=None)
     subs["synth"].add_argument("--vocab-size", type=int, default=None)
-    subs["export-anno"].add_argument("--stage", choices=(STAGE_COARSE, STAGE_INTRA, STAGE_INTER),
-                                     default=STAGE_INTER)
+    subs["export-anno"].add_argument("--stage", choices=list(STAGES), default="inter")
     subs["import-anno"].add_argument("annotations", type=Path)
     return parser
 
@@ -551,20 +584,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args)
-        return COMMANDS[args.command](cfg, args)
-    except (ParseError, OSError, em.MissingWindowError,
-            fi.MissingReferenceError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValidationError, sp.ContaminationError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        COMMANDS[args.command](cfg, args)
+        return EXIT_OK
+    except (ParseError, OSError, em.MissingWindowError, fi.MissingReferenceError) as exc:
+        code, message = EXIT_IO, str(exc)
+    except ValidationError as exc:  # sp.ContaminationError included
+        code, message = EXIT_VALIDATION, str(exc)
     except MemoryError as exc:
-        log.error("out of memory: %s", exc)
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, f"out of memory: {exc}"
+    log.error("%s", message)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -181,39 +181,11 @@ class DocumentPair:
     source_units: tuple[TextUnit, ...]
     target_units: tuple[TextUnit, ...]
 
-    def validate(self) -> None:
-        """Check load-time invariants. Degenerate (empty-side) documents are
-        constructible for algorithmic edge cases but never loadable."""
-        if not self.talk_id:
-            raise ValidationError("empty talk_id")
-        if not self.source_units or not self.target_units:
-            raise ValidationError(f"{self.talk_id}: both sides must have at least one unit")
-        for name, units in (("source", self.source_units), ("target", self.target_units)):
-            for i, unit in enumerate(units):
-                if unit.index != i:
-                    raise ValidationError(
-                        f"{self.talk_id}: {name} unit index {unit.index} at position {i}"
-                    )
-                _check_unit(unit, name, self.talk_id)
-
     def src_text(self, start: int, length: int) -> str:
         return " ".join(u.text for u in self.source_units[start : start + length])
 
     def tgt_text(self, start: int, length: int) -> str:
         return " ".join(u.text for u in self.target_units[start : start + length])
-
-
-def _check_unit(unit: TextUnit, side: str, talk_id: str) -> None:
-    if not unit.text:
-        raise ValidationError(f"{talk_id}: empty {side} unit {unit.index}")
-    joined = "".join(tok.surface for tok in unit.tokens)
-    if "".join(joined.split()) != "".join(unit.text.split()):
-        raise ValidationError(
-            f"{talk_id}: {side} unit {unit.index}: token surfaces do not re-concatenate to text"
-        )
-    for tok in unit.tokens:
-        if not tok.surface:
-            raise ValidationError(f"{talk_id}: {side} unit {unit.index}: empty token surface")
 
 
 @dataclass(frozen=True)
@@ -333,7 +305,6 @@ def load_document_pair(manifest: TalkManifest) -> DocumentPair:
         sides.append(units)
     doc = DocumentPair(talk_id=manifest.talk_id, interpreter_rank=manifest.interpreter_rank,
                        source_units=sides[0], target_units=sides[1])
-    doc.validate()
     log.debug("loaded %s: M=%d N=%d", doc.talk_id, len(doc.source_units), len(doc.target_units))
     return doc
 

@@ -8,7 +8,6 @@ Trimming never drops a pair and never touches the source span.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .corpus import (AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text,
                      read_jsonl)
@@ -115,6 +114,5 @@ def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
 
 
 def read_trims(path) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
-    """Trims keyed by the trimmed pair's key; empty when the file is absent."""
-    path = Path(path)
-    return dict(read_jsonl(path, _trims_row)) if path.exists() else {}
+    """Trims keyed by the trimmed pair's key."""
+    return dict(read_jsonl(path, _trims_row))

@@ -16,7 +16,6 @@ from .corpus import Rank, ValidationError, read_lines
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("coarse", "intra", "inter")
 SUBSETS = ("all", "S-rank")
 
 
@@ -112,10 +111,10 @@ class StatsTable:
 def corpus_stats(pair_counts: dict[str, dict[str, int]],
                  ranks: dict[str, Rank]) -> StatsTable:
     """Talk and pair counts per pipeline variant, for all talks and the
-    S-rank subset. pair_counts maps variant -> talk_id -> surviving pairs."""
+    S-rank subset. pair_counts maps variant -> talk_id -> surviving pairs;
+    rows follow its order."""
     rows = []
-    for variant in VARIANTS:
-        counts = pair_counts.get(variant, {})
+    for variant, counts in pair_counts.items():
         for subset in SUBSETS:
             if subset == "S-rank":
                 talk_ids = [t for t in counts if ranks.get(t) == Rank.S]

@@ -352,3 +352,135 @@ def test_jobs_parity(tmp_path, capsys):
         errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
     assert errors[0] == errors[1] and len(errors[0]) == 1
     assert str(vectors) in errors[0][0]
+
+
+def _rerun(*args):
+    return lambda tmp_path, cfg: run([*args, "--config", cfg])
+
+
+def _rerun_intra_max_trims(tmp_path, cfg):
+    other = tmp_path / "trims0.json"
+    other.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                 "intra": {"max_trims_per_side": 0}}), encoding="utf-8")
+    return run(["filter-intra", "--config", other])
+
+
+def _delete_manifest(command):
+    return lambda tmp_path, cfg: (tmp_path / "out" / "manifests" / f"{command}.json").unlink()
+
+
+def _strip_lineage(tmp_path, cfg):
+    path = tmp_path / "out" / "manifests" / "filter-intra.json"
+    obj = json.loads(path.read_text())
+    obj.pop("upstream", None)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _unlist_coarse_talk(tmp_path, cfg):
+    path = tmp_path / "out" / "manifests" / "align.json"
+    obj = json.loads(path.read_text())
+    del obj["artifacts"]["coarse/talk0001.jsonl"]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _tree(out):
+    return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("change,refused,named,accepted", [
+    (_rerun("align", "--max-src-span", "1", "--max-tgt-span", "1"),
+     [["filter-inter"], ["stats"], ["export-anno", "--stage", "intra"],
+      ["export-anno", "--stage", "inter"]],
+     "align.json",
+     [["validate"], ["filter-intra"]]),
+    (_rerun_intra_max_trims,
+     [["stats"], ["export-anno", "--stage", "inter"]],
+     "filter-intra.json",
+     [["validate"], ["export-anno", "--stage", "intra"], ["filter-inter"], ["stats"]]),
+    (_delete_manifest("align"),
+     [["filter-intra"], ["validate"], ["filter-inter"], ["stats"],
+      ["export-anno", "--stage", "coarse"]],
+     "align.json",
+     []),
+    (_strip_lineage,
+     [["filter-inter"], ["stats"], ["export-anno", "--stage", "intra"]],
+     "filter-intra.json",
+     [["filter-intra"], ["filter-inter"], ["stats"]]),
+    (_unlist_coarse_talk,
+     [["filter-intra"], ["validate"], ["export-anno", "--stage", "coarse"]],
+     "align.json",
+     [["align"], ["filter-intra"]]),
+], ids=["align-rerun", "intra-rerun", "align-manifest-deleted", "no-lineage", "talk-unlisted"])
+def test_stale_upstream_refused(tmp_path, capsys, change, refused, named, accepted):
+    """A command whose upstream manifest is missing, or has changed since its
+    input stage was made, exits 1 naming it and writes nothing."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
+                "--sentences", "8"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    assert not change(tmp_path, cfg)
+    out = tmp_path / "out"
+    for args in refused:
+        before = _tree(out)
+        capsys.readouterr()
+        assert run([*args, "--config", cfg]) == 1, args
+        err = capsys.readouterr().err
+        assert f"manifests/{named}" in err, (args, err)
+        assert _tree(out) == before, args
+    for args in accepted:
+        assert run([*args, "--config", cfg]) == 0, args
+
+
+@pytest.mark.parametrize("text", ["[]", '{"upstream": []}', '{"artifacts": 5}'])
+def test_malformed_stage_manifest_exit_two(tmp_path, capsys, text):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    manifest = tmp_path / "out" / "manifests" / "align.json"
+    manifest.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["filter-intra", "--config", cfg]) == 2
+    assert f"not a run manifest [{manifest}]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "intra").exists()
+
+
+def test_missing_trims_file_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    trims = tmp_path / "out" / "intra" / "talk0000.trims.jsonl"
+    trims.unlink()
+    capsys.readouterr()
+    assert run(["filter-inter", "--config", cfg]) == 2
+    assert str(trims) in capsys.readouterr().err
+
+
+def test_pipeline_reads_no_stage_file(tmp_path, monkeypatch):
+    from si_align import intra
+
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
+
+    def forbidden(path):
+        raise AssertionError(f"pipeline read {path}")
+
+    monkeypatch.setattr(align, "read_alignment_jsonl", forbidden)
+    monkeypatch.setattr(intra, "read_trims", forbidden)
+    assert run(["pipeline", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("inter,flags,key", [
+    ({"eta_min": 5}, [], "inter.eta_min"),
+    ({"eta_min": -0.1}, [], "inter.eta_min"),
+    ({}, ["--eta-min", "5"], "inter.eta_min"),
+    ({"per_talk": {"talk0000": {"eta_min": 1.5}}}, [], "inter.per_talk.talk0000.eta_min"),
+], ids=["config-high", "config-negative", "flag", "per-talk"])
+def test_eta_min_outside_chrf_range_exit_one(tmp_path, capsys, inter, flags, key):
+    cfg = write_config(tmp_path, inter=inter)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4", *flags]) == 1
+    err = capsys.readouterr().err
+    assert key in err and str(cfg) in err
+    assert not (tmp_path / "out").exists()
+    # an external score file has no fixed range
+    cfg = write_config(tmp_path, inter=inter, scores_path="scores.tsv")
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4", *flags]) == 0

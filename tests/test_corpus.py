@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from si_align.corpus import (MANIFEST_NAME, DocumentPair, ParseError, Pos, Rank,
+from si_align.corpus import (MANIFEST_NAME, ParseError, Pos, Rank,
                              ValidationError, load_document_pair, normalize_text,
                              read_manifest, talk_texts)
 
-from conftest import doc, unit
+from conftest import doc
 
 
 def test_whitespace_collapse():
@@ -105,6 +105,16 @@ def test_wrong_column_count(tmp_path):
     assert "columns" in str(err.value)
 
 
+@pytest.mark.parametrize("surface", ["", "   "], ids=["empty", "blank"])
+def test_empty_token_surface_names_line(tmp_path, surface):
+    path = _write_talk(tmp_path, ["aa"], ["tt"], [[("aa", "NOUN")]],
+                       [[("tt", "NOUN"), (surface, "NOUN")]])
+    with pytest.raises(ParseError) as err:
+        load_document_pair(read_manifest(path))
+    assert "empty token surface" in str(err.value)
+    assert f"{tmp_path / 't.tsv'}:2" in str(err.value)
+
+
 def test_empty_unit_line_rejected(tmp_path):
     path = _write_talk(tmp_path, ["aa", "   "], ["tt"],
                        [[("aa", "NOUN")], [("bb", "NOUN")]], [[("tt", "NOUN")]])
@@ -144,12 +154,3 @@ def test_round_trip_identity(tmp_path, newline):
     # and a second write/load cycle is stable
     second = write_document_pair(reloaded, tmp_path / "talk2", newline)
     assert load_document_pair(read_manifest(second)) == original
-
-
-def test_document_validation():
-    with pytest.raises(ValidationError):
-        doc([], ["xx"]).validate()
-    with pytest.raises(ValidationError):
-        DocumentPair("t", Rank.UNKNOWN,
-                     (unit(1, "aa"),), (unit(0, "bb"),)).validate()  # index gap
-    doc(["aa"], ["bb"]).validate()

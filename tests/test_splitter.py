@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from si_align.cli import STAGES
 from si_align.corpus import Rank, ValidationError
 from si_align.splitter import (ContaminationError, StatsTable,
                                corpus_stats, make_split, read_allowlist, split_text)
@@ -55,14 +56,14 @@ def test_allowlist_reader(tmp_path):
 
 
 def test_stats_empty_corpus_all_zero():
-    table = corpus_stats({}, {})
+    table = corpus_stats(dict.fromkeys(STAGES, {}), {})
     assert all(t == 0 and p == 0 for _, _, t, p in table.rows)
     assert len(table.rows) == 6  # 3 variants x 2 subsets
 
 
 def test_stats_counts():
     ranks = {f"t{i}": Rank.S if i == 0 else Rank.A for i in range(3)}
-    counts = {"coarse": {f"t{i}": 10 for i in range(3)}}
+    counts = {"coarse": {f"t{i}": 10 for i in range(3)}, "intra": {}}
     table = corpus_stats(counts, ranks)
     row = {(v, s): (t, p) for v, s, t, p in table.rows}
     assert row[("coarse", "all")] == (3, 30)
