@@ -64,7 +64,6 @@ class AlignParams:
 class AlignmentSet:
     talk_id: str
     links: tuple[AlignedPair, ...]
-    params_used: AlignParams | None
     total_cost: float
 
     def kept(self) -> tuple[AlignedPair, ...]:
@@ -172,8 +171,7 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
         i, j = pi, pj
     links.reverse()
 
-    result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links),
-                          params_used=params, total_cost=float(cost[m, n]))
+    result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links), total_cost=float(cost[m, n]))
     validate_alignment(result, m, n)
     return result
 
@@ -249,5 +247,4 @@ def read_alignment_jsonl(path) -> AlignmentSet:
         )
 
     links = tuple(read_jsonl(path, link))
-    return AlignmentSet(talk_id=talk_id or "", links=links, params_used=None,
-                        total_cost=sum(l.cost for l in links))
+    return AlignmentSet(talk_id=talk_id or "", links=links, total_cost=sum(l.cost for l in links))

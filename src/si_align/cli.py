@@ -49,9 +49,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
+class InterSection(fi.InterFilterParams):
+    """The `inter` object: the filter's thresholds, and in `per_talk`, by
+    talk id, the thresholds of one talk, read with the section's as defaults."""
+
+    per_talk: dict[str, fi.InterFilterParams] = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    out_dir: Path
+    """The config root. Each field is a key of the JSON config, and each
+    section a dataclass whose fields are its keys. A path is relative to the
+    config file's directory."""
+
+    out_dir: Path = Path("out")
     corpus: Path | None = None
     gold_dir: Path | None = None
     refs_dir: Path | None = None
@@ -59,42 +71,69 @@ class PipelineConfig:
     allowlist: Path | None = None
     dev_ids: tuple[str, ...] = ()
     test_ids: tuple[str, ...] = ()
-    embedding: dict = dataclasses.field(default_factory=dict)
-    align_params: al.AlignParams = al.AlignParams()
-    intra_params: fa.IntraFilterParams = fa.IntraFilterParams()
-    inter_params: fi.InterFilterParams = fi.InterFilterParams()
-    per_talk_inter: dict[str, fi.InterFilterParams] = dataclasses.field(default_factory=dict)
+    embedding: em.EmbeddingProviderSpec = em.EmbeddingProviderSpec()
+    align: al.AlignParams = al.AlignParams()
+    intra: fa.IntraFilterParams = fa.IntraFilterParams()
+    inter: InterSection = InterSection()
     noise: sb.NoiseParams = sb.NoiseParams()
-    synth_talks: int = 5
-    synth_sentences: int = 40
-    synth_vocab: int = 200
-    synth_seed: int = 7
+    synth: sb.SynthParams = sb.SynthParams()
     epsilons: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     bench_omission_rates: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3)
     bench_talks: int = 20
     jobs: int = 1
 
+    def __post_init__(self):
+        # the built-in chrF scorer scores in [0, 1]; an external score file has no fixed range
+        if self.scores_path is None:
+            for context, params in (("inter", self.inter), *(
+                    (f"inter.per_talk.{t}", p) for t, p in self.inter.per_talk.items())):
+                if not 0.0 <= params.eta_min <= 1.0:
+                    raise ValidationError(f"{context}.eta_min: must be in [0, 1] with the built-in "
+                                          f"chrF scorer (no scores_path), got {params.eta_min!r}")
 
-_ALIGN_FLAG_MAP = {
-    "prune_cost": "prune_cost_threshold",
-    "max_src_span": "max_src_span",
-    "max_tgt_span": "max_tgt_span",
-    "skip_penalty": "skip_penalty",
+
+# command-line flag -> the config keys it sets; `--seed` seeds the talks and their noise
+FLAG_KEYS = {
+    "out_dir": ("out_dir",), "jobs": ("jobs",),
+    "seed": ("synth.seed", "noise.rng_seed"), "talks": ("synth.talks",),
+    "sentences": ("synth.sentences",), "vocab_size": ("synth.vocab_size",),
+    "prune_cost": ("align.prune_cost_threshold",), "max_src_span": ("align.max_src_span",),
+    "max_tgt_span": ("align.max_tgt_span",), "skip_penalty": ("align.skip_penalty",),
+    "alpha_min": ("inter.alpha_min",), "gamma_min": ("inter.gamma_min",),
+    "gamma_max": ("inter.gamma_max",), "eta_min": ("inter.eta_min",),
 }
-_INTER_FLAGS = {flag: flag for flag in ("alpha_min", "gamma_min", "gamma_max", "eta_min")}
-_SYNTH_FLAGS = {flag: flag for flag in ("talks", "sentences", "vocab_size", "seed")}
 
 
 def _typed(value, default, name: str):
-    """A config value checked against its default: a number takes the
-    default's type (an int is also a valid float) and must be finite, a
-    string or object takes a string or object, and a tuple takes a list of
-    values like its first element (strings when it is empty). Other values
-    pass unchecked."""
+    """A config value checked against its default, which gives its kind:
+    - a section (a dataclass) takes a JSON object, read by `_dataclass_from`;
+      each `inter.per_talk.<id>` is read against the `inter` thresholds;
+    - a tuple takes a list of values like its first element (strings when
+      it is empty), and a frozenset a list of POS tag names;
+    - a path (a Path, or None: every key that defaults to None is a path)
+      or a string takes a string, and a dict a JSON object;
+    - a number takes the default's type (an int is also a valid float) and
+      must be finite."""
+    if isinstance(default, InterSection):
+        section = _dataclass_from(default, value, name)
+        talk_default = fi.InterFilterParams(**{f.name: getattr(section, f.name)
+                                               for f in dataclasses.fields(fi.InterFilterParams)})
+        return dataclasses.replace(section, per_talk={
+            talk_id: _dataclass_from(talk_default, obj, f"{name}.per_talk.{talk_id}")
+            for talk_id, obj in section.per_talk.items()})
+    if dataclasses.is_dataclass(default):
+        return _dataclass_from(default, value, name)
+    if isinstance(default, (tuple, frozenset)) and not isinstance(value, list):
+        raise ValidationError(f"{name}: expected a list, got {value!r}")
     if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise ValidationError(f"{name}: expected a list, got {value!r}")
         return tuple(_typed(v, default[0] if default else "", name) for v in value)
+    if isinstance(default, frozenset):
+        try:
+            return frozenset(map(cm.Pos, value))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name}: expected a list of POS tags, got {value!r}") from None
+    if default is None or isinstance(default, Path):
+        return Path(_typed(value, "", name))
     for kind, word in ((str, "string"), (dict, "JSON object")):
         if isinstance(default, kind) and not isinstance(value, kind):
             raise ValidationError(f"{name}: expected a {word}, got {value!r}")
@@ -107,23 +146,23 @@ def _typed(value, default, name: str):
     return value
 
 
-def _dataclass_from(cls, obj: dict, context: str):
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(defaults)
+def _dataclass_from(default, obj, context: str):
+    """`obj` read as an instance of `default`'s dataclass, each key typed
+    against `default`'s value for it; an unknown key is an error. `context`
+    is the object's dotted key, empty for the root."""
+    def dotted(key):
+        return f"{context}.{key}" if context else key
+
+    obj = _typed(obj, {}, context)
+    values = {f.name: getattr(default, f.name) for f in dataclasses.fields(default)}
+    unknown = sorted(obj.keys() - values.keys())
     if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)}")
-    typed = {key: _typed(value, defaults[key], f"{context}.{key}") for key, value in obj.items()}
+        raise ValidationError(f"{dotted(unknown[0])}: unknown key")
+    typed = {key: _typed(value, values[key], dotted(key)) for key, value in obj.items()}
     try:
-        return cls(**typed)
+        return dataclasses.replace(default, **typed)
     except ValidationError as exc:
-        raise ValidationError(f"{context}: {exc}") from None
-
-
-def _pos_set(values, context: str) -> frozenset:
-    try:
-        return frozenset(cm.Pos(p) for p in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: expected a list of POS tags, got {values!r}") from exc
+        raise ValidationError(f"{context}: {exc}" if context else str(exc)) from None
 
 
 def load_config(path: Path | None, args) -> PipelineConfig:
@@ -138,82 +177,20 @@ def load_config(path: Path | None, args) -> PipelineConfig:
 
 
 def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
-    def top(key, default):
-        return _typed(raw[key], default, key) if key in raw else default
-
-    def respath(key):
-        value = raw.get(key)
-        return (base / _typed(value, "", key)) if value is not None else None
-
-    def flagged(obj: dict, flags: dict) -> dict:
-        """obj with the value of each flag given on the command line, by key."""
-        given = {key: getattr(args, flag, None) for flag, key in flags.items()}
-        return {**obj, **{key: value for key, value in given.items() if value is not None}}
-
-    align_obj = flagged(top("align", {}), _ALIGN_FLAG_MAP)
-    inter_obj = flagged(top("inter", {}), _INTER_FLAGS)
-    per_talk_raw = _typed(inter_obj.pop("per_talk", {}), {}, "inter.per_talk")
-    intra_obj = dict(top("intra", {}))
-    if "content_pos" in intra_obj:
-        intra_obj["content_pos"] = _pos_set(intra_obj["content_pos"], "intra.content_pos")
-    if "coverage_pos" in inter_obj:
-        inter_obj["coverage_pos"] = _pos_set(inter_obj["coverage_pos"], "inter.coverage_pos")
-
-    inter_params = _dataclass_from(fi.InterFilterParams, inter_obj, "inter")
-    per_talk = {}
-    for talk_id, overrides in per_talk_raw.items():
-        context = f"inter.per_talk.{talk_id}"
-        merged = {**inter_obj, **_typed(overrides, {}, context)}
-        if "coverage_pos" in overrides:
-            merged["coverage_pos"] = _pos_set(overrides["coverage_pos"], f"{context}.coverage_pos")
-        per_talk[talk_id] = _dataclass_from(fi.InterFilterParams, merged, context)
-    # the built-in chrF scorer scores in [0, 1]; an external score file has no fixed range
-    if raw.get("scores_path") is None:
-        for context, params in (("inter", inter_params),
-                                *((f"inter.per_talk.{t}", p) for t, p in per_talk.items())):
-            if not 0.0 <= params.eta_min <= 1.0:
-                raise ValidationError(f"{context}.eta_min: must be in [0, 1] with the built-in "
-                                      f"chrF scorer (no scores_path), got {params.eta_min!r}")
-
-    synth_obj = flagged(top("synth", {}), _SYNTH_FLAGS)
-    noise_obj = flagged(top("noise", {}), {"seed": "rng_seed"})
-
-    embedding = top("embedding", {})
-    defaults = {**dataclasses.asdict(em.FallbackParams()), "kind": "", "path_pattern": ""}
-    for key, default in defaults.items():
-        if key in embedding:
-            _typed(embedding[key], default, f"embedding.{key}")
-    em.EmbeddingProviderSpec.from_dict(embedding)  # validate early
-
-    def synth(key, default):
-        return _typed(synth_obj[key], default, f"synth.{key}") if key in synth_obj else default
-
-    out_dir = getattr(args, "out_dir", None) or _typed(raw.get("out_dir") or "out", "", "out_dir")
-    cfg = PipelineConfig(
-        out_dir=base / out_dir,
-        corpus=respath("corpus"),
-        gold_dir=respath("gold_dir"),
-        refs_dir=respath("refs_dir"),
-        scores_path=respath("scores_path"),
-        allowlist=respath("allowlist"),
-        dev_ids=top("dev_ids", PipelineConfig.dev_ids),
-        test_ids=top("test_ids", PipelineConfig.test_ids),
-        embedding=embedding,
-        align_params=_dataclass_from(al.AlignParams, align_obj, "align"),
-        intra_params=_dataclass_from(fa.IntraFilterParams, intra_obj, "intra"),
-        inter_params=inter_params,
-        per_talk_inter=per_talk,
-        noise=_dataclass_from(sb.NoiseParams, noise_obj, "noise"),
-        synth_talks=synth("talks", PipelineConfig.synth_talks),
-        synth_sentences=synth("sentences", PipelineConfig.synth_sentences),
-        synth_vocab=synth("vocab_size", PipelineConfig.synth_vocab),
-        synth_seed=synth("seed", PipelineConfig.synth_seed),
-        epsilons=top("epsilons", PipelineConfig.epsilons),
-        bench_omission_rates=top("bench_omission_rates", PipelineConfig.bench_omission_rates),
-        bench_talks=top("bench_talks", PipelineConfig.bench_talks),
-        jobs=getattr(args, "jobs", None) or top("jobs", PipelineConfig.jobs),
-    )
-    return cfg
+    """The config object with each given flag set at its keys, read from the
+    root down, its paths taken relative to `base`."""
+    for flag, keys in FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        for dotted in keys:
+            section, _, key = dotted.rpartition(".")
+            obj = raw.setdefault(section, {}) if section else raw
+            if isinstance(obj, dict):  # a section that is not an object is reported as such
+                obj[key] = value
+    cfg = _dataclass_from(PipelineConfig(), raw, "")
+    return dataclasses.replace(cfg, **{key: base / value for key, value in vars(cfg).items()
+                                       if isinstance(value, Path)})
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -234,10 +211,10 @@ class Stage:
 
 
 def _run_entry(manifest: dict) -> dict:
-    """How a consumer's manifest records one upstream run."""
+    """How a consumer's manifest records one upstream run: by what it wrote,
+    so that a rerun with other settings but the same output stays current."""
     canon = json.dumps(manifest.get("artifacts"), sort_keys=True).encode("utf-8")
-    return {"params_hash": manifest.get("params_hash"),
-            "artifacts_sha256": hashlib.sha256(canon).hexdigest()}
+    return {"artifacts_sha256": hashlib.sha256(canon).hexdigest()}
 
 
 class RunManifest:
@@ -334,12 +311,10 @@ def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
 
 
 def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
-    spec = em.EmbeddingProviderSpec.from_dict(cfg.embedding)
     base = Path(cfg.corpus).parent if cfg.corpus is not None else None
-    table = em.table_for(doc, spec, cfg.align_params.max_src_span,
-                         cfg.align_params.max_tgt_span, base_dir=base)
-    aligned = al.dp_align(doc, table, cfg.align_params)
-    return al.prune(aligned, cfg.align_params.prune_cost_threshold)
+    table = em.table_for(doc, cfg.embedding, cfg.align.max_src_span, cfg.align.max_tgt_span,
+                         base_dir=base)
+    return al.prune(al.dp_align(doc, table, cfg.align), cfg.align.prune_cost_threshold)
 
 
 def _map_talks(fn, docs, cfg: PipelineConfig):
@@ -353,8 +328,8 @@ def _map_talks(fn, docs, cfg: PipelineConfig):
 
 def cmd_synth(cfg: PipelineConfig) -> None:
     manifest = RunManifest("synth", cfg)
-    talks = sb.generate_corpus(cfg.synth_seed, cfg.synth_talks, cfg.synth_sentences,
-                               cfg.noise, cfg.synth_vocab)
+    talks = sb.generate_corpus(cfg.synth.seed, cfg.synth.talks, cfg.synth.sentences,
+                               cfg.noise, cfg.synth.vocab_size)
     out = cfg.out_dir
     rels = []
     for talk in talks:
@@ -367,7 +342,7 @@ def cmd_synth(cfg: PipelineConfig) -> None:
                                 al.links_text(talk_id, talk.gold.links))
         manifest.write_artifact(out / "gold" / f"{talk_id}.provenance.json",
                                 sb.provenance_text(talk))
-        ref = sb.build_reference(talk.doc, cfg.align_params.max_src_span)
+        ref = sb.build_reference(talk.doc, cfg.align.max_src_span)
         manifest.write_artifact(out / "refs" / f"{talk_id}.refs.jsonl",
                                 fi.references_text(ref))
     manifest.write_artifact(out / "corpus.json", cm.corpus_text(rels))
@@ -392,12 +367,13 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
     manifest.add_input(cfg.corpus)
     if cfg.gold_dir is None:
         raise ValidationError("config needs 'gold_dir' for validate")
+    gold_paths = [cfg.gold_dir / f"{doc.talk_id}.gold.jsonl" for doc in docs]
+    # every gold file is read before the first report is written
+    golds = [al.read_alignment_jsonl(path) for path in gold_paths]
     reports = []
-    for doc in docs:
-        gold_path = cfg.gold_dir / f"{doc.talk_id}.gold.jsonl"
+    for doc, gold_path, gold in zip(docs, gold_paths, golds):
         manifest.add_input(gold_path)
-        gold = al.read_alignment_jsonl(gold_path)
-        auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], None, 0.0)
+        auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], 0.0)
         report = rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons))
         reports.append(report)
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
@@ -412,7 +388,7 @@ def cmd_filter_intra(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: S
     manifest.add_input(cfg.corpus)
     pairs, trims = {}, {}
     for doc in docs:
-        results = fa.apply_intra_filter(coarse.pairs[doc.talk_id], doc, cfg.intra_params)
+        results = fa.apply_intra_filter(coarse.pairs[doc.talk_id], doc, cfg.intra)
         manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.jsonl",
                                 al.links_text(doc.talk_id, [r.pair for r in results]))
         manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.trims.jsonl",
@@ -437,7 +413,7 @@ def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair], intra: St
         ref_path = cfg.refs_dir / f"{doc.talk_id}.refs.jsonl"
         manifest.add_input(ref_path)
         ref = fi.read_reference_jsonl(ref_path, talk_id=doc.talk_id)
-        params = cfg.per_talk_inter.get(doc.talk_id, cfg.inter_params)
+        params = cfg.inter.per_talk.get(doc.talk_id, cfg.inter)
         kept, decisions = fi.apply_inter_filter(
             intra.pairs[doc.talk_id], doc, ref, params, scorer=scorer,
             trims_by_pair=intra.trims[doc.talk_id])
@@ -505,9 +481,8 @@ def cmd_bench(cfg: PipelineConfig) -> None:
     rows = []
     for om in cfg.bench_omission_rates:
         noise = dataclasses.replace(cfg.noise, omission_rate=om)
-        triple = sb.run_bench_setting(cfg.synth_seed, cfg.bench_talks,
-                                      cfg.synth_sentences, noise, cfg.synth_vocab,
-                                      params=cfg.align_params)
+        triple = sb.run_bench_setting(cfg.synth.seed, cfg.bench_talks, cfg.synth.sentences,
+                                      noise, cfg.synth.vocab_size, params=cfg.align)
         rows.append((noise, cfg.bench_talks, triple))
     text = sb.bench_text(rows)
     manifest.write_artifact(cfg.out_dir / "bench.tsv", text)

@@ -67,28 +67,26 @@ PROVIDER_PRECOMPUTED = "precomputed_file"
 
 @dataclass(frozen=True)
 class EmbeddingProviderSpec:
-    """Where window vectors come from: an external-encoder file or the
-    built-in hashed embedder. `path_pattern` may contain `{talk_id}`."""
+    """The `embedding` config object: where window vectors come from, an
+    external-encoder file (`path_pattern`, which may contain `{talk_id}`) or
+    the built-in hashed embedder (`dim`, `orders`, `seed`)."""
 
     kind: str = PROVIDER_FALLBACK
-    fallback: FallbackParams = FallbackParams()
-    path_pattern: str | None = None
+    dim: int = FallbackParams.dim
+    orders: tuple[int, ...] = FallbackParams.orders
+    seed: int = FallbackParams.seed
+    path_pattern: str = ""
 
     def __post_init__(self):
-        if self.kind not in (PROVIDER_FALLBACK, PROVIDER_PRECOMPUTED):
+        if self.kind == PROVIDER_FALLBACK:
+            self.fallback()  # validates the embedder's settings
+        elif self.kind != PROVIDER_PRECOMPUTED:
             raise ValidationError(f"unknown embedding provider kind {self.kind!r}")
-        if self.kind == PROVIDER_PRECOMPUTED and not self.path_pattern:
+        elif not self.path_pattern:
             raise ValidationError("precomputed_file provider needs a path_pattern")
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EmbeddingProviderSpec":
-        kind = obj.get("kind", PROVIDER_FALLBACK)
-        fallback = FallbackParams(
-            dim=obj.get("dim", FallbackParams.dim),
-            orders=tuple(obj.get("orders", FallbackParams.orders)),
-            seed=obj.get("seed", FallbackParams.seed),
-        ) if kind == PROVIDER_FALLBACK else FallbackParams()
-        return cls(kind=kind, fallback=fallback, path_pattern=obj.get("path_pattern"))
+    def fallback(self) -> FallbackParams:
+        return FallbackParams(self.dim, self.orders, self.seed)
 
 
 def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
@@ -96,7 +94,7 @@ def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
               base_dir=None) -> EmbeddingTable:
     """Build or load the table for one document under the given provider."""
     if spec.kind == PROVIDER_FALLBACK:
-        return build_fallback_table(doc, spec.fallback, max_src_window, max_tgt_window)
+        return build_fallback_table(doc, spec.fallback(), max_src_window, max_tgt_window)
     path = Path(spec.path_pattern.replace("{talk_id}", doc.talk_id))
     if not path.is_absolute() and base_dir is not None:
         path = Path(base_dir) / path

@@ -77,6 +77,17 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
+class SynthParams:
+    """The `synth` config object: the corpus that `synth` writes and each
+    `bench` setting generates."""
+
+    talks: int = 5
+    sentences: int = 40
+    vocab_size: int = 200
+    seed: int = 7
+
+
+@dataclass(frozen=True)
 class GoldTalk:
     doc: DocumentPair
     gold: AlignmentSet
@@ -252,8 +263,7 @@ def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
         source_units=tuple(src_units),
         target_units=tuple(tgt_units),
     )
-    gold = AlignmentSet(talk_id=doc.talk_id, links=tuple(links),
-                        params_used=None, total_cost=0.0)
+    gold = AlignmentSet(talk_id=doc.talk_id, links=tuple(links), total_cost=0.0)
     validate_alignment(gold, m, len(tgt_units))
     return GoldTalk(doc=doc, gold=gold, provenance=tuple(provenance))
 

@@ -140,8 +140,7 @@ def reference_dp_align(doc, table, params) -> AlignmentSet:
     links.reverse()
 
     total = cost[m][n] if (m or n) else 0.0
-    result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links),
-                          params_used=params, total_cost=total)
+    result = AlignmentSet(talk_id=doc.talk_id, links=tuple(links), total_cost=total)
     validate_alignment(result, m, n)
     return result
 

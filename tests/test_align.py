@@ -221,8 +221,7 @@ def test_dp_rejects_spans_beyond_table():
 # prune
 
 def _aset(links, talk_id="t0"):
-    return AlignmentSet(talk_id=talk_id, links=tuple(links), params_used=None,
-                        total_cost=sum(l.cost for l in links))
+    return AlignmentSet(talk_id=talk_id, links=tuple(links), total_cost=sum(l.cost for l in links))
 
 
 def test_prune_identity_when_all_good():

@@ -1,10 +1,14 @@
+import argparse
 import concurrent.futures
+import copy
+import dataclasses
 import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from si_align import align, cli, embeddings
+from si_align import align, cli, embeddings, inter, splitter
 from si_align.cli import main
 from si_align.embeddings import MissingWindowError
 from si_align.inter import MissingReferenceError
@@ -484,3 +488,155 @@ def test_eta_min_outside_chrf_range_exit_one(tmp_path, capsys, inter, flags, key
     # an external score file has no fixed range
     cfg = write_config(tmp_path, inter=inter, scores_path="scores.tsv")
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4", *flags]) == 0
+
+
+def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):
+    """Lineage records what each run wrote: an `align` rerun whose coarse
+    links are byte-identical leaves the intra stage current."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
+                "--sentences", "8"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    assert run(["align", "--config", cfg, "--eta-min", "0.3"]) == 0
+    assert run(["filter-inter", "--config", cfg]) == 0
+
+
+def test_validate_reads_every_gold_file_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "3", "--sentences", "5"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    gold = tmp_path / "out" / "gold" / "talk0001.gold.jsonl"
+    gold.unlink()
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert run(["validate", "--config", cfg]) == 2
+    assert str(gold) in capsys.readouterr().err
+    assert _tree(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"dev_id": ["talk0000"]}, "dev_id"),
+    ({"synth": {"talk": 9}}, "synth.talk"),
+    ({"embedding": {"dims": 2048}}, "embedding.dims"),
+    ({"inter": {"per_talk": {"talk0000": {"eta": 0.2}}}}, "inter.per_talk.talk0000.eta"),
+    ({"inter": {"per_talk": {"talk0000": {"per_talk": {}}}}}, "inter.per_talk.talk0000.per_talk"),
+])
+def test_unknown_config_key_exit_one(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 1
+    assert f"{cfg}: {key}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_equivalent_configs_hash_alike(tmp_path):
+    def params_hash(**overrides):
+        cfg = cli.load_config(write_config(tmp_path, **overrides), argparse.Namespace())
+        return cli.RunManifest("split", cfg).params_hash
+
+    assert params_hash(embedding={}) == params_hash(embedding={"dim": 256})
+    assert params_hash(align={}) == params_hash(align={"max_src_span": 4})
+    assert params_hash(embedding={}) != params_hash(embedding={"dim": 512})
+
+
+# a config that sets a key in every section, valid for `split` on the corpus
+# of `split_dir`: talk0000 is held out for dev, so the allowlist omits it
+VALID_CONFIG = {
+    "out_dir": "out", "corpus": "out/corpus.json", "gold_dir": "out/gold",
+    "refs_dir": "out/refs", "allowlist": "allow.txt", "dev_ids": ["talk0000"], "test_ids": [],
+    "embedding": {"kind": "fallback_hash", "dim": 128, "orders": [3, 4], "seed": 17,
+                  "path_pattern": ""},
+    "align": {"max_src_span": 3, "skip_penalty": 0.6},
+    "intra": {"content_pos": ["NOUN", "VERB"], "max_trims_per_side": 1},
+    "inter": {"eta_min": 0.3, "coverage_pos": ["NOUN"],
+              "per_talk": {"talk0000": {"alpha_min": 0.4}}},
+    "noise": {"split_rate": 0.2, "rng_seed": 3},
+    "synth": {"talks": 2, "sentences": 4, "vocab_size": 100, "seed": 7},
+    "epsilons": [0.5], "bench_omission_rates": [0.0], "bench_talks": 2, "jobs": 1,
+}
+
+
+@pytest.fixture(scope="module")
+def split_dir(tmp_path_factory):
+    """A synthetic 2-talk corpus under `out/` that `VALID_CONFIG` splits."""
+    base = tmp_path_factory.mktemp("split")
+    (base / "allow.txt").write_text(splitter.allowlist_text(["talk0001"]), encoding="utf-8")
+    cfg = write_config(base)
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "4"]) == 0
+    (base / "valid.json").write_text(json.dumps(VALID_CONFIG), encoding="utf-8")
+    assert run(["split", "--config", base / "valid.json"]) == 0
+    return base
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """VALID_CONFIG with one key, at any level, dropped, renamed, retyped,
+    set out of range, or given an unknown sibling."""
+    cfg = copy.deepcopy(VALID_CONFIG)
+    *parents, key = draw(st.sampled_from(list(_key_paths(VALID_CONFIG))))
+    obj = cfg
+    for parent in parents:
+        obj = obj[parent]
+    mutation = draw(st.sampled_from(["drop", "rename", "retype", "range", "add"]))
+    if mutation == "drop":
+        del obj[key]
+    elif mutation == "rename":
+        obj[key + "s"] = obj.pop(key)
+    elif mutation == "retype":
+        obj[key] = draw(st.sampled_from([None, True, 5, 0.5, "x", "NOUN", [], [5], ["x"], {}]))
+    elif mutation == "range":
+        obj[key] = draw(st.sampled_from([-1, 0, 2, 10**6, -0.5, 1e300]))
+    else:
+        obj["unknown"] = 1
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=mutated_configs())
+def test_mutated_config_exits_cleanly(split_dir, cfg):
+    """Whatever the mutation, `split` exits 0, 1 or 2 without a traceback,
+    and a failed run leaves the tree as it was."""
+    path = split_dir / "mutated.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    before = _tree(split_dir)
+    code = run(["split", "--config", path])
+    assert code in (0, 1, 2)
+    if code:
+        assert _tree(split_dir) == before
+
+
+def _config_keys(default, prefix=""):
+    """(dotted key, default value) of every key of a config object, nested
+    sections included."""
+    for field in dataclasses.fields(default):
+        value = getattr(default, field.name)
+        yield prefix + field.name, value
+        if dataclasses.is_dataclass(value):
+            yield from _config_keys(value, f"{prefix}{field.name}.")
+
+
+CONFIG_KEYS = [*_config_keys(cli.PipelineConfig()),
+               *_config_keys(inter.InterFilterParams(), "inter.per_talk.talk0000.")]
+
+
+@pytest.mark.parametrize("dotted,default", CONFIG_KEYS, ids=[key for key, _ in CONFIG_KEYS])
+def test_every_config_key_is_typed(split_dir, capsys, dotted, default):
+    cfg = copy.deepcopy(VALID_CONFIG)
+    *parents, key = dotted.split(".")
+    obj = cfg
+    for parent in parents:
+        obj = obj.setdefault(parent, {})
+    obj[key] = "x" if isinstance(default, (int, float)) else 5
+    path = split_dir / "typed.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    before = _tree(split_dir / "out")
+    capsys.readouterr()
+    assert run(["split", "--config", path]) == 1
+    assert f"{path}: {dotted}: expected" in capsys.readouterr().err
+    assert _tree(split_dir / "out") == before

@@ -227,15 +227,16 @@ def test_provider_spec_validation_and_dispatch(tmp_path):
     with pytest.raises(ValidationError):
         EmbeddingProviderSpec(kind="precomputed_file")
     with pytest.raises(ValidationError):
-        EmbeddingProviderSpec.from_dict({"dim": 8})
+        EmbeddingProviderSpec(dim=8)
+    # the hashed embedder's settings are not read for a vector file
+    EmbeddingProviderSpec(kind="precomputed_file", dim=8, path_pattern="{talk_id}.tsv")
 
     document = doc(["aa", "bb"], ["cc", "dd"])
-    spec = EmbeddingProviderSpec.from_dict({"kind": "fallback_hash", "dim": 128})
+    spec = EmbeddingProviderSpec(kind="fallback_hash", dim=128)
     table = table_for(document, spec, 2, 2)
     assert table.entries.shape == (6, 128)
 
     write_table_file(table, tmp_path / f"{document.talk_id}.tsv")
-    file_spec = EmbeddingProviderSpec.from_dict(
-        {"kind": "precomputed_file", "path_pattern": "{talk_id}.tsv"})
+    file_spec = EmbeddingProviderSpec(kind="precomputed_file", path_pattern="{talk_id}.tsv")
     loaded = table_for(document, file_spec, 2, 2, base_dir=tmp_path)
     assert np.allclose(loaded.entries, table.entries, atol=1e-12)

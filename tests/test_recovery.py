@@ -68,7 +68,7 @@ def _gold_and_doc(n=10):
     document = doc(src, tgt, talk_id="val")
     gold = AlignmentSet(talk_id="val",
                         links=tuple(AlignedPair(i, 1, i, 1, 0.0) for i in range(n)),
-                        params_used=None, total_cost=0.0)
+                        total_cost=0.0)
     return document, gold
 
 
@@ -81,7 +81,7 @@ def test_accuracy_perfect_when_auto_equals_gold():
 def test_accuracy_zero_when_auto_empty():
     document, gold = _gold_and_doc()
     empty = AlignmentSet(talk_id="val", links=(AlignedPair(0, 10, 0, 10, 0.0),),
-                         params_used=None, total_cost=0.0)
+                         total_cost=0.0)
     report = recovery_accuracy(empty, gold, document, [0.0, 0.5, 0.8])
     assert all(acc == 0.0 for acc in report.accuracy_at.values())
 
@@ -90,8 +90,7 @@ def test_accuracy_single_corruption():
     document, gold = _gold_and_doc(10)
     # auto matches gold except the link for source 3 is absent (s = 0 there)
     auto_links = [AlignedPair(i, 1, i, 1, 0.0) for i in range(10) if i != 3]
-    auto = AlignmentSet(talk_id="val", links=tuple(auto_links),
-                        params_used=None, total_cost=0.0)
+    auto = AlignmentSet(talk_id="val", links=tuple(auto_links), total_cost=0.0)
     report = recovery_accuracy(auto, gold, document, [0.8])
     assert report.accuracy_at[0.8] == pytest.approx(0.9)
 
@@ -105,7 +104,7 @@ def test_accuracy_non_increasing_in_epsilon():
         links.append(AlignedPair(i, 1, j, 1, 0.0))
     # keep only monotone-compatible subset for a legal-ish auto set; exactness
     # is irrelevant to the similarity computation, which is span-keyed
-    auto = AlignmentSet(talk_id="val", links=tuple(links), params_used=None, total_cost=0.0)
+    auto = AlignmentSet(talk_id="val", links=tuple(links), total_cost=0.0)
     epsilons = [0.1 * k for k in range(10)]
     report = recovery_accuracy(auto, gold, document, epsilons)
     values = [report.accuracy_at[e] for e in epsilons]
@@ -114,6 +113,6 @@ def test_accuracy_non_increasing_in_epsilon():
 
 def test_accuracy_talk_mismatch_rejected():
     document, gold = _gold_and_doc()
-    other = AlignmentSet(talk_id="other", links=gold.links, params_used=None, total_cost=0.0)
+    other = AlignmentSet(talk_id="other", links=gold.links, total_cost=0.0)
     with pytest.raises(ValidationError):
         recovery_accuracy(other, gold, document, [0.5])

@@ -144,16 +144,16 @@ def test_score_empty_prediction():
     empty = AlignmentSet(talk_id=talk.doc.talk_id,
                          links=(AlignedPair(0, 8, 0, 8, 0.0, dropped=True,
                                             drop_reason="cost"),),
-                         params_used=None, total_cost=0.0)
+                         total_cost=0.0)
     triple = score_alignment(empty, talk.gold)
     assert (triple.precision, triple.recall, triple.f1) == (0.0, 0.0, 0.0)
 
 
 def test_score_hand_computed_recall():
     gold_links = tuple(AlignedPair(i, 1, i, 1, 0.0) for i in range(10))
-    gold = AlignmentSet(talk_id="t", links=gold_links, params_used=None, total_cost=0.0)
+    gold = AlignmentSet(talk_id="t", links=gold_links, total_cost=0.0)
     pred_links = tuple(AlignedPair(i, 1, i, 1, 0.0) for i in range(8))
-    pred = AlignmentSet(talk_id="t", links=pred_links, params_used=None, total_cost=0.0)
+    pred = AlignmentSet(talk_id="t", links=pred_links, total_cost=0.0)
     triple = score_alignment(pred, gold)
     assert triple.precision == 1.0
     assert triple.recall == pytest.approx(0.8)
