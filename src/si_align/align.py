@@ -226,8 +226,9 @@ def links_text(talk_id: str, links) -> str:
     } for link in links)
 
 
-def read_alignment_jsonl(path) -> AlignmentSet:
-    """The links of one talk; every row must name the same talk_id."""
+def read_alignment_jsonl(path, digest=None) -> AlignmentSet:
+    """The links of one talk; every row must name the same talk_id. `digest`
+    is as for `corpus.read_lines`."""
     talk_id = None
 
     def link(obj) -> AlignedPair:
@@ -246,5 +247,5 @@ def read_alignment_jsonl(path) -> AlignmentSet:
             drop_reason=obj.get("drop_reason"),
         )
 
-    links = tuple(read_jsonl(path, link))
+    links = tuple(read_jsonl(path, link, digest))
     return AlignmentSet(talk_id=talk_id or "", links=links, total_cost=sum(l.cost for l in links))

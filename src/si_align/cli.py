@@ -83,6 +83,8 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.bench_talks < 1:
+            raise ValidationError(f"bench_talks: must be >= 1, got {self.bench_talks}")
         # the built-in chrF scorer scores in [0, 1]; an external score file has no fixed range
         if self.scores_path is None:
             for context, params in (("inter", self.inter), *(
@@ -129,7 +131,7 @@ def _typed(value, default, name: str):
         return tuple(_typed(v, default[0] if default else "", name) for v in value)
     if isinstance(default, frozenset):
         try:
-            return frozenset(map(cm.Pos, value))
+            return frozenset(map(cm.pos_named, value))
         except (TypeError, ValueError):
             raise ValidationError(f"{name}: expected a list of POS tags, got {value!r}") from None
     if default is None or isinstance(default, Path):
@@ -162,7 +164,14 @@ def _dataclass_from(default, obj, context: str):
     try:
         return dataclasses.replace(default, **typed)
     except ValidationError as exc:
-        raise ValidationError(f"{context}: {exc}" if context else str(exc)) from None
+        # a check that opens with its key ("vocab_size: ...") is named by the dotted key
+        message = str(exc)
+        key, sep, rest = message.partition(": ")
+        if sep and key in values:
+            message = f"{dotted(key)}: {rest}"
+        elif context:
+            message = f"{context}: {message}"
+        raise ValidationError(message) from None
 
 
 def load_config(path: Path | None, args) -> PipelineConfig:
@@ -267,9 +276,10 @@ def _saved_manifest(path: Path, needed_by: str) -> dict:
 
 def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
     """Read a stage back for every talk. The manifest of the run that wrote
-    it must list the files, and every manifest it records upstream must be
-    on disk as recorded; otherwise a ValidationError names the manifests. A
-    manifest that is not a JSON object of objects is a ParseError."""
+    it must list the files with their checksums, and every manifest it
+    records upstream must be on disk as recorded; otherwise a
+    ValidationError names the manifests. A manifest that is not a JSON
+    object of objects is a ParseError."""
     path = cfg.out_dir / "manifests" / f"{STAGES[stage]}.json"
     obj = _saved_manifest(path, f"stage {stage} needs {path}")
     upstream = obj.get("upstream", {})
@@ -279,14 +289,24 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
         up_path = path.parent / f"{command}.json"
         if _run_entry(_saved_manifest(up_path, f"{path} was made from {up_path}")) != entry:
             raise ValidationError(f"{path} was made from another {up_path}: rerun {STAGES[stage]}")
+    artifacts = obj.get("artifacts", {})
+
+    def read(name, reader):
+        # a listed file is hashed as it is read, and must hash as listed
+        if name not in artifacts:
+            raise ValidationError(f"{path} does not list {name}")
+        digest = hashlib.sha256()
+        value = reader(cfg.out_dir / name, digest=digest)
+        if digest.hexdigest() != artifacts[name]:
+            raise ValidationError(f"{cfg.out_dir / name} differs from its checksum in {path}: "
+                                  f"rerun {STAGES[stage]}")
+        return value
+
     pairs, trims = {}, {}
     for doc in docs:
-        links = f"{stage}/{doc.talk_id}.jsonl"
-        if links not in obj.get("artifacts", {}):
-            raise ValidationError(f"{path} does not list {links}")
-        pairs[doc.talk_id] = al.read_alignment_jsonl(cfg.out_dir / links).kept()
+        pairs[doc.talk_id] = read(f"{stage}/{doc.talk_id}.jsonl", al.read_alignment_jsonl).kept()
         if stage == "intra":
-            trims[doc.talk_id] = fa.read_trims(cfg.out_dir / stage / f"{doc.talk_id}.trims.jsonl")
+            trims[doc.talk_id] = read(f"{stage}/{doc.talk_id}.trims.jsonl", fa.read_trims)
     return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
 
 

@@ -38,11 +38,14 @@ class ValidationError(ValueError):
     """A structural invariant does not hold."""
 
 
-def read_lines(path):
+def read_lines(path, digest=None):
     """Yield (line number, text) of a UTF-8 file, one line at a time, each
-    without its `\n` or `\r\n` ending."""
+    without its `\n` or `\r\n` ending. A `digest` (a hashlib object) is fed
+    every byte read."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -50,12 +53,12 @@ def read_lines(path):
             yield lineno, text.removesuffix("\n").removesuffix("\r")
 
 
-def read_jsonl(path, parse_row):
+def read_jsonl(path, parse_row, digest=None):
     """Yield `parse_row(row)` for each JSON object row of a JSON Lines file,
     skipping blank lines. A row that is not a JSON object, or whose fields
     `parse_row` rejects with KeyError, TypeError or ValueError, is a
-    ParseError naming the line."""
-    for lineno, line in read_lines(path):
+    ParseError naming the line. `digest` is as for `read_lines`."""
+    for lineno, line in read_lines(path, digest):
         if not line.strip():
             continue
         try:
@@ -95,6 +98,17 @@ class Pos(str, Enum):
     VERB = "VERB"
     NUM = "NUM"
     OTHER = "OTHER"
+
+
+POS_BY_NAME = {pos.value: pos for pos in Pos}
+
+
+def pos_named(tag) -> Pos:
+    """The POS tag named `tag`, looked up in `POS_BY_NAME`."""
+    pos = POS_BY_NAME.get(tag)
+    if pos is None:
+        raise ValueError(f"POS tag {tag!r} outside the tag enumeration")
+    return pos
 
 
 class Rank(str, Enum):
@@ -262,10 +276,9 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
         if not surface:
             raise ParseError("empty token surface", path=path, line=lineno)
         try:
-            pos = Pos(cols[1].strip())
-        except ValueError:
-            raise ParseError(f"POS tag {cols[1].strip()!r} outside the tag enumeration",
-                             path=path, line=lineno)
+            pos = pos_named(cols[1].strip())
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
         if block_start is None:
             block_start = lineno
         current.append(Token(surface, pos))

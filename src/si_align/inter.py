@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token, ValidationError,
-                     char_len, jsonl_text, normalize_text, read_jsonl, read_lines)
+                     char_len, jsonl_text, normalize_text, pos_named, read_jsonl, read_lines)
 
 log = logging.getLogger(__name__)
 
@@ -104,8 +105,17 @@ def content_coverage(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTransla
     target language, so coverage becomes a same-language substring test.
     Returns 1.0 when T has no content tokens at all.
     """
-    entry = ref.entry(pair.src_start, pair.src_len)
-    f_text = doc.tgt_text(pair.tgt_start, pair.tgt_len)
+    return _coverage(ref.entry(pair.src_start, pair.src_len),
+                     doc.tgt_text(pair.tgt_start, pair.tgt_len), coverage_pos)
+
+
+def length_ratio(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTranslation) -> float:
+    """char_len(F) / char_len(T), whitespace excluded on both sides."""
+    return _length_ratio(pair, ref.entry(pair.src_start, pair.src_len),
+                         doc.tgt_text(pair.tgt_start, pair.tgt_len), ref.talk_id)
+
+
+def _coverage(entry: RefEntry, f_text: str, coverage_pos) -> float:
     content = [tok.surface for tok in entry.tokens if tok.pos in coverage_pos]
     if not content:
         return 1.0
@@ -113,46 +123,45 @@ def content_coverage(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTransla
     return covered / len(content)
 
 
-def length_ratio(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTranslation) -> float:
-    """char_len(F) / char_len(T), whitespace excluded on both sides."""
-    entry = ref.entry(pair.src_start, pair.src_len)
+def _length_ratio(pair: AlignedPair, entry: RefEntry, f_text: str, talk_id: str) -> float:
     t_len = char_len(entry.text)
     if t_len == 0:
         raise ValidationError(
-            f"{ref.talk_id}: empty reference text for span "
-            f"({pair.src_start}, {pair.src_len})"
-        )
-    return char_len(doc.tgt_text(pair.tgt_start, pair.tgt_len)) / t_len
+            f"{talk_id}: empty reference text for span ({pair.src_start}, {pair.src_len})")
+    return char_len(f_text) / t_len
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
-def chrf_score(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
-               beta: float = CHRF_BETA) -> float:
-    """Character n-gram F-measure of F against reference T.
+def chrf_scores(text_pairs, max_order: int = CHRF_MAX_ORDER,
+                beta: float = CHRF_BETA) -> list[float]:
+    """Character n-gram F-measure of each F against its reference T, for
+    (F, T) pairs.
 
     Whitespace is removed before n-gram extraction (the usual convention,
     and the right one for unsegmented scripts). Precision and recall are
     averaged uniformly over orders 1..max_order, skipping orders where
     neither side has any n-gram; F is the beta-weighted harmonic mean.
     """
-    hyp = "".join(normalize_text(f_text).split())
-    ref = "".join(normalize_text(t_text).split())
-    if not hyp and not ref:
-        return 1.0
-    precisions, recalls = [], []
-    for n in range(1, max_order + 1):
-        hyp_grams = _char_ngrams(hyp, n)
-        ref_grams = _char_ngrams(ref, n)
-        hyp_total = sum(hyp_grams.values())
-        ref_total = sum(ref_grams.values())
-        if hyp_total == 0 and ref_total == 0:
+    texts = ["".join(normalize_text(text).split()) for pair in text_pairs for text in pair]
+    matched = _matched_ngrams(texts, max_order)
+    scores = []
+    for k in range(len(texts) // 2):
+        hyp_len, ref_len = len(texts[2 * k]), len(texts[2 * k + 1])
+        if not hyp_len and not ref_len:
+            scores.append(1.0)
             continue
-        matched = sum(min(count, ref_grams[g]) for g, count in hyp_grams.items())
-        precisions.append(matched / hyp_total if hyp_total else 0.0)
-        recalls.append(matched / ref_total if ref_total else 0.0)
+        precisions, recalls = [], []
+        for n in range(1, max_order + 1):
+            hyp_total = max(hyp_len - n + 1, 0)
+            ref_total = max(ref_len - n + 1, 0)
+            if hyp_total == 0 and ref_total == 0:
+                continue
+            precisions.append(matched[n - 1][k] / hyp_total if hyp_total else 0.0)
+            recalls.append(matched[n - 1][k] / ref_total if ref_total else 0.0)
+        scores.append(_f_score(precisions, recalls, beta))
+    return scores
+
+
+def _f_score(precisions: list[float], recalls: list[float], beta: float) -> float:
     if not precisions:
         return 0.0
     p = sum(precisions) / len(precisions)
@@ -163,11 +172,48 @@ def chrf_score(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
     return (1 + b2) * p * r / (b2 * p + r)
 
 
+def _matched_ngrams(texts: list[str], max_order: int) -> list[list[int]]:
+    """`matched[n - 1][k]`: the n-grams that texts 2k and 2k+1 share, each
+    counted min(count in 2k, count in 2k+1) times.
+
+    All texts are one code-point array. The id of the n-gram at a position
+    is the rank of (id of its (n-1)-gram, its last code point) among those
+    of the order, so ids stay dense and exact at any length. N-grams that
+    run from one text into the next get ids too, but are not counted.
+    """
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    room = np.cumsum(lengths)[text_of] - np.arange(len(codes))  # code points to the text's end
+    symbols, first = np.unique(codes, return_inverse=True)
+    ids = first
+    matched = []
+    for n in range(1, max_order + 1):
+        if n > 1:
+            ids = np.unique(ids[:-1] * len(symbols) + first[n - 1:], return_inverse=True)[1]
+        within = room[:len(ids)] >= n
+        keys, counts = np.unique((ids * len(texts) + text_of[:len(ids)])[within],
+                                 return_counts=True)
+        # an n-gram of both texts of a pair is two adjacent keys, the first even
+        shared = (np.diff(keys) == 1) & (keys[:-1] % 2 == 0)
+        pair_of = keys[:-1][shared] % len(texts) // 2
+        mins = np.minimum(counts[:-1], counts[1:])[shared]
+        matched.append(np.bincount(pair_of, weights=mins, minlength=len(texts) // 2)
+                       .astype(np.int64).tolist())
+    return matched
+
+
+def chrf_score(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
+               beta: float = CHRF_BETA) -> float:
+    """chrF of F against reference T; see `chrf_scores`."""
+    return chrf_scores([(f_text, t_text)], max_order, beta)[0]
+
+
 class BuiltinScorer:
     """Deterministic chrF-style scorer; the hermetic default."""
 
-    def score(self, talk_id: str, src_span: tuple[int, int], f_text: str, t_text: str) -> float:
-        return chrf_score(f_text, t_text)
+    def scores(self, talk_id: str, spans, text_pairs) -> list[float]:
+        return chrf_scores(text_pairs)
 
 
 class ExternalScorer:
@@ -176,28 +222,47 @@ class ExternalScorer:
     def __init__(self, scores: dict[tuple[str, int, int], float]):
         self._scores = scores
 
-    def score(self, talk_id: str, src_span: tuple[int, int], f_text: str, t_text: str) -> float:
-        key = (talk_id, src_span[0], src_span[1])
-        if key not in self._scores:
-            raise MissingReferenceError(talk_id, src_span[0], src_span[1])
-        return self._scores[key]
+    def scores(self, talk_id: str, spans, text_pairs) -> list[float]:
+        out = []
+        for start, length in spans:
+            key = (talk_id, start, length)
+            if key not in self._scores:
+                raise MissingReferenceError(talk_id, start, length)
+            out.append(self._scores[key])
+        return out
 
 
 def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
                        params: InterFilterParams, scorer=None,
                        trims_by_pair: dict | None = None,
                        ) -> tuple[list[AlignedPair], list[FilterDecision]]:
-    """Keep pairs passing all three thresholds; record a decision for each."""
+    """Keep pairs passing all three thresholds; record a decision for each.
+
+    A scorer scores all pairs of the talk at once: `scores(talk_id, spans,
+    text_pairs)` with each pair's source span and (F, T) texts. When pairs
+    are broken, the error is that of the first one in pair order, with a
+    missing or empty reference found before a missing score.
+    """
     if scorer is None:
         scorer = BuiltinScorer()
     trims_by_pair = trims_by_pair or {}
-    kept, decisions = [], []
+    resolved, broken = [], None
     for pair in pairs:
-        alpha = content_coverage(pair, doc, ref, params.coverage_pos)
-        gamma = length_ratio(pair, doc, ref)
-        entry = ref.entry(pair.src_start, pair.src_len)
-        f_text = doc.tgt_text(pair.tgt_start, pair.tgt_len)
-        eta = scorer.score(doc.talk_id, (pair.src_start, pair.src_len), f_text, entry.text)
+        try:
+            entry = ref.entry(pair.src_start, pair.src_len)
+            f_text = doc.tgt_text(pair.tgt_start, pair.tgt_len)
+            resolved.append((pair, entry, f_text,
+                             _coverage(entry, f_text, params.coverage_pos),
+                             _length_ratio(pair, entry, f_text, ref.talk_id)))
+        except (MissingReferenceError, ValidationError) as exc:
+            broken = exc
+            break
+    etas = scorer.scores(doc.talk_id, [(pair.src_start, pair.src_len) for pair, *_ in resolved],
+                         [(f_text, entry.text) for _, entry, f_text, *_ in resolved])
+    if broken is not None:
+        raise broken
+    kept, decisions = [], []
+    for (pair, _, _, alpha, gamma), eta in zip(resolved, etas):
         reasons = []
         if alpha < params.alpha_min:
             reasons.append(REASON_ALPHA)
@@ -230,18 +295,32 @@ def references_text(ref: ReferenceTranslation) -> str:
     } for (start, length), entry in sorted(ref.entries.items()))
 
 
-def _reference_row(obj) -> tuple[str, tuple[int, int], RefEntry]:
-    span = (obj["src_start"], obj["src_len"])
-    if not all(type(v) is int for v in span):
-        raise TypeError(f"span fields must be ints: {span}")
-    tokens = tuple(Token(s, Pos(p)) for s, p in obj["tokens"])
-    return str(obj["talk_id"]), span, RefEntry(text=normalize_text(obj["text"]), tokens=tokens)
+class _TokenTable(dict):
+    """(surface, tag) -> Token, each built on first use; Token is frozen."""
+
+    def __missing__(self, key):
+        surface, tag = key
+        if not isinstance(surface, str):
+            raise TypeError(f"token surface must be a string, got {surface!r}")
+        token = self[key] = Token(surface, pos_named(tag))
+        return token
 
 
 def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
     """Entries of `talk_id` (by default the first row's talk) from reference JSON Lines."""
+    tokens = _TokenTable()
+
+    def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
+        span = (obj["src_start"], obj["src_len"])
+        if not all(type(v) is int for v in span):
+            raise TypeError(f"span fields must be ints: {span}")
+        # a token row is a JSON list, made a tuple to serve as its own key
+        entry = RefEntry(text=normalize_text(obj["text"]),
+                         tokens=tuple(map(tokens.__getitem__, map(tuple, obj["tokens"]))))
+        return str(obj["talk_id"]), span, entry
+
     entries: dict[tuple[int, int], RefEntry] = {}
-    for row_talk, span, entry in read_jsonl(path, _reference_row):
+    for row_talk, span, entry in read_jsonl(path, row):
         if talk_id is None:
             talk_id = row_talk
         if row_talk == talk_id:

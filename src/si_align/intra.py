@@ -113,6 +113,7 @@ def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
     return trimmed.key(), tuple(trims)
 
 
-def read_trims(path) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
-    """Trims keyed by the trimmed pair's key."""
-    return dict(read_jsonl(path, _trims_row))
+def read_trims(path, digest=None) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
+    """Trims keyed by the trimmed pair's key; `digest` is as for
+    `corpus.read_lines`."""
+    return dict(read_jsonl(path, _trims_row, digest))

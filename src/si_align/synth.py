@@ -76,6 +76,9 @@ class NoiseParams:
             raise ValidationError("noise rates must sum to at most 1 (one transformation per sentence)")
 
 
+MIN_VOCAB_SIZE = 50
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """The `synth` config object: the corpus that `synth` writes and each
@@ -85,6 +88,11 @@ class SynthParams:
     sentences: int = 40
     vocab_size: int = 200
     seed: int = 7
+
+    def __post_init__(self):
+        if self.vocab_size < MIN_VOCAB_SIZE:
+            raise ValidationError(
+                f"vocab_size: must be >= {MIN_VOCAB_SIZE}, got {self.vocab_size}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ def _word(rng: random.Random, letters: str) -> str:
 
 def make_vocabulary(vocab_size: int) -> tuple[Token, ...]:
     """Deterministic content vocabulary; depends only on vocab_size."""
-    if vocab_size < 50:
-        raise ValidationError(f"vocab_size must be >= 50, got {vocab_size}")
+    if vocab_size < MIN_VOCAB_SIZE:
+        raise ValidationError(f"vocab_size must be >= {MIN_VOCAB_SIZE}, got {vocab_size}")
     rng = random.Random(f"vocab:{vocab_size}")
     seen, vocab = set(), []
     while len(vocab) < vocab_size:

@@ -3,13 +3,15 @@ paths. These deliberately avoid the library's own algorithms: plain DP
 tables, explicit enumeration, per-window loops, and dict counting."""
 
 import random
+from collections import Counter
 
 import numpy as np
 
 from si_align.align import DENOM_FLOOR, AlignmentSet, _cosine_grid, validate_alignment
-from si_align.corpus import AlignedPair, TextUnit, ValidationError
+from si_align.corpus import AlignedPair, TextUnit, ValidationError, normalize_text
 from si_align.embeddings import (SOURCE, TARGET, EmbeddingTable, FallbackParams,
                                  MissingWindowError, _gram_slot, build_fallback_table)
+from si_align.inter import CHRF_BETA, CHRF_MAX_ORDER
 
 from conftest import doc
 
@@ -269,3 +271,41 @@ def random_instance(rng, dim=256, max_window=3):
     document = doc(src, tgt, talk_id=f"rand{rng.randrange(1 << 30)}")
     table = build_fallback_table(document, FallbackParams(dim=dim), max_window, max_window)
     return document, table
+
+
+def _char_ngrams(text: str, n: int) -> Counter:
+    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+
+
+def reference_chrf(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
+                   beta: float = CHRF_BETA) -> float:
+    """Character n-gram F-measure of F against reference T.
+
+    Whitespace is removed before n-gram extraction (the usual convention,
+    and the right one for unsegmented scripts). Precision and recall are
+    averaged uniformly over orders 1..max_order, skipping orders where
+    neither side has any n-gram; F is the beta-weighted harmonic mean.
+    """
+    hyp = "".join(normalize_text(f_text).split())
+    ref = "".join(normalize_text(t_text).split())
+    if not hyp and not ref:
+        return 1.0
+    precisions, recalls = [], []
+    for n in range(1, max_order + 1):
+        hyp_grams = _char_ngrams(hyp, n)
+        ref_grams = _char_ngrams(ref, n)
+        hyp_total = sum(hyp_grams.values())
+        ref_total = sum(ref_grams.values())
+        if hyp_total == 0 and ref_total == 0:
+            continue
+        matched = sum(min(count, ref_grams[g]) for g, count in hyp_grams.items())
+        precisions.append(matched / hyp_total if hyp_total else 0.0)
+        recalls.append(matched / ref_total if ref_total else 0.0)
+    if not precisions:
+        return 0.0
+    p = sum(precisions) / len(precisions)
+    r = sum(recalls) / len(recalls)
+    if p == 0.0 and r == 0.0:
+        return 0.0
+    b2 = beta * beta
+    return (1 + b2) * p * r / (b2 * p + r)

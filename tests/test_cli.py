@@ -242,6 +242,17 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,section,key,value", [("bench", None, "bench_talks", 0),
+                                                       ("synth", "synth", "vocab_size", 49)])
+def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value):
+    """A value the command could not use is refused when the config loads,
+    naming the file and the dotted key, before anything is written."""
+    cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
+    assert run([command, "--config", cfg]) == 1
+    assert f"{cfg}: {section + '.' if section else ''}{key}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_root_not_object_exit_one(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[]", encoding="utf-8")
@@ -446,6 +457,24 @@ def test_malformed_stage_manifest_exit_two(tmp_path, capsys, text):
     assert run(["filter-intra", "--config", cfg]) == 2
     assert f"not a run manifest [{manifest}]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "intra").exists()
+
+
+def test_hand_edited_stage_file_refused(tmp_path, capsys):
+    """A stage file that no longer hashes as its manifest lists it exits 1,
+    naming the file and the manifest, and nothing is written."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "6"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    links = out / "intra" / "talk0001.jsonl"
+    rows = links.read_text(encoding="utf-8").splitlines(keepends=True)
+    links.write_text("".join(rows[:-1]), encoding="utf-8")  # still valid: one link fewer
+    before = _tree(out)
+    capsys.readouterr()
+    assert run(["filter-inter", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(links) in err and str(out / "manifests" / "filter-intra.json") in err
+    assert _tree(out) == before
 
 
 def test_missing_trims_file_exit_two(tmp_path, capsys):

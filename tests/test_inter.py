@@ -1,15 +1,18 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
 from si_align.inter import (BuiltinScorer, ExternalScorer,
                             InterFilterParams, MissingReferenceError, RefEntry,
-                            ReferenceTranslation, apply_inter_filter, chrf_score,
+                            ReferenceTranslation, apply_inter_filter, chrf_score, chrf_scores,
                             content_coverage, length_ratio, read_external_scores,
                             read_reference_jsonl, references_text)
 
 from conftest import doc
+from oracles import reference_chrf
 
 
 def ref_for(talk_id, entries):
@@ -143,11 +146,23 @@ def test_eta_matches_oracle_on_random_pairs():
         assert chrf_score(f, t) == pytest.approx(chrf_oracle(f, t), abs=1e-9)
 
 
+# ASCII, composed and decomposed é, CJK, full-width forms that NFKC folds,
+# three kinds of whitespace, and a lone surrogate as JSON can carry it
+CHRF_CHARS = ["a", "b", "c", "é", "e\u0301", "字", "ｱ", "１", "1", " ", "\t", "\u3000", "\ud800"]
+chrf_texts = st.lists(st.sampled_from(CHRF_CHARS), max_size=12).map("".join)
+
+
+@given(st.lists(st.tuples(chrf_texts, chrf_texts), max_size=6))
+def test_chrf_scores_match_oracle_bit_for_bit(text_pairs):
+    got = chrf_scores(text_pairs)
+    assert [s.hex() for s in got] == [reference_chrf(f, t).hex() for f, t in text_pairs]
+
+
 def test_external_scorer_lookup_and_missing():
     scorer = ExternalScorer({("t0", 0, 1): 0.42})
-    assert scorer.score("t0", (0, 1), "f", "t") == 0.42
+    assert scorer.scores("t0", [(0, 1)], [("f", "t")]) == [0.42]
     with pytest.raises(MissingReferenceError):
-        scorer.score("t0", (5, 1), "f", "t")
+        scorer.scores("t0", [(0, 1), (5, 1)], [("f", "t"), ("f", "t")])
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,34 @@ def test_gamma_low_dropped_as_under_translation():
     kept, decisions = apply_inter_filter(pairs, document, ref, InterFilterParams())
     assert kept == []
     assert "gamma_low" in decisions[0].reasons
+
+
+@pytest.mark.parametrize("broken,named", [
+    ({0: "score", 1: "reference"}, (0, 1)),
+    ({0: "reference", 1: "score"}, (0, 1)),
+    ({1: "score", 2: "reference"}, (1, 1)),
+    ({1: "reference", 2: "score"}, (1, 1)),
+])
+def test_first_broken_pair_is_reported(broken, named):
+    """With several broken pairs, the error names the first in pair order,
+    whether its reference or its external score is missing."""
+    document, ref, pairs = _setup(4)
+    entries = {span: e for span, e in ref.entries.items()
+               if broken.get(span[0]) != "reference"}
+    scores = {("t0", i, 1): 0.5 for i in range(4) if broken.get(i) != "score"}
+    with pytest.raises(MissingReferenceError) as err:
+        apply_inter_filter(pairs, document, ref_for("t0", entries), InterFilterParams(),
+                           scorer=ExternalScorer(scores))
+    assert err.value.span == ("t0", *named)
+
+
+def test_empty_reference_before_later_missing_score():
+    document, ref, pairs = _setup(3)
+    entries = {**ref.entries, (0, 1): RefEntry(text="", tokens=())}
+    scorer = ExternalScorer({("t0", 0, 1): 0.5})
+    with pytest.raises(ValidationError, match=r"span \(0, 1\)"):
+        apply_inter_filter(pairs, document, ref_for("t0", entries), InterFilterParams(),
+                           scorer=scorer)
 
 
 def test_every_pair_gets_exactly_one_decision():
@@ -255,12 +298,36 @@ def test_reference_round_trip(tmp_path):
     assert loaded == ref
 
 
+def test_reference_tokens_built_once_per_file(tmp_path):
+    rows = [{"talk_id": "t0", "src_start": i, "src_len": 1, "text": "kamo tesu",
+             "tokens": [["kamo", "NOUN"], ["tesu", "VERB"]]} for i in range(3)]
+    path = tmp_path / "refs.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    entries = read_reference_jsonl(path).entries
+    assert entries[(0, 1)].tokens == (Token("kamo", Pos.NOUN), Token("tesu", Pos.VERB))
+    assert all(a is b for a, b in zip(entries[(0, 1)].tokens, entries[(2, 1)].tokens))
+
+
+@pytest.mark.parametrize("token,message", [(["kamo", "NUON"], "POS tag 'NUON' outside the tag"),
+                                           ([5, "NOUN"], "surface must be a string"),
+                                           (["kamo", ["NOUN"]], "unhashable"),
+                                           (["kamo"], "values to unpack")])
+def test_bad_reference_token_names_line(tmp_path, token, message):
+    good = {"talk_id": "t0", "src_start": 0, "src_len": 1, "text": "kamo",
+            "tokens": [["kamo", "NOUN"]]}
+    path = tmp_path / "refs.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "tokens": [token]}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as err:
+        read_reference_jsonl(path)
+    assert f"{path}:2" in str(err.value)
+
+
 def test_external_scores_file(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("t0\t0\t1\t0.91\nt0\t1\t2\t0.13\n", encoding="utf-8")
     scorer = read_external_scores(path)
-    assert scorer.score("t0", (0, 1), "", "") == 0.91
-    assert scorer.score("t0", (1, 2), "", "") == 0.13
+    assert scorer.scores("t0", [(0, 1), (1, 2)], [("", ""), ("", "")]) == [0.91, 0.13]
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
