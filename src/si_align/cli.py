@@ -437,6 +437,10 @@ def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair], intra: St
         kept, decisions = fi.apply_inter_filter(
             intra.pairs[doc.talk_id], doc, ref, params, scorer=scorer,
             trims_by_pair=intra.trims[doc.talk_id])
+        if scorer is not None and decisions and all(d.eta < params.eta_min for d in decisions):
+            # an external score has no fixed range, so a threshold may lie above all of them
+            log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
+                        "so eta drops all %d pairs", doc.talk_id, params.eta_min, len(decisions))
         manifest.write_artifact(cfg.out_dir / "inter" / f"{doc.talk_id}.jsonl",
                                 al.links_text(doc.talk_id, kept))
         manifest.write_artifact(cfg.out_dir / "decisions" / f"{doc.talk_id}.jsonl",

@@ -30,6 +30,13 @@ RENORM_WARN_TOL = 1e-3
 # table (2**26 float64 cells are 512 MiB)
 MAX_FALLBACK_DIM = 1 << 16
 MAX_TABLE_CELLS = 1 << 26
+# vector texts parsed per numpy call, so a chunk's strings and values stay
+# small next to the table; a chunk ends at whichever bound it reaches first
+PARSE_CHUNK_ROWS = 16
+PARSE_CHUNK_CHARS = 128 << 10
+# information separators: numpy's float parser strips them as whitespace,
+# `float()` rejects them, so a vector holding one is a bad field
+_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
 class MissingWindowError(KeyError):
@@ -224,11 +231,12 @@ def _stripped_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_table_file(table: EmbeddingTable, path) -> None:
-    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in table order."""
+    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in table order,
+    each value the `repr` of its float."""
     with open(path, "w", encoding="utf-8") as handle:
         for (side, w), block in table.rows.items():
             for start, row in enumerate(block):
-                values = ",".join(repr(float(x)) for x in table.entries[row])
+                values = ",".join(map(repr, table.entries[row].tolist()))
                 handle.write(f"{side}\t{start}\t{w}\t{values}\n")
 
 
@@ -236,51 +244,106 @@ def load_precomputed(path, n_source: int, n_target: int,
                      max_src_window: int, max_tgt_window: int) -> EmbeddingTable:
     """Load an external-encoder vector file covering every window of the table.
 
-    Rows may come in any order; rows for windows the table does not hold are
-    ignored. Every row must be valid UTF-8 with finite values. Vectors whose
-    norm strays beyond a loose tolerance are renormalized with a warning.
+    Rows may come in any order; the last row of a duplicated window wins, and
+    rows for windows the table does not hold are ignored. Every row must be
+    valid UTF-8 with finite values. Vectors whose norm strays beyond a loose
+    tolerance are renormalized with a warning.
+
+    Values are read by numpy's float parser, `PARSE_CHUNK_ROWS` rows at a
+    time: ASCII decimal, `inf` or `nan` literals, optionally padded with
+    whitespace. Unlike `float()`, it takes no `_` digit separators and no
+    non-ASCII digits. Every error names the first bad line of the file.
     """
     path = Path(path)
     rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
     filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
     entries = None
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
-        side = cols[0]
-        if side not in (SOURCE, TARGET):
-            raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
+    # rows read but not yet parsed: (line number, window, table row or None, vector text)
+    pending: list[tuple[int, tuple[str, int, int], int | None, str]] = []
+    pending_chars = 0
+
+    def settle(items, block):
+        """Check and store parsed rows, in file order."""
+        finite = np.isfinite(block).all(axis=1)
+        for (lineno, key, row, _), vec, ok in zip(items, block, finite):
+            if not ok:
+                raise ParseError("non-finite vector value", path=path, line=lineno)
+            if row is None:
+                continue
+            norm = float(np.linalg.norm(vec))
+            if norm == 0.0 or not np.isfinite(norm):
+                raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
+            if abs(norm - 1.0) > RENORM_WARN_TOL:
+                log.warning("%s:%d: window %s has norm %.6g, renormalizing",
+                            path, lineno, key, norm)
+            entries[row] = vec / norm
+            filled[row] = True
+
+    def flush():
+        items = pending.copy()
+        pending.clear()
+        if not items:
+            return
         try:
-            start, w = int(cols[1]), int(cols[2])
-            vec = np.array([float(x) for x in cols[3].split(",")])
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
-        if not np.isfinite(vec).all():
-            raise ParseError("non-finite vector value", path=path, line=lineno)
-        if entries is None:
-            entries = np.empty((len(filled), vec.shape[0]))
-        elif vec.shape[0] != entries.shape[1]:
-            raise ParseError(
-                f"dimension {vec.shape[0]} differs from first row's {entries.shape[1]}",
-                path=path, line=lineno,
-            )
-        block = rows.get((side, w), range(0))
-        if not 0 <= start < len(block):
-            continue
-        key = (side, start, w)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
-        if abs(norm - 1.0) > RENORM_WARN_TOL:
-            log.warning("%s:%d: window %s has norm %.6g, renormalizing", path, lineno, key, norm)
-        entries[block[start]] = vec / norm
-        filled[block[start]] = True
+            block = _parse_vectors([text for *_, text in items])
+        except ValueError:
+            # parse row by row, so the first row numpy rejects is the one named
+            for item in items:
+                try:
+                    block = _parse_vectors([item[-1]])
+                except ValueError as exc:
+                    raise ParseError(f"bad numeric field: {exc}", path=path,
+                                     line=item[0]) from exc
+                settle([item], block)
+        else:
+            settle(items, block)
+
+    try:
+        for lineno, line in read_lines(path):
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) != 4:
+                raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
+            side, text = cols[0], cols[3]
+            if side not in (SOURCE, TARGET):
+                raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
+            try:
+                start, w = int(cols[1]), int(cols[2])
+            except ValueError as exc:
+                raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+            if not text.strip():
+                raise ParseError("bad numeric field: no values", path=path, line=lineno)
+            if any(c in text for c in _FLOAT_REJECTS):
+                raise ParseError("bad numeric field: an information separator (U+001C..U+001F)",
+                                 path=path, line=lineno)
+            if "\r" in text:  # whitespace to `float()`, a line end to numpy
+                text = text.replace("\r", " ")
+            dim = text.count(",") + 1
+            if entries is None:
+                entries = np.empty((len(filled), dim))
+            elif dim != entries.shape[1]:
+                raise ParseError(f"dimension {dim} differs from first row's {entries.shape[1]}",
+                                 path=path, line=lineno)
+            block = rows.get((side, w), range(0))
+            pending.append((lineno, (side, start, w),
+                            block[start] if 0 <= start < len(block) else None, text))
+            pending_chars += len(text)
+            if len(pending) == PARSE_CHUNK_ROWS or pending_chars >= PARSE_CHUNK_CHARS:
+                flush()
+                pending_chars = 0
+    except ParseError:
+        flush()  # a bad row still pending lies on an earlier line, so it is the one reported
+        raise
+    flush()
     for (side, w), block in rows.items():
         for start, row in enumerate(block):
             if not filled[row]:
                 raise MissingWindowError(side, start, w, path)
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
                           entries if entries is not None else np.empty((0, 0)))
+
+
+def _parse_vectors(texts: list[str]) -> np.ndarray:
+    """The `[len(texts), dim]` float64 values of comma-separated vector texts."""
+    return np.loadtxt(texts, delimiter=",", dtype=np.float64, ndmin=2, comments=None)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from si_align.corpus import DocumentPair, Pos, Rank, TextUnit, Token
+from si_align.corpus import DocumentPair, ParseError, Pos, Rank, TextUnit, Token
+from si_align.embeddings import MissingWindowError
 
 
 def unit(index, text, tags=None):
@@ -24,6 +25,18 @@ def doc(src_texts, tgt_texts, talk_id="t0", rank=Rank.S, src_tags=None, tgt_tags
         source_units=tuple(unit(i, t, g) for i, (t, g) in enumerate(zip(src_texts, src_tags))),
         target_units=tuple(unit(i, t, g) for i, (t, g) in enumerate(zip(tgt_texts, tgt_tags))),
     )
+
+
+def vector_outcome(load, path, *shape):
+    """What a vector-file loader makes of a file: the table's shape and
+    bytes, or the error's type and the line or window it names."""
+    try:
+        table = load(path, *shape)
+    except ParseError as exc:
+        return ParseError, exc.line
+    except MissingWindowError as exc:
+        return MissingWindowError, exc.window
+    return table.entries.shape, table.entries.tobytes()
 
 
 @pytest.fixture

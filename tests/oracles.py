@@ -2,18 +2,24 @@
 paths. These deliberately avoid the library's own algorithms: plain DP
 tables, explicit enumeration, per-window loops, and dict counting."""
 
+import logging
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from si_align.align import DENOM_FLOOR, AlignmentSet, _cosine_grid, validate_alignment
-from si_align.corpus import AlignedPair, TextUnit, ValidationError, normalize_text
-from si_align.embeddings import (SOURCE, TARGET, EmbeddingTable, FallbackParams,
-                                 MissingWindowError, _gram_slot, build_fallback_table)
+from si_align.corpus import (AlignedPair, ParseError, TextUnit, ValidationError,
+                             normalize_text, read_lines)
+from si_align.embeddings import (RENORM_WARN_TOL, SOURCE, TARGET, EmbeddingTable,
+                                 FallbackParams, MissingWindowError, _gram_slot,
+                                 build_fallback_table, window_rows)
 from si_align.inter import CHRF_BETA, CHRF_MAX_ORDER
 
 from conftest import doc
+
+log = logging.getLogger(__name__)
 
 
 def enumerate_windows(units, max_window: int) -> list[tuple[int, int, str]]:
@@ -57,6 +63,62 @@ def window_vector(table: EmbeddingTable, side: str, start: int, window_len: int)
     if not 0 <= start < len(block):
         raise MissingWindowError(side, start, window_len)
     return table.entries[block[start]]
+
+
+def reference_load_precomputed(path, n_source: int, n_target: int,
+                     max_src_window: int, max_tgt_window: int) -> EmbeddingTable:
+    """The vector-file loader parsing one row at a time, each value with
+    `float()`: load an external-encoder vector file covering every window of
+    the table.
+
+    Rows may come in any order; rows for windows the table does not hold are
+    ignored. Every row must be valid UTF-8 with finite values. Vectors whose
+    norm strays beyond a loose tolerance are renormalized with a warning.
+    """
+    path = Path(path)
+    rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
+    filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
+    entries = None
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
+        side = cols[0]
+        if side not in (SOURCE, TARGET):
+            raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
+        try:
+            start, w = int(cols[1]), int(cols[2])
+            vec = np.array([float(x) for x in cols[3].split(",")])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
+        if not np.isfinite(vec).all():
+            raise ParseError("non-finite vector value", path=path, line=lineno)
+        if entries is None:
+            entries = np.empty((len(filled), vec.shape[0]))
+        elif vec.shape[0] != entries.shape[1]:
+            raise ParseError(
+                f"dimension {vec.shape[0]} differs from first row's {entries.shape[1]}",
+                path=path, line=lineno,
+            )
+        block = rows.get((side, w), range(0))
+        if not 0 <= start < len(block):
+            continue
+        key = (side, start, w)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
+        if abs(norm - 1.0) > RENORM_WARN_TOL:
+            log.warning("%s:%d: window %s has norm %.6g, renormalizing", path, lineno, key, norm)
+        entries[block[start]] = vec / norm
+        filled[block[start]] = True
+    for (side, w), block in rows.items():
+        for start, row in enumerate(block):
+            if not filled[row]:
+                raise MissingWindowError(side, start, w, path)
+    return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
+                          entries if entries is not None else np.empty((0, 0)))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import concurrent.futures
 import copy
 import dataclasses
 import json
+import logging
 import pickle
 
 import pytest
@@ -336,7 +337,7 @@ def test_worker_count_capped_at_talks(monkeypatch, jobs, workers):
 
 def test_jobs_parity(tmp_path, capsys):
     """`--jobs 1` and `--jobs 2` write the same artifacts, and fail alike
-    when a vector row is missing."""
+    when a vector row is missing or a value is bad."""
     cfg = write_config(tmp_path, embedding={"kind": "precomputed_file",
                                             "path_pattern": "vectors/{talk_id}.tsv"})
     assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3",
@@ -367,6 +368,20 @@ def test_jobs_parity(tmp_path, capsys):
         errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
     assert errors[0] == errors[1] and len(errors[0]) == 1
     assert str(vectors) in errors[0][0]
+
+    # a value numpy's parser rejects, on a line past the first parse chunk
+    line = embeddings.PARSE_CHUNK_ROWS + 5
+    assert len(lines) > line
+    cols = lines[line - 1].split("\t")
+    cols[3] = "1_0," + cols[3].split(",", 1)[1]
+    lines[line - 1] = "\t".join(cols)
+    vectors.write_text("".join(lines), encoding="utf-8")
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"value{jobs}"]) == 2
+        err = capsys.readouterr().err
+        assert f"[{vectors}:{line}]" in err and "bad numeric field" in err
+        assert "Traceback" not in err
 
 
 def _rerun(*args):
@@ -517,6 +532,29 @@ def test_eta_min_outside_chrf_range_exit_one(tmp_path, capsys, inter, flags, key
     # an external score file has no fixed range
     cfg = write_config(tmp_path, inter=inter, scores_path="scores.tsv")
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4", *flags]) == 0
+
+
+def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
+    """A talk whose external scores all lie below `eta_min` gets one warning
+    naming it and the threshold; its decisions are written as before."""
+    cfg = write_config(tmp_path, inter={"eta_min": 0.7}, scores_path="scores.tsv")
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    score = {"talk0000": 0.5, "talk0001": 0.9}
+    (tmp_path / "scores.tsv").write_text("".join(
+        f"{talk}\t{start}\t{length}\t{value}\n" for talk, value in score.items()
+        for start in range(40) for length in range(1, 5)), encoding="utf-8")
+    assert run(["pipeline", "--config", cfg]) == 0
+    decisions = (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="si_align.cli"):
+        assert run(["filter-inter", "--config", cfg]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "si_align.cli"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("talk0000: inter.eta_min 0.7 exceeds every external score")
+    assert (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes() == decisions
+    rows = [json.loads(line) for line in decisions.decode("utf-8").splitlines()]
+    assert rows and all("eta" in row["reasons"] for row in rows)
 
 
 def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):

@@ -1,17 +1,19 @@
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
-from si_align.embeddings import (FallbackParams, MissingWindowError, SOURCE, TARGET,
-                                 build_fallback_table, load_precomputed, window_rows,
+from si_align.embeddings import (PARSE_CHUNK_ROWS, FallbackParams, MissingWindowError, SOURCE,
+                                 TARGET, build_fallback_table, load_precomputed, window_rows,
                                  write_table_file)
 
-from conftest import doc, unit
-from oracles import cosine, enumerate_windows, fallback_embed, window_vector
+from conftest import doc, unit, vector_outcome
+from oracles import (cosine, enumerate_windows, fallback_embed, reference_load_precomputed,
+                     window_vector)
 
 
 def brute_force_windows(texts, max_window):
@@ -218,6 +220,135 @@ def test_precomputed_non_finite_value_named(tmp_path, value):
     with pytest.raises(ParseError) as err:
         load_precomputed(path, 1, 1, 1, 1)
     assert f"{path}:2" in str(err.value)
+
+
+def test_write_table_file_bytes_are_each_values_repr(tmp_path):
+    document = doc(["aa bb", "cc", "dd ee"], ["ff", "gg hh"])
+    table = build_fallback_table(document, FallbackParams(dim=64), 3, 2)
+    table.entries[0, :4] = [-0.0, 5e-324, 1e308, 0.1]
+    path = tmp_path / "emb.tsv"
+    write_table_file(table, path)
+    expected = "".join(
+        f"{side}\t{start}\t{w}\t" + ",".join(repr(float(x)) for x in table.entries[row]) + "\n"
+        for (side, w), block in table.rows.items() for start, row in enumerate(block))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _one_by_one(tmp_path, vectors):
+    """A 1 x 1 talk at window 1: source row on line 1, target rows after it."""
+    path = tmp_path / "emb.tsv"
+    path.write_text("".join(f"{side}\t0\t1\t{v}\n" for side, v in
+                            zip([SOURCE] + [TARGET] * (len(vectors) - 1), vectors)),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("value", ["1.0#", "#1.0", "", '"1.0"', "1_0", "\u0661", "1.0\x1c",
+                                   "0x1p0", "1.0 2.0"],
+                         ids=["hash-after", "hash-before", "empty", "quoted", "underscore",
+                              "arabic-indic-digit", "separator", "hex", "inner-space"])
+def test_precomputed_bad_value_names_line(tmp_path, value):
+    """Values numpy's float parser rejects are a bad numeric field on their
+    line; `1_0` and non-ASCII digits, which `float()` takes, are among them."""
+    path = _one_by_one(tmp_path, ["0.6,0.8,0.0", f"1.0,{value},0.0"])
+    with pytest.raises(ParseError, match="bad numeric field") as err:
+        load_precomputed(path, 1, 1, 1, 1)
+    assert f"{path}:2]" in str(err.value)
+
+
+@pytest.mark.parametrize("vector", ["", "  ", " \x0b "], ids=["empty", "spaces", "vtab"])
+def test_precomputed_blank_vector_field_names_line(tmp_path, vector):
+    path = _one_by_one(tmp_path, ["0.6,0.8", vector])
+    with pytest.raises(ParseError, match="bad numeric field") as err:
+        load_precomputed(path, 1, 1, 1, 1)
+    assert f"{path}:2]" in str(err.value)
+
+
+def test_precomputed_whitespace_around_values(tmp_path):
+    """Padding `float()` strips reads the same, a `\\r` inside the line included."""
+    path = _one_by_one(tmp_path, [" +0.6 ,\u3000.8\r", "\xa00.,\x0c1E0 \r\r"])
+    table = load_precomputed(path, 1, 1, 1, 1)
+    assert table.entries.tolist() == [[0.6, 0.8], [0.0, 1.0]]
+
+
+def test_precomputed_first_bad_line_wins(tmp_path):
+    """A bad value still waiting to be parsed is reported before a malformed
+    row after it."""
+    path = tmp_path / "emb.tsv"
+    path.write_text("source\t0\t1\t0.6,0.8\ntarget\t0\t1\t0.6,x\ntarget\t0\t1\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="bad numeric field") as err:
+        load_precomputed(path, 1, 1, 1, 1)
+    assert f"{path}:2]" in str(err.value)
+
+
+def test_precomputed_ragged_row_after_chunk_boundary(tmp_path):
+    """Rows of earlier chunks are parsed; the short row names its own line."""
+    n = PARSE_CHUNK_ROWS + 4
+    lines = [f"source\t{i}\t1\t0.6,0.8,0.0" for i in range(n)]
+    lines[PARSE_CHUNK_ROWS + 2] = f"source\t{PARSE_CHUNK_ROWS + 2}\t1\t0.6,0.8"
+    path = tmp_path / "emb.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="dimension 2 differs") as err:
+        load_precomputed(path, n, 1, 1, 1)
+    assert f"{path}:{PARSE_CHUNK_ROWS + 3}]" in str(err.value)
+
+
+# value texts both parsers read: reprs of floats, signs, bare points,
+# exponents, case, and whitespace `float()` strips
+SPECIAL_VALUES = ["-0.0", "5e-324", "2.2250738585072014e-308", "+1", ".5", "5.", "1E5",
+                  "-2e-3", "0", "+.25E+1", "1e-400"]
+PADDING = st.sampled_from(["", " ", "  ", "\u3000", "\xa0", "\x0b", "\x0c", "\r"])
+
+
+def _padded(values):
+    return st.tuples(PADDING, values, PADDING).map("".join)
+
+
+@st.composite
+def vector_files(draw):
+    """(file text, n_source, n_target, max_window): one row per window, in
+    any order, some repeated, some for windows outside the table. A file
+    may lack a window or hold values whose square overflows, or non-finite ones."""
+    n_source, n_target = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    max_w, dim = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    keys = [(side, start, w) for side, n in ((SOURCE, n_source), (TARGET, n_target))
+            for w in range(1, max_w + 1) for start in range(n - w + 1)]
+    if not draw(st.integers(0, 9)):
+        keys.remove(draw(st.sampled_from(keys)))  # a window with no row
+    keys += draw(st.lists(st.sampled_from(keys), max_size=6))
+    keys += draw(st.lists(st.tuples(st.sampled_from([SOURCE, TARGET]), st.integers(-2, 12),
+                                    st.integers(1, 7)), max_size=6))
+    keys = draw(st.permutations(keys))
+    extreme = SPECIAL_VALUES + ([] if draw(st.integers(0, 3)) else ["1e308", "-INF", "NaN"])
+    # a nonzero first value keeps most rows' norms away from 0
+    first = _padded(st.floats(0.25, 4.0).map(repr))
+    rest = _padded(st.one_of(st.floats(-4.0, 4.0).map(repr), st.sampled_from(extreme),
+                             st.floats(-1e150, 1e150).map(repr)))
+    lines = [f"{side}\t{start}\t{w}\t"
+             + ",".join([draw(first)] + draw(st.lists(rest, min_size=dim - 1, max_size=dim - 1)))
+             + "\n" for side, start, w in keys]
+    return "".join(lines), n_source, n_target, max_w
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=vector_files())
+def test_precomputed_matches_row_by_row_oracle(tmp_path, caplog, case):
+    """The chunked loader fills the same bits, and warns and fails alike,
+    as the row-by-row `float()` loader."""
+    text, n_source, n_target, max_w = case
+    path = tmp_path / "emb.tsv"
+    path.write_text(text, encoding="utf-8")
+    shape = (n_source, n_target, max_w, max_w)
+    outcomes, warned = [], []
+    for load in (load_precomputed, reference_load_precomputed):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING), np.errstate(over="ignore"):
+            outcomes.append(vector_outcome(load, path, *shape))
+        warned.append([record.getMessage() for record in caplog.records])
+    assert outcomes[0] == outcomes[1]
+    assert warned[0] == warned[1]
 
 
 def test_provider_spec_validation_and_dispatch(tmp_path):

@@ -5,6 +5,7 @@ naming the file."""
 import argparse
 import json
 import re
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from si_align.inter import (MissingReferenceError, ReferenceTranslation, RefEntr
 from si_align.intra import read_trims
 from si_align.splitter import read_allowlist
 
-from conftest import doc
+from conftest import doc, vector_outcome
+from oracles import reference_load_precomputed
 
 DOC = doc(["aa bb", "cc"], ["xx", "yy zz"], talk_id="talk0")
 TALK = {name: text.encode("utf-8") for name, text in talk_texts(DOC).items()}
@@ -127,6 +129,44 @@ def test_reader_fuzz(talk_dir, kind, edits):
         reader(path)
     except ERRORS as exc:
         assert str(path) in str(exc)
+
+
+# a 12 x 12 talk at window limit 2, dim 3: 46 rows, several parse chunks
+LONG_VECTOR_FILE = "".join(f"{side}\t{start}\t{w}\t0.6,{-0.8 + start / 64},{start}e-3\n"
+                           for side in (SOURCE, TARGET) for w in (1, 2)
+                           for start in range(13 - w)).encode("utf-8")
+VECTOR_TOKENS = FUZZ_TOKENS + [b"_", "\u0661".encode("utf-8"), b"\x1c", b" ", b"#", b".", b"e",
+                               b"\xc2\xa0", b"0.6,0.8"]
+
+
+def _narrowed(line: str) -> bool:
+    """Holds a value `float()` reads and numpy's parser does not: one with
+    `_` digit separators or non-ASCII digits."""
+    return "_" in line or any(not c.isascii() and unicodedata.decimal(c, None) is not None
+                              for c in line)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 8),
+                                st.one_of(st.sampled_from(VECTOR_TOKENS), st.binary(max_size=4))),
+                      max_size=4))
+def test_vector_fuzz_matches_row_by_row_oracle(tmp_path, edits):
+    """A mutated vector file loads to the same bits, or fails with the same
+    error at the same line or window, as with the row-by-row `float()` loader,
+    except where a value numpy does not read fails first."""
+    data = LONG_VECTOR_FILE
+    for pos, cut, insert in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + insert + data[pos + cut:]
+    path = _write(tmp_path, "emb.tsv", data)
+    with np.errstate(over="ignore"):
+        got, expected = (vector_outcome(load, path, 12, 12, 2, 2)
+                         for load in (load_precomputed, reference_load_precomputed))
+    if got != expected:
+        assert got[0] is ParseError, (got, expected)
+        assert expected[0] != ParseError or expected[1] > got[1], (got, expected)
+        assert _narrowed(data.split(b"\n")[got[1] - 1].decode("utf-8", "replace"))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "si_align"
