@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import embeddings as em
 from .corpus import AlignedPair, DocumentPair, ValidationError, jsonl_text, read_jsonl
 from .embeddings import SOURCE, TARGET, EmbeddingTable
 
@@ -191,6 +192,15 @@ def prune(alignment: AlignmentSet, threshold: float) -> AlignmentSet:
         else:
             pruned.append(replace(link, dropped=False, drop_reason=None))
     return replace(alignment, links=tuple(pruned))
+
+
+def align_talk(doc: DocumentPair, spec: em.EmbeddingProviderSpec, params: AlignParams,
+               base_dir=None) -> AlignmentSet:
+    """The coarse alignment of one talk: its window table under `spec` (a
+    relative vector file is found under `base_dir`), the DP, then pruning at
+    `params.prune_cost_threshold`."""
+    table = em.table_for(doc, spec, params.max_src_span, params.max_tgt_span, base_dir)
+    return prune(dp_align(doc, table, params), params.prune_cost_threshold)
 
 
 def validate_alignment(alignment: AlignmentSet, m: int, n: int) -> None:

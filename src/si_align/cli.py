@@ -85,6 +85,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.bench_talks < 1:
             raise ValidationError(f"bench_talks: must be >= 1, got {self.bench_talks}")
+        for rate in self.bench_omission_rates:  # each one is a `noise` section of the bench
+            try:
+                dataclasses.replace(self.noise, omission_rate=rate)
+            except ValidationError as exc:
+                raise ValidationError(f"bench_omission_rates: {exc}") from None
         # the built-in chrF scorer scores in [0, 1]; an external score file has no fixed range
         if self.scores_path is None:
             for context, params in (("inter", self.inter), *(
@@ -331,10 +336,7 @@ def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
 
 
 def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
-    base = Path(cfg.corpus).parent if cfg.corpus is not None else None
-    table = em.table_for(doc, cfg.embedding, cfg.align.max_src_span, cfg.align.max_tgt_span,
-                         base_dir=base)
-    return al.prune(al.dp_align(doc, table, cfg.align), cfg.align.prune_cost_threshold)
+    return al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
 
 
 def _map_talks(fn, docs, cfg: PipelineConfig):

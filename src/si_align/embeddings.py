@@ -52,22 +52,6 @@ class MissingWindowError(KeyError):
         return type(self), (*self.window, self.path)
 
 
-@dataclass(frozen=True)
-class FallbackParams:
-    """Hashed character-n-gram embedder settings."""
-
-    dim: int = 256
-    orders: tuple[int, ...] = (2, 3)
-    seed: int = 17
-
-    def __post_init__(self):
-        if not 64 <= self.dim <= MAX_FALLBACK_DIM:
-            raise ValidationError(
-                f"embedding.dim must be in 64..{MAX_FALLBACK_DIM}, got {self.dim}")
-        if not self.orders or any(n < 1 or n > 5 for n in self.orders):
-            raise ValidationError(f"n-gram orders must be a non-empty subset of 1..5: {self.orders}")
-
-
 PROVIDER_FALLBACK = "fallback_hash"
 PROVIDER_PRECOMPUTED = "precomputed_file"
 
@@ -76,24 +60,30 @@ PROVIDER_PRECOMPUTED = "precomputed_file"
 class EmbeddingProviderSpec:
     """The `embedding` config object: where window vectors come from, an
     external-encoder file (`path_pattern`, which may contain `{talk_id}`) or
-    the built-in hashed embedder (`dim`, `orders`, `seed`)."""
+    the built-in hashed character-n-gram embedder (`dim`, `orders`, `seed`)."""
 
     kind: str = PROVIDER_FALLBACK
-    dim: int = FallbackParams.dim
-    orders: tuple[int, ...] = FallbackParams.orders
-    seed: int = FallbackParams.seed
+    dim: int = 256
+    orders: tuple[int, ...] = (2, 3)
+    seed: int = 17
     path_pattern: str = ""
 
     def __post_init__(self):
         if self.kind == PROVIDER_FALLBACK:
-            self.fallback()  # validates the embedder's settings
+            if not 64 <= self.dim <= MAX_FALLBACK_DIM:
+                raise ValidationError(
+                    f"embedding.dim must be in 64..{MAX_FALLBACK_DIM}, got {self.dim}")
+            if not self.orders or any(n < 1 or n > 5 for n in self.orders):
+                raise ValidationError(
+                    f"n-gram orders must be a non-empty subset of 1..5: {self.orders}")
         elif self.kind != PROVIDER_PRECOMPUTED:
             raise ValidationError(f"unknown embedding provider kind {self.kind!r}")
         elif not self.path_pattern:
             raise ValidationError("precomputed_file provider needs a path_pattern")
 
-    def fallback(self) -> FallbackParams:
-        return FallbackParams(self.dim, self.orders, self.seed)
+
+# another name for the spec, under which perfbench/write_vectors.py builds its vector tables
+FallbackParams = EmbeddingProviderSpec
 
 
 def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
@@ -101,7 +91,7 @@ def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
               base_dir=None) -> EmbeddingTable:
     """Build or load the table for one document under the given provider."""
     if spec.kind == PROVIDER_FALLBACK:
-        return build_fallback_table(doc, spec.fallback(), max_src_window, max_tgt_window)
+        return build_fallback_table(doc, spec, max_src_window, max_tgt_window)
     path = Path(spec.path_pattern.replace("{talk_id}", doc.talk_id))
     if not path.is_absolute() and base_dir is not None:
         path = Path(base_dir) / path
@@ -160,7 +150,7 @@ def window_rows(n_source: int, n_target: int,
     return rows
 
 
-def build_fallback_table(doc: DocumentPair, params: FallbackParams,
+def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
                          max_src_window: int = 4, max_tgt_window: int = 4) -> EmbeddingTable:
     """Signed hashed bags of character n-grams of every window, L2-normalized.
 
@@ -175,7 +165,7 @@ def build_fallback_table(doc: DocumentPair, params: FallbackParams,
     """
     rows = window_rows(len(doc.source_units), len(doc.target_units),
                        max_src_window, max_tgt_window)
-    n_rows, dim = rows[(TARGET, max_tgt_window)].stop, params.dim
+    n_rows, dim = rows[(TARGET, max_tgt_window)].stop, spec.dim
     if n_rows * dim > MAX_TABLE_CELLS:
         raise ValidationError(f"{doc.talk_id}: embedding.dim {dim} x {n_rows} windows exceeds "
                               f"the table limit of {MAX_TABLE_CELLS} cells")
@@ -194,8 +184,8 @@ def build_fallback_table(doc: DocumentPair, params: FallbackParams,
             lo.append(np.minimum(first[a], b))
             hi.append(np.maximum(last[b], lo[-1]))
         row, lo, hi = np.concatenate(row), np.concatenate(lo), np.concatenate(hi)
-        for n in params.orders:
-            slots = np.array([_gram_slot(text[i:i + n], params.seed, dim)
+        for n in spec.orders:
+            slots = np.array([_gram_slot(text[i:i + n], spec.seed, dim)
                               for i in range(len(text) - n + 1)], dtype=np.int64).reshape(-1, 2)
             count = np.maximum(hi - lo - n + 1, 0)
             offset = np.cumsum(count) - count

@@ -97,25 +97,10 @@ class FilterDecision:
     reasons: tuple[str, ...]
 
 
-def content_coverage(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTranslation,
-                     coverage_pos) -> float:
-    """Fraction of T's content tokens whose surface occurs in F's text.
-
-    T stands in for E here: it is the reference translation of E in the
-    target language, so coverage becomes a same-language substring test.
-    Returns 1.0 when T has no content tokens at all.
-    """
-    return _coverage(ref.entry(pair.src_start, pair.src_len),
-                     doc.tgt_text(pair.tgt_start, pair.tgt_len), coverage_pos)
-
-
-def length_ratio(pair: AlignedPair, doc: DocumentPair, ref: ReferenceTranslation) -> float:
-    """char_len(F) / char_len(T), whitespace excluded on both sides."""
-    return _length_ratio(pair, ref.entry(pair.src_start, pair.src_len),
-                         doc.tgt_text(pair.tgt_start, pair.tgt_len), ref.talk_id)
-
-
 def _coverage(entry: RefEntry, f_text: str, coverage_pos) -> float:
+    """Alpha: the fraction of T's content tokens whose surface occurs in F's
+    text, 1.0 when T has none. T is the reference translation of E in the
+    target language, so coverage is a same-language substring test."""
     content = [tok.surface for tok in entry.tokens if tok.pos in coverage_pos]
     if not content:
         return 1.0
@@ -124,6 +109,7 @@ def _coverage(entry: RefEntry, f_text: str, coverage_pos) -> float:
 
 
 def _length_ratio(pair: AlignedPair, entry: RefEntry, f_text: str, talk_id: str) -> float:
+    """Gamma: char_len(F) / char_len(T), whitespace excluded on both sides."""
     t_len = char_len(entry.text)
     if t_len == 0:
         raise ValidationError(
@@ -131,18 +117,17 @@ def _length_ratio(pair: AlignedPair, entry: RefEntry, f_text: str, talk_id: str)
     return char_len(f_text) / t_len
 
 
-def chrf_scores(text_pairs, max_order: int = CHRF_MAX_ORDER,
-                beta: float = CHRF_BETA) -> list[float]:
+def chrf_scores(text_pairs) -> list[float]:
     """Character n-gram F-measure of each F against its reference T, for
     (F, T) pairs.
 
     Whitespace is removed before n-gram extraction (the usual convention,
     and the right one for unsegmented scripts). Precision and recall are
-    averaged uniformly over orders 1..max_order, skipping orders where
-    neither side has any n-gram; F is the beta-weighted harmonic mean.
+    averaged uniformly over orders 1..CHRF_MAX_ORDER, skipping orders where
+    neither side has any n-gram; F is the CHRF_BETA-weighted harmonic mean.
     """
     texts = ["".join(normalize_text(text).split()) for pair in text_pairs for text in pair]
-    matched = _matched_ngrams(texts, max_order)
+    matched = _matched_ngrams(texts)
     scores = []
     for k in range(len(texts) // 2):
         hyp_len, ref_len = len(texts[2 * k]), len(texts[2 * k + 1])
@@ -150,29 +135,29 @@ def chrf_scores(text_pairs, max_order: int = CHRF_MAX_ORDER,
             scores.append(1.0)
             continue
         precisions, recalls = [], []
-        for n in range(1, max_order + 1):
+        for n in range(1, CHRF_MAX_ORDER + 1):
             hyp_total = max(hyp_len - n + 1, 0)
             ref_total = max(ref_len - n + 1, 0)
             if hyp_total == 0 and ref_total == 0:
                 continue
             precisions.append(matched[n - 1][k] / hyp_total if hyp_total else 0.0)
             recalls.append(matched[n - 1][k] / ref_total if ref_total else 0.0)
-        scores.append(_f_score(precisions, recalls, beta))
+        scores.append(_f_score(precisions, recalls))
     return scores
 
 
-def _f_score(precisions: list[float], recalls: list[float], beta: float) -> float:
+def _f_score(precisions: list[float], recalls: list[float]) -> float:
     if not precisions:
         return 0.0
     p = sum(precisions) / len(precisions)
     r = sum(recalls) / len(recalls)
     if p == 0.0 and r == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = CHRF_BETA * CHRF_BETA
     return (1 + b2) * p * r / (b2 * p + r)
 
 
-def _matched_ngrams(texts: list[str], max_order: int) -> list[list[int]]:
+def _matched_ngrams(texts: list[str]) -> list[list[int]]:
     """`matched[n - 1][k]`: the n-grams that texts 2k and 2k+1 share, each
     counted min(count in 2k, count in 2k+1) times.
 
@@ -188,7 +173,7 @@ def _matched_ngrams(texts: list[str], max_order: int) -> list[list[int]]:
     symbols, first = np.unique(codes, return_inverse=True)
     ids = first
     matched = []
-    for n in range(1, max_order + 1):
+    for n in range(1, CHRF_MAX_ORDER + 1):
         if n > 1:
             ids = np.unique(ids[:-1] * len(symbols) + first[n - 1:], return_inverse=True)[1]
         within = room[:len(ids)] >= n
@@ -201,12 +186,6 @@ def _matched_ngrams(texts: list[str], max_order: int) -> list[list[int]]:
         matched.append(np.bincount(pair_of, weights=mins, minlength=len(texts) // 2)
                        .astype(np.int64).tolist())
     return matched
-
-
-def chrf_score(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
-               beta: float = CHRF_BETA) -> float:
-    """chrF of F against reference T; see `chrf_scores`."""
-    return chrf_scores([(f_text, t_text)], max_order, beta)[0]
 
 
 class BuiltinScorer:

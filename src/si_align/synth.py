@@ -16,9 +16,10 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .align import AlignmentSet, AlignParams, dp_align, prune, validate_alignment
+from .align import AlignmentSet, AlignParams, align_talk, validate_alignment
 from .corpus import AlignedPair, DocumentPair, Pos, Rank, TextUnit, Token, ValidationError
-from .embeddings import FallbackParams, build_fallback_table
+from .embeddings import EmbeddingProviderSpec
+from .inter import RefEntry, ReferenceTranslation
 
 log = logging.getLogger(__name__)
 
@@ -90,9 +91,9 @@ class SynthParams:
     seed: int = 7
 
     def __post_init__(self):
-        if self.vocab_size < MIN_VOCAB_SIZE:
-            raise ValidationError(
-                f"vocab_size: must be >= {MIN_VOCAB_SIZE}, got {self.vocab_size}")
+        for key, least in (("talks", 1), ("sentences", 1), ("vocab_size", MIN_VOCAB_SIZE)):
+            if getattr(self, key) < least:
+                raise ValidationError(f"{key}: must be >= {least}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,6 @@ def _word(rng: random.Random, letters: str) -> str:
 
 def make_vocabulary(vocab_size: int) -> tuple[Token, ...]:
     """Deterministic content vocabulary; depends only on vocab_size."""
-    if vocab_size < MIN_VOCAB_SIZE:
-        raise ValidationError(f"vocab_size must be >= {MIN_VOCAB_SIZE}, got {vocab_size}")
     rng = random.Random(f"vocab:{vocab_size}")
     seen, vocab = set(), []
     while len(vocab) < vocab_size:
@@ -201,8 +200,6 @@ def _unit(index: int, tokens) -> TextUnit:
 def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
                   talk_id: str | None = None) -> GoldTalk:
     """One synthetic talk with its gold alignment and per-chunk provenance."""
-    if m < 1:
-        raise ValidationError(f"sentence count must be >= 1, got {m}")
     vocab = make_vocabulary(vocab_size)
     rng_content = random.Random(f"{seed}:{noise.rng_seed}:content")
     rng_render = random.Random(f"{seed}:{noise.rng_seed}:render")
@@ -292,8 +289,6 @@ def build_reference(doc: DocumentPair, max_src_len: int):
     is what an ideal translation service would return for this language; it
     covers any span a coarse aligner might produce within its span limits.
     """
-    from .inter import RefEntry, ReferenceTranslation
-
     per_sentence = [render_sentence(unit.tokens) for unit in doc.source_units]
     entries = {}
     m = len(doc.source_units)
@@ -337,22 +332,15 @@ def score_alignment(pred: AlignmentSet, gold: AlignmentSet) -> ScoreTriple:
 # Benchmark profile: wider vectors and longer n-grams than the module
 # defaults keep hash-collision noise and chance bigram overlap out of the
 # DP margins on babble text.
-BENCH_EMBED = FallbackParams(dim=2048, orders=(3, 4), seed=17)
-
-
-def align_gold_talk(talk: GoldTalk, embed: FallbackParams = BENCH_EMBED,
-                    params: AlignParams = AlignParams()) -> AlignmentSet:
-    table = build_fallback_table(talk.doc, embed,
-                                 params.max_src_span, params.max_tgt_span)
-    return prune(dp_align(talk.doc, table, params), params.prune_cost_threshold)
+BENCH_EMBED = EmbeddingProviderSpec(dim=2048, orders=(3, 4), seed=17)
 
 
 def run_bench_setting(base_seed: int, n_talks: int, m: int, noise: NoiseParams,
-                      vocab_size: int = 200, embed: FallbackParams = BENCH_EMBED,
-                      params: AlignParams = AlignParams()) -> ScoreTriple:
-    """Mean link precision/recall/F1 over a generated corpus."""
+                      vocab_size: int = 200, params: AlignParams = AlignParams()) -> ScoreTriple:
+    """Mean link precision/recall/F1 over a generated corpus, each talk
+    aligned under the `BENCH_EMBED` profile."""
     talks = generate_corpus(base_seed, n_talks, m, noise, vocab_size)
-    scores = [score_alignment(align_gold_talk(t, embed, params), t.gold) for t in talks]
+    scores = [score_alignment(align_talk(t.doc, BENCH_EMBED, params), t.gold) for t in talks]
     n = len(scores)
     return ScoreTriple(
         precision=sum(s.precision for s in scores) / n,

@@ -12,8 +12,8 @@ import numpy as np
 from si_align.align import DENOM_FLOOR, AlignmentSet, _cosine_grid, validate_alignment
 from si_align.corpus import (AlignedPair, ParseError, TextUnit, ValidationError,
                              normalize_text, read_lines)
-from si_align.embeddings import (RENORM_WARN_TOL, SOURCE, TARGET, EmbeddingTable,
-                                 FallbackParams, MissingWindowError, _gram_slot,
+from si_align.embeddings import (RENORM_WARN_TOL, SOURCE, TARGET, EmbeddingProviderSpec,
+                                 EmbeddingTable, MissingWindowError, _gram_slot,
                                  build_fallback_table, window_rows)
 from si_align.inter import CHRF_BETA, CHRF_MAX_ORDER
 
@@ -38,7 +38,7 @@ def enumerate_windows(units, max_window: int) -> list[tuple[int, int, str]]:
     return out
 
 
-def fallback_embed(text: str, params: FallbackParams) -> np.ndarray:
+def fallback_embed(text: str, params: EmbeddingProviderSpec) -> np.ndarray:
     """Signed hashed bag of character n-grams of one window text, L2-normalized.
 
     Text yielding no n-grams (in particular the empty string) maps to basis
@@ -331,7 +331,8 @@ def random_instance(rng, dim=256, max_window=3):
     if not tgt:
         tgt = [rng.choice(words)]
     document = doc(src, tgt, talk_id=f"rand{rng.randrange(1 << 30)}")
-    table = build_fallback_table(document, FallbackParams(dim=dim), max_window, max_window)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=dim),
+                                 max_window, max_window)
     return document, table
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from si_align.align import AlignParams, dp_align, normalization_denominator
+from si_align.align import AlignParams, align_talk, dp_align, normalization_denominator
 from si_align.cli import main as cli_main
 from si_align.corpus import AlignedPair
 from si_align.curation import AnnotationRecord, annotations_text, export_annotations, \
@@ -19,8 +19,8 @@ from si_align.inter import InterFilterParams, apply_inter_filter
 from si_align.intra import IntraFilterParams, apply_intra_filter, \
     has_content_word, trim_boundaries
 from si_align.recovery import lcs_substring_len, recovery_accuracy
-from si_align.synth import (NoiseParams, align_gold_talk, build_reference,
-                            generate_corpus, run_bench_setting)
+from si_align.synth import (BENCH_EMBED, NoiseParams, build_reference, generate_corpus,
+                            run_bench_setting)
 
 from oracles import exhaustive_best, quadratic_lcs, random_instance, step_cost_table
 from test_intra import random_pair_and_doc
@@ -105,7 +105,7 @@ def test_criterion_5_recovery_curve_monotone():
     talks = generate_corpus(909, 10, 30, NOISY_BENCH)
     checked = 0
     for talk in talks:
-        pred = align_gold_talk(talk)
+        pred = align_talk(talk.doc, BENCH_EMBED, AlignParams())
         rep = recovery_accuracy(pred, talk.gold, talk.doc, epsilons)
         values = [rep.accuracy_at[e] for e in epsilons]
         assert all(a >= b for a, b in zip(values, values[1:])), values
@@ -158,7 +158,7 @@ def test_criterion_7_attrition_ordering():
         talks = generate_corpus(seed, 6, 30, noise)
         coarse = intra = inter = 0
         for talk in talks:
-            pred = align_gold_talk(talk)
+            pred = align_talk(talk.doc, BENCH_EMBED, AlignParams())
             kept = [l for l in pred.kept() if not l.src_empty and not l.tgt_empty]
             coarse += len(kept)
             trimmed = [r.pair for r in apply_intra_filter(kept, talk.doc,

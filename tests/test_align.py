@@ -10,7 +10,7 @@ from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
                             read_alignment_jsonl)
 from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, Rank,
                              ValidationError, read_manifest)
-from si_align.embeddings import (EmbeddingTable, FallbackParams, SOURCE, TARGET,
+from si_align.embeddings import (EmbeddingProviderSpec, EmbeddingTable, SOURCE, TARGET,
                                  build_fallback_table)
 from si_align.intra import read_trims
 
@@ -68,7 +68,7 @@ def test_denominator_matches_seeded_replay():
 # link_cost
 
 def test_identical_singletons_cost_zero():
-    params = FallbackParams()
+    params = EmbeddingProviderSpec()
     v = fallback_embed("same text", params)
     table = EmbeddingTable(n_source_units=1, n_target_units=1,
                            max_src_window=1, max_tgt_window=1, entries=np.stack([v, v]))
@@ -102,7 +102,7 @@ def test_link_cost_span_exceeds_window():
 def _perfect_doc_and_table(n=4):
     texts = [f"unit number {i} kamo" for i in range(n)]
     document = doc(texts, texts, talk_id="perfect")
-    table = build_fallback_table(document, FallbackParams(), 3, 3)
+    table = build_fallback_table(document, EmbeddingProviderSpec(), 3, 3)
     return document, table
 
 
@@ -116,7 +116,7 @@ def test_perfect_match_all_one_to_one():
 def test_empty_target_forces_deletions():
     document = DocumentPair("edge", Rank.UNKNOWN,
                             tuple(unit(i, f"u{i}") for i in range(3)), ())
-    table = build_fallback_table(document, FallbackParams(), 2, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(), 2, 2)
     params = AlignParams(max_src_span=2, max_tgt_span=2, skip_penalty=0.7)
     result = dp_align(document, table, params)
     assert len(result.links) == 3

@@ -244,13 +244,28 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
 
 
 @pytest.mark.parametrize("command,section,key,value", [("bench", None, "bench_talks", 0),
-                                                       ("synth", "synth", "vocab_size", 49)])
+                                                       ("synth", "synth", "vocab_size", 49),
+                                                       ("synth", "synth", "talks", -2),
+                                                       ("bench", "synth", "sentences", 0)])
 def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value):
     """A value the command could not use is refused when the config loads,
     naming the file and the dotted key, before anything is written."""
     cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
     assert run([command, "--config", cfg]) == 1
     assert f"{cfg}: {section + '.' if section else ''}{key}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rates,noise,message", [
+    ([1.5], {}, "noise rates must lie in [0,1]"),
+    ([0.0, 0.5], {"split_rate": 0.6}, "noise rates must sum to at most 1")],
+    ids=["outside_unit_interval", "sum_above_one"])
+def test_bench_omission_rate_checked_at_load(tmp_path, capsys, rates, noise, message):
+    """Each bench omission rate must make a valid `noise` section with the
+    configured rates; a bad one is named with the config file at load."""
+    cfg = write_config(tmp_path, bench_omission_rates=rates, noise=noise)
+    assert run(["bench", "--config", cfg]) == 1
+    assert f"{cfg}: bench_omission_rates: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -342,7 +357,7 @@ def test_jobs_parity(tmp_path, capsys):
                                             "path_pattern": "vectors/{talk_id}.tsv"})
     assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3",
                 "--sentences", "8"]) == 0
-    params = embeddings.FallbackParams(dim=128, orders=(3, 4))
+    params = embeddings.EmbeddingProviderSpec(dim=128, orders=(3, 4))
     out = tmp_path / "out"
     (out / "vectors").mkdir()
     for doc in cli.load_corpus(cli.PipelineConfig(out_dir=out, corpus=out / "corpus.json")):

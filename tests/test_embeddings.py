@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
-from si_align.embeddings import (PARSE_CHUNK_ROWS, FallbackParams, MissingWindowError, SOURCE,
-                                 TARGET, build_fallback_table, load_precomputed, window_rows,
-                                 write_table_file)
+from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
+                                 MissingWindowError, build_fallback_table, load_precomputed,
+                                 window_rows, write_table_file)
 
 from conftest import doc, unit, vector_outcome
 from oracles import (cosine, enumerate_windows, fallback_embed, reference_load_precomputed,
@@ -56,43 +56,43 @@ def test_window_count_formula_property():
 
 
 def test_fallback_deterministic():
-    params = FallbackParams()
+    params = EmbeddingProviderSpec()
     a = fallback_embed("some text here", params)
     b = fallback_embed("some text here", params)
     assert a.tobytes() == b.tobytes()
 
 
 def test_fallback_self_cosine():
-    params = FallbackParams()
+    params = EmbeddingProviderSpec()
     v = fallback_embed("abcdef", params)
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disjoint_alphabets_nearly_orthogonal():
-    params = FallbackParams()
+    params = EmbeddingProviderSpec()
     u = fallback_embed("abab bacaba abba cab", params)
     v = fallback_embed("xyxy zyxzyz wwvw zyx", params)
     assert abs(cosine(u, v)) < 0.1
 
 
 def test_fallback_whitespace_invariant():
-    params = FallbackParams()
+    params = EmbeddingProviderSpec()
     assert np.array_equal(fallback_embed("abc def", params),
                           fallback_embed("  abc def  ", params))
 
 
 def test_fallback_empty_text_basis_vector():
-    v = fallback_embed("", FallbackParams())
+    v = fallback_embed("", EmbeddingProviderSpec())
     assert v[0] == 1.0 and np.linalg.norm(v) == 1.0
 
 
 def test_fallback_params_validation():
     with pytest.raises(ValidationError):
-        FallbackParams(dim=32)
+        EmbeddingProviderSpec(dim=32)
     with pytest.raises(ValidationError):
-        FallbackParams(orders=())
+        EmbeddingProviderSpec(orders=())
     with pytest.raises(ValidationError):
-        FallbackParams(orders=(6,))
+        EmbeddingProviderSpec(orders=(6,))
 
 
 def test_cosine_identity_and_orthogonal():
@@ -125,7 +125,7 @@ def all_windows(document, max_window):
 
 def test_table_vectors_unit_norm():
     document = doc(["aa bb", "cc"], ["dd", "ee ff"])
-    table = build_fallback_table(document, FallbackParams(), 2, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(), 2, 2)
     assert len(table.entries) == 6
     for key in all_windows(document, 2):
         assert abs(np.linalg.norm(window_vector(table, *key)) - 1.0) <= 1e-6
@@ -148,7 +148,7 @@ def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_t
     units = {side: tuple(TextUnit(i, text, ()) for i, text in enumerate(texts))
              for side, texts in ((SOURCE, src), (TARGET, tgt))}
     document = DocumentPair("t", Rank.S, units[SOURCE], units[TARGET])
-    params = FallbackParams(dim=64, orders=tuple(orders), seed=seed)
+    params = EmbeddingProviderSpec(dim=64, orders=tuple(orders), seed=seed)
     rows = window_rows(len(src), len(tgt), max_src_window, max_tgt_window)
     expected = np.empty((rows[(TARGET, max_tgt_window)].stop, 64))
     for side, max_w in ((SOURCE, max_src_window), (TARGET, max_tgt_window)):
@@ -161,7 +161,7 @@ def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_t
 
 def test_precomputed_round_trip_and_counts(tmp_path):
     document = doc(["aa", "bb"], ["cc", "dd"])
-    table = build_fallback_table(document, FallbackParams(dim=64), 2, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 2, 2)
     assert len(table.entries) == 6  # 3 windows per side
     path = tmp_path / "emb.tsv"
     write_table_file(table, path)
@@ -173,7 +173,7 @@ def test_precomputed_round_trip_and_counts(tmp_path):
 
 def test_precomputed_rows_in_any_order_extra_rows_ignored(tmp_path):
     document = doc(["aa", "bb"], ["cc", "dd"])
-    table = build_fallback_table(document, FallbackParams(dim=64), 2, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 2, 2)
     path = tmp_path / "emb.tsv"
     write_table_file(table, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -185,7 +185,7 @@ def test_precomputed_rows_in_any_order_extra_rows_ignored(tmp_path):
 
 def test_precomputed_missing_window_named(tmp_path):
     document = doc(["aa", "bb"], ["cc", "dd"])
-    table = build_fallback_table(document, FallbackParams(dim=64), 2, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 2, 2)
     path = tmp_path / "emb.tsv"
     write_table_file(table, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -224,7 +224,7 @@ def test_precomputed_non_finite_value_named(tmp_path, value):
 
 def test_write_table_file_bytes_are_each_values_repr(tmp_path):
     document = doc(["aa bb", "cc", "dd ee"], ["ff", "gg hh"])
-    table = build_fallback_table(document, FallbackParams(dim=64), 3, 2)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 3, 2)
     table.entries[0, :4] = [-0.0, 5e-324, 1e308, 0.1]
     path = tmp_path / "emb.tsv"
     write_table_file(table, path)
@@ -352,7 +352,7 @@ def test_precomputed_matches_row_by_row_oracle(tmp_path, caplog, case):
 
 
 def test_provider_spec_validation_and_dispatch(tmp_path):
-    from si_align.embeddings import EmbeddingProviderSpec, table_for
+    from si_align.embeddings import table_for
     with pytest.raises(ValidationError):
         EmbeddingProviderSpec(kind="neural_cloud")
     with pytest.raises(ValidationError):

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
 from si_align.inter import (BuiltinScorer, ExternalScorer,
                             InterFilterParams, MissingReferenceError, RefEntry,
-                            ReferenceTranslation, apply_inter_filter, chrf_score, chrf_scores,
-                            content_coverage, length_ratio, read_external_scores,
-                            read_reference_jsonl, references_text)
+                            ReferenceTranslation, apply_inter_filter, chrf_scores,
+                            read_external_scores, read_reference_jsonl, references_text)
 
 from conftest import doc
 from oracles import reference_chrf
@@ -25,6 +24,13 @@ def ref_entry(text, tags=None):
     return RefEntry(text=text, tokens=tuple(Token(s, p) for s, p in zip(surfaces, tags)))
 
 
+def decide(document, ref, pair):
+    """The filter's decision on one pair, nouns as the content words."""
+    _, decisions = apply_inter_filter([pair], document, ref,
+                                      InterFilterParams(coverage_pos=frozenset({Pos.NOUN})))
+    return decisions[0]
+
+
 # ---------------------------------------------------------------------------
 # alpha
 
@@ -32,35 +38,35 @@ def test_alpha_full_coverage_when_equal():
     document = doc(["src a"], ["kamo tesu rindo"])
     ref = ref_for("t0", {(0, 1): ref_entry("kamo tesu rindo")})
     pair = AlignedPair(0, 1, 0, 1, 0.0)
-    assert content_coverage(pair, document, ref, {Pos.NOUN}) == 1.0
+    assert decide(document, ref, pair).alpha == 1.0
 
 
 def test_alpha_zero_when_nothing_covered():
     document = doc(["src a"], ["xxxx yyyy"])
     ref = ref_for("t0", {(0, 1): ref_entry("kamo tesu")})
     pair = AlignedPair(0, 1, 0, 1, 0.0)
-    assert content_coverage(pair, document, ref, {Pos.NOUN}) == 0.0
+    assert decide(document, ref, pair).alpha == 0.0
 
 
 def test_alpha_three_of_four():
     document = doc(["src a"], ["kamo tesu rindo junk"])
     ref = ref_for("t0", {(0, 1): ref_entry("kamo tesu rindo bakel")})  # 4 content tokens
     pair = AlignedPair(0, 1, 0, 1, 0.0)
-    assert content_coverage(pair, document, ref, {Pos.NOUN}) == pytest.approx(0.75)
+    assert decide(document, ref, pair).alpha == pytest.approx(0.75)
 
 
 def test_alpha_one_when_no_content_tokens():
     document = doc(["src a"], ["whatever"])
     ref = ref_for("t0", {(0, 1): ref_entry("wa no", tags=[Pos.OTHER, Pos.OTHER])})
     pair = AlignedPair(0, 1, 0, 1, 0.0)
-    assert content_coverage(pair, document, ref, {Pos.NOUN}) == 1.0
+    assert decide(document, ref, pair).alpha == 1.0
 
 
 def test_alpha_missing_reference_names_span():
     document = doc(["src a"], ["kamo"])
     ref = ref_for("t0", {})
     with pytest.raises(MissingReferenceError) as err:
-        content_coverage(AlignedPair(0, 1, 0, 1, 0.0), document, ref, {Pos.NOUN})
+        decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0))
     assert "start=0" in str(err.value)
 
 
@@ -70,19 +76,19 @@ def test_alpha_missing_reference_names_span():
 def test_gamma_one_when_equal():
     document = doc(["s"], ["kamo tesu"])
     ref = ref_for("t0", {(0, 1): ref_entry("kamo tesu")})
-    assert length_ratio(AlignedPair(0, 1, 0, 1, 0.0), document, ref) == pytest.approx(1.0)
+    assert decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0)).gamma == pytest.approx(1.0)
 
 
 def test_gamma_two_when_double():
     document = doc(["s"], ["aabbccdd"])
     ref = ref_for("t0", {(0, 1): ref_entry("abcd")})
-    assert length_ratio(AlignedPair(0, 1, 0, 1, 0.0), document, ref) == pytest.approx(2.0)
+    assert decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0)).gamma == pytest.approx(2.0)
 
 
 def test_gamma_hand_counted_fixture():
     document = doc(["s"], ["kamo tesu", "rin"])   # chars: 8 + 3 = 11
     ref = ref_for("t0", {(0, 1): ref_entry("abc defg")})  # 7 chars
-    got = length_ratio(AlignedPair(0, 1, 0, 2, 0.0), document, ref)
+    got = decide(document, ref, AlignedPair(0, 1, 0, 2, 0.0)).gamma
     assert got == pytest.approx(11 / 7, abs=1e-9)
 
 
@@ -90,7 +96,7 @@ def test_gamma_empty_reference_rejected():
     document = doc(["s"], ["kamo"])
     ref = ReferenceTranslation("t0", {(0, 1): RefEntry(text="", tokens=())})
     with pytest.raises(ValidationError):
-        length_ratio(AlignedPair(0, 1, 0, 1, 0.0), document, ref)
+        decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +135,12 @@ def chrf_oracle(hyp, ref, max_order=6, beta=2.0):
 
 
 def test_eta_identity():
-    assert chrf_score("kamo tesu", "kamo tesu") == 1.0
-    assert chrf_score("ab", "ab") == 1.0  # shorter than max order
+    assert chrf_scores([("kamo tesu", "kamo tesu")]) == [1.0]
+    assert chrf_scores([("ab", "ab")]) == [1.0]  # shorter than max order
 
 
 def test_eta_disjoint_zero():
-    assert chrf_score("aaaa", "zzzz") == 0.0
+    assert chrf_scores([("aaaa", "zzzz")]) == [0.0]
 
 
 def test_eta_matches_oracle_on_random_pairs():
@@ -143,7 +149,7 @@ def test_eta_matches_oracle_on_random_pairs():
     for _ in range(100):
         f = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         t = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
-        assert chrf_score(f, t) == pytest.approx(chrf_oracle(f, t), abs=1e-9)
+        assert chrf_scores([(f, t)])[0] == pytest.approx(chrf_oracle(f, t), abs=1e-9)
 
 
 # ASCII, composed and decomposed é, CJK, full-width forms that NFKC folds,
@@ -249,17 +255,23 @@ def test_kept_set_matches_independent_predicate():
     for _ in range(25):
         document, ref, pairs = _random_case(rng)
         kept, decisions = apply_inter_filter(pairs, document, ref, params)
-        expected = []
+        expected, alphas_gammas = [], []
         for pair in pairs:
             entry = ref.entry(pair.src_start, pair.src_len)
             f_text = document.tgt_text(pair.tgt_start, pair.tgt_len)
-            alpha = content_coverage(pair, document, ref, params.coverage_pos)
-            gamma = length_ratio(pair, document, ref)
+            # alpha: the reference's content surfaces found in F; gamma: the
+            # ratio of non-whitespace character counts, F over the reference
+            content = [tok.surface for tok in entry.tokens if tok.pos in params.coverage_pos]
+            covered = sum(surface in f_text for surface in content)
+            alpha = covered / len(content) if content else 1.0
+            gamma = len("".join(f_text.split())) / len("".join(entry.text.split()))
             eta = chrf_oracle(f_text, entry.text)
+            alphas_gammas.append((alpha, gamma))
             if (alpha >= params.alpha_min and params.gamma_min <= gamma <= params.gamma_max
                     and eta >= params.eta_min):
                 expected.append(pair.key())
         assert [p.key() for p in kept] == expected
+        assert [(d.alpha, d.gamma) for d in decisions] == alphas_gammas
         for d in decisions:
             assert 0.0 <= d.alpha <= 1.0 and 0.0 <= d.eta <= 1.0 and d.gamma > 0.0
             assert (d.verdict == "drop") == (len(d.reasons) > 0)

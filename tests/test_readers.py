@@ -3,6 +3,7 @@ bytes, a reader returns a value or raises one of the program's own errors
 naming the file."""
 
 import argparse
+import ast
 import json
 import re
 import unicodedata
@@ -182,3 +183,18 @@ def test_only_the_codec_reads_files():
                  for lineno, line in enumerate(module.read_text(encoding="utf-8").splitlines(), 1)
                  if READS_INPUT.search(line)]
     assert not offenders, "\n".join(offenders)
+
+
+def test_every_public_function_has_a_caller():
+    """Each top-level public function and class of the package is named by
+    the package or the benchmark scripts, beyond its own definition: code
+    that only tests reach is deleted (or, as an oracle, kept in the tests)."""
+    scripts = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in scripts}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = [f"{path.name}: {node.name}" for path, tree in trees.items() if path.parent == SRC
+                for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in named]
+    assert not uncalled, "\n".join(uncalled)
