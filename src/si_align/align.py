@@ -250,6 +250,8 @@ def read_alignment_jsonl(path, digest=None) -> AlignmentSet:
             talk_id = row_talk
         elif row_talk != talk_id:
             raise ValueError(f"mixed talk_ids {talk_id!r} and {row_talk!r}")
+        if obj.get("drop_reason") not in (None, DROP_COST, DROP_EMPTY):
+            raise ValueError(f"unknown drop_reason {obj['drop_reason']!r}")
         return AlignedPair(
             src_start=obj["src_start"], src_len=obj["src_len"],
             tgt_start=obj["tgt_start"], tgt_len=obj["tgt_len"],

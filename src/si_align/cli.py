@@ -1,10 +1,10 @@
 """Command-line pipeline: align, filter, split, curate, and benchmark.
 
 Every subcommand reads a declarative JSON config (flags win over the file),
-writes its artifacts atomically under the output directory, and emits a
-machine-readable run manifest with input paths, a parameter hash, and
-artifact checksums. Runs are idempotent: identical inputs produce
-byte-identical artifacts.
+writes its artifacts under the output directory only once it has all of
+them, and emits a machine-readable run manifest with input paths, a
+parameter hash, and artifact checksums. Runs are idempotent: identical
+inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -207,13 +207,6 @@ def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
                                        if isinstance(value, Path)})
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 @dataclasses.dataclass(frozen=True)
 class Stage:
     """A stage's result: per talk, the pairs it passes on and (intra only) the
@@ -232,17 +225,16 @@ def _run_entry(manifest: dict) -> dict:
 
 
 class RunManifest:
-    """Records inputs, parameter hash, and artifact checksums for one run,
-    and the lineage (`upstream`) of the stages it consumed."""
+    """Records one run's inputs, parameter hash, artifacts and the lineage
+    (`upstream`) of the stages it consumed; writes nothing before `save`."""
 
     def __init__(self, command: str, cfg: PipelineConfig, *consumed: Stage):
         self.command = command
         self.out_dir = cfg.out_dir
-        cfg_obj = dataclasses.asdict(cfg)
-        canon = json.dumps(cfg_obj, sort_keys=True, default=_json_default)
+        canon = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=_json_default)
         self.params_hash = hashlib.sha256(canon.encode("utf-8")).hexdigest()
         self.inputs: list[str] = []
-        self.artifacts: dict[str, str] = {}
+        self.texts: dict[Path, str] = {}
         self.upstream = {cmd: entry for stage in consumed for cmd, entry in stage.lineage.items()}
 
     def add_input(self, path) -> None:
@@ -250,22 +242,24 @@ class RunManifest:
             self.inputs.append(str(path))
 
     def write_artifact(self, path: Path, text: str) -> None:
-        atomic_write_text(path, text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.artifacts[str(path.relative_to(self.out_dir))] = digest
+        self.texts[path] = text
 
     def save(self) -> dict:
-        """Write the manifest; returns the lineage of this run's output."""
-        obj = {
-            "command": self.command,
-            "params_hash": self.params_hash,
-            "inputs": sorted(set(self.inputs)),
-            "artifacts": dict(sorted(self.artifacts.items())),
-        }
+        """Write every artifact, then the manifest, each to a temporary file
+        renamed into place; returns the lineage of this run's output."""
+        digests = {str(path.relative_to(self.out_dir)): hashlib.sha256(text.encode()).hexdigest()
+                   for path, text in self.texts.items()}
+        obj = {"command": self.command, "params_hash": self.params_hash,
+               "inputs": sorted(set(self.inputs)), "artifacts": digests}
         if self.upstream:
             obj["upstream"] = self.upstream
-        path = self.out_dir / "manifests" / f"{self.command}.json"
-        atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        manifest = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        for path, text in [*self.texts.items(),
+                           (self.out_dir / "manifests" / f"{self.command}.json", manifest)]:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
         return {self.command: _run_entry(obj), **self.upstream}
 
 
@@ -281,10 +275,10 @@ def _saved_manifest(path: Path, needed_by: str) -> dict:
 
 def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
     """Read a stage back for every talk. The manifest of the run that wrote
-    it must list the files with their checksums, and every manifest it
-    records upstream must be on disk as recorded; otherwise a
-    ValidationError names the manifests. A manifest that is not a JSON
-    object of objects is a ParseError."""
+    it must list the files with their checksums, every manifest it records
+    upstream must be on disk as recorded, and every link must lie within
+    its talk; otherwise a ValidationError names the manifests or the link
+    file. A manifest that is not a JSON object of objects is a ParseError."""
     path = cfg.out_dir / "manifests" / f"{STAGES[stage]}.json"
     obj = _saved_manifest(path, f"stage {stage} needs {path}")
     upstream = obj.get("upstream", {})
@@ -309,10 +303,23 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
 
     pairs, trims = {}, {}
     for doc in docs:
-        pairs[doc.talk_id] = read(f"{stage}/{doc.talk_id}.jsonl", al.read_alignment_jsonl).kept()
+        name = f"{stage}/{doc.talk_id}.jsonl"
+        pairs[doc.talk_id] = _within(read(name, al.read_alignment_jsonl), doc,
+                                     cfg.out_dir / name).kept()
         if stage == "intra":
             trims[doc.talk_id] = read(f"{stage}/{doc.talk_id}.trims.jsonl", fa.read_trims)
     return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
+
+
+def _within(aset: al.AlignmentSet, doc: cm.DocumentPair, path: Path) -> al.AlignmentSet:
+    """`aset` read from `path`; a link outside `doc`, made for another
+    corpus, is a ValidationError naming the file and the talk."""
+    m, n = len(doc.source_units), len(doc.target_units)
+    for link in aset.links:
+        if link.src_start + link.src_len > m or link.tgt_start + link.tgt_len > n:
+            raise ValidationError(f"{path}: link {link.key()} lies outside talk {doc.talk_id} "
+                                  f"(M={m}, N={n})")
+    return aset
 
 
 def _json_default(value):
@@ -389,17 +396,15 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
     manifest.add_input(cfg.corpus)
     if cfg.gold_dir is None:
         raise ValidationError("config needs 'gold_dir' for validate")
-    gold_paths = [cfg.gold_dir / f"{doc.talk_id}.gold.jsonl" for doc in docs]
-    # every gold file is read before the first report is written
-    golds = [al.read_alignment_jsonl(path) for path in gold_paths]
     reports = []
-    for doc, gold_path, gold in zip(docs, gold_paths, golds):
+    for doc in docs:
+        gold_path = cfg.gold_dir / f"{doc.talk_id}.gold.jsonl"
         manifest.add_input(gold_path)
         auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], 0.0)
-        report = rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons))
-        reports.append(report)
+        gold = _within(al.read_alignment_jsonl(gold_path), doc, gold_path)
+        reports.append(rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons)))
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
-                                rv.report_text(report))
+                                rv.report_text(reports[-1]))
     manifest.write_artifact(cfg.out_dir / "reports" / "recovery.tsv",
                             rv.summary_tsv_text(reports))
     manifest.save()

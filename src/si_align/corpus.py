@@ -55,9 +55,10 @@ def read_lines(path, digest=None):
 
 def read_jsonl(path, parse_row, digest=None):
     """Yield `parse_row(row)` for each JSON object row of a JSON Lines file,
-    skipping blank lines. A row that is not a JSON object, or whose fields
-    `parse_row` rejects with KeyError, TypeError or ValueError, is a
-    ParseError naming the line. `digest` is as for `read_lines`."""
+    skipping blank lines. A row that is not a JSON object (or is nested too
+    deeply to decode), or whose fields `parse_row` rejects with KeyError,
+    TypeError or ValueError, is a ParseError naming the line. `digest` is as
+    for `read_lines`."""
     for lineno, line in read_lines(path, digest):
         if not line.strip():
             continue
@@ -66,7 +67,7 @@ def read_jsonl(path, parse_row, digest=None):
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             value = parse_row(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad row: {exc}", path=path, line=lineno) from exc
         yield value
 
@@ -82,7 +83,7 @@ def read_json(path):
         raise ParseError(f"not UTF-8: {exc}", path=path, line=line) from exc
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
 
 

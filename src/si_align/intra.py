@@ -7,6 +7,7 @@ Trimming never drops a pair and never touches the source span.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .corpus import (AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text,
@@ -108,8 +109,9 @@ def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
     trimmed = AlignedPair(obj["src_start"], obj["src_len"],
                           obj["new_tgt_start"], obj["new_tgt_len"], 0.0)
     trims = obj["trims"]
-    if not isinstance(trims, list) or not all(isinstance(t, str) for t in trims):
-        raise TypeError(f"trims must be a list of strings, got {trims!r}")
+    if not (isinstance(trims, list)
+            and all(isinstance(t, str) and re.fullmatch("(begin|end):[0-9]+", t) for t in trims)):
+        raise TypeError(f"trims must be a list of 'begin:N' and 'end:N', got {trims!r}")
     return trimmed.key(), tuple(trims)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -296,6 +297,16 @@ TRIMS_ROW = {"talk_id": "t", "src_start": 0, "src_len": 1, "tgt_start": 0, "tgt_
 MANIFEST = {"talk_id": "t", "interpreter_rank": "S", **TALK_FILES}
 
 
+@dataclass(frozen=True)
+class RawJson:
+    """JSON text written as it is, for a value `json.dumps` cannot make."""
+
+    text: str
+
+
+DEEPLY_NESTED = RawJson("[" * 100_000 + "]" * 100_000)
+
+
 @pytest.mark.parametrize("reader,bad", [
     (read_alignment_jsonl, [1, 2]),
     (read_alignment_jsonl, {**LINK_ROW, "src_start": "x"}),
@@ -311,17 +322,24 @@ MANIFEST = {"talk_id": "t", "interpreter_rank": "S", **TALK_FILES}
     (read_manifest, {**MANIFEST, "source_units_path": 5}),
     (read_manifest, {**MANIFEST, "talk_id": 5}),
     (read_manifest, [MANIFEST]),
+    (read_alignment_jsonl, DEEPLY_NESTED),
+    (read_trims, DEEPLY_NESTED),
+    (read_manifest, DEEPLY_NESTED),
+    (read_alignment_jsonl, {**LINK_ROW, "drop_reason": "\ud800"}),
+    (read_trims, {**TRIMS_ROW, "trims": ["begin:1", "\ud800"]}),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_mistyped_row_names_file_and_line(tmp_path, reader, bad):
-    """A row of the wrong shape or type is a ParseError naming its location,
-    never a traceback or a silently accepted value."""
+    """A row of the wrong shape or type, or nested too deeply to decode, is a
+    ParseError naming its location, never a traceback or a silently accepted
+    value."""
     path = tmp_path / "input"
+    text = bad.text if isinstance(bad, RawJson) else json.dumps(bad)
     if reader is read_manifest:
-        path.write_text(json.dumps(bad), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         where = str(path)
     else:
         good = LINK_ROW if reader is read_alignment_jsonl else TRIMS_ROW
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        path.write_text(f"{json.dumps(good)}\n{text}\n", encoding="utf-8")
         where = f"{path}:2"
     with pytest.raises(ParseError) as err:
         reader(path)

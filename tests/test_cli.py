@@ -2,9 +2,11 @@ import argparse
 import concurrent.futures
 import copy
 import dataclasses
+import hashlib
 import json
 import logging
 import pickle
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,7 +196,8 @@ def test_flag_overrides_config(tmp_path):
     assert all(dropped)  # everything above the tiny threshold
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"talk": []}'])
+@pytest.mark.parametrize("text", ["{not json", '{"talk": []}', pytest.param(
+    "[" * 100_000 + "]" * 100_000, id="deeply_nested")])
 def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):
     cfg = write_config(tmp_path)
     corpus = tmp_path / "out" / "corpus.json"
@@ -583,6 +586,65 @@ def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):
     assert run(["filter-inter", "--config", cfg]) == 0
 
 
+def test_link_outside_its_talk_refused(tmp_path, capsys):
+    """Stage links made for another corpus (the corpus regenerated with
+    shorter talks) exit 1 naming the stage file and the talk, and nothing is
+    written."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
+                "--sentences", "12"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
+                "--sentences", "5"]) == 0
+    out = tmp_path / "out"
+    for args, stage in [(["filter-intra"], "coarse"), (["validate"], "coarse"),
+                        (["export-anno", "--stage", "coarse"], "coarse"),
+                        (["filter-inter"], "intra"), (["stats"], "coarse")]:
+        before = _tree(out)
+        capsys.readouterr()
+        assert run([*args, "--config", cfg]) == 1, args
+        err = capsys.readouterr().err
+        assert f"{out / stage / 'talk0000.jsonl'}: link (" in err, (args, err)
+        assert "lies outside talk talk0000" in err, (args, err)
+        assert _tree(out) == before, args
+
+
+def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    gold = tmp_path / "out" / "gold" / "talk0000.gold.jsonl"
+    rows = [json.loads(line) for line in gold.read_text(encoding="utf-8").splitlines()]
+    rows[-1].update(src_start=5, src_len=1)
+    gold.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert run(["validate", "--config", cfg]) == 1
+    assert f"{gold}: link (5, " in capsys.readouterr().err
+    assert _tree(tmp_path / "out") == before
+
+
+def test_failed_filter_inter_writes_nothing(tmp_path, capsys):
+    """A reference row that no longer parses, in the third of four talks,
+    exits 2 naming its line; the earlier talks' inter files are not
+    rewritten, so the previous run stays consistent for `stats`."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "6", "--talks", "4",
+                "--sentences", "8"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    refs = out / "refs" / "talk0002.refs.jsonl"
+    rows = refs.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[2] = rows[2][:len(rows[2]) // 2] + "\n"
+    refs.write_text("".join(rows), encoding="utf-8")
+    before = _tree(out)
+    capsys.readouterr()
+    assert run(["filter-inter", "--config", cfg, "--alpha-min", "0.99"]) == 2
+    assert f"[{refs}:3]" in capsys.readouterr().err
+    assert _tree(out) == before
+    assert run(["stats", "--config", cfg]) == 0
+
+
 def test_validate_reads_every_gold_file_before_writing(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--talks", "3", "--sentences", "5"]) == 0
@@ -691,6 +753,128 @@ def test_mutated_config_exits_cleanly(split_dir, cfg):
     assert code in (0, 1, 2)
     if code:
         assert _tree(split_dir) == before
+
+
+# a stage file -> the command whose manifest lists it
+STAGE_FILES = {"out/coarse/talk0000.jsonl": "align", "out/coarse/talk0001.jsonl": "align",
+               "out/intra/talk0000.jsonl": "filter-intra",
+               "out/intra/talk0001.trims.jsonl": "filter-intra",
+               "out/inter/talk0001.jsonl": "filter-inter"}
+INPUT_FILES = ["out/manifests/align.json", "out/manifests/filter-intra.json",
+               "out/manifests/filter-inter.json", "out/refs/talk0000.refs.jsonl",
+               "out/refs/talk0001.refs.jsonl", "out/gold/talk0001.gold.jsonl", "scores.tsv"]
+JUNK = [None, True, -1, 1.5, 10**30, "", "x", "\ud800", [], {}, [["x", "NOUN"]], {"a": 1}]
+DEEP = "[" * 100_000 + "]" * 100_000
+NEST = "\0nest\0"  # stands for DEEP until the row is written
+# (config, command) of each command run on a mutated stage run, those that
+# rewrite a stage file last
+STAGE_COMMANDS = [("config.json", ["validate"]), ("config.json", ["stats"]),
+                  ("config.json", ["export-anno", "--stage", "coarse"]),
+                  ("config.json", ["export-anno", "--stage", "intra"]),
+                  ("config.json", ["export-anno"]), ("scores.json", ["filter-inter"]),
+                  ("config.json", ["filter-inter"]), ("config.json", ["filter-intra"])]
+
+
+@pytest.fixture(scope="module")
+def stage_run(tmp_path_factory):
+    """A 2-talk corpus after `pipeline`, with an external score file
+    (`scores.tsv`, read by `scores.json`) that scores every source span."""
+    base = tmp_path_factory.mktemp("stages")
+    cfg = write_config(base)
+    assert run(["synth", "--config", cfg, "--seed", "8", "--talks", "2", "--sentences", "8"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    (base / "scores.tsv").write_text("".join(
+        f"talk000{talk}\t{start}\t{length}\t0.5\n"
+        for talk in range(2) for start in range(20) for length in range(1, 5)), encoding="utf-8")
+    (base / "scores.json").write_text(json.dumps({**json.loads(cfg.read_text()),
+                                                  "scores_path": "scores.tsv"}), encoding="utf-8")
+    return base
+
+
+def _changed(obj, mutation, pick, junk, m, n):
+    """A JSON object, or a TSV row as a list, with one value deleted, set to
+    junk or nested deeply (in a nested object such as a manifest's
+    `upstream`, two times in three), or with a span pushed past the talk's end."""
+    if mutation == "past_end" and isinstance(obj, list):
+        return [obj[0], str(m), *obj[2:]]
+    if mutation == "past_end":
+        targets = [key for key in ("tgt_start", "new_tgt_start") if key in obj]
+        return {**obj, **(dict.fromkeys(targets, n) if pick % 2 and targets else {"src_start": m})}
+    key = list(obj)[pick % len(obj)] if isinstance(obj, dict) else pick % len(obj)
+    if isinstance(obj, list):
+        value = [] if mutation == "delete" else [DEEP if mutation == "nest" else str(junk)]
+        return obj[:key] + value + obj[key + 1:]
+    if isinstance(obj[key], dict) and obj[key] and pick % 3:
+        return {**obj, key: _changed(obj[key], mutation, pick // 3, junk, m, n)}
+    if mutation == "delete":
+        return {k: v for k, v in obj.items() if k != key}
+    return {**obj, key: NEST if mutation == "nest" else junk}
+
+
+def _mutate(path, mutation, pick, junk, m, n):
+    """Truncate the file, flip one bit of it, or change one row of it (a
+    JSON document is one row); a span is pushed past the end of a kept link."""
+    data = path.read_bytes()
+    if mutation == "truncate" or not data:
+        path.write_bytes(data[:pick % (len(data) + 1)])
+        return
+    if mutation == "flip":
+        index = pick % len(data)
+        path.write_bytes(data[:index] + bytes([data[index] ^ 1 << pick % 8]) + data[index + 1:])
+        return
+    text = data.decode("utf-8")
+    tsv = path.suffix == ".tsv"
+    parse, dump = ((lambda row: row.split("\t")), "\t".join) if tsv else (json.loads, json.dumps)
+    rows = [text] if path.suffix == ".json" else text.splitlines()
+    candidates = [i for i, row in enumerate(rows)
+                  if tsv or mutation != "past_end" or not parse(row).get("dropped")] or [0]
+    i = candidates[pick % len(candidates)]
+    rows[i] = dump(_changed(parse(rows[i]), mutation, pick // len(rows), junk, m, n))
+    text = "".join(row + "\n" for row in rows).replace(json.dumps(NEST), DEEP)
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+
+
+def _resign(out, name):
+    """List a mutated stage file's new checksum in its manifest, and record
+    the changed manifest in each manifest whose lineage holds it."""
+    command = STAGE_FILES[name]
+    manifests = out / "manifests"
+    obj = json.loads((manifests / f"{command}.json").read_text())
+    rel = name.removeprefix("out/")
+    obj["artifacts"][rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+    (manifests / f"{command}.json").write_text(json.dumps(obj), encoding="utf-8")
+    for path in manifests.glob("*.json"):
+        later = json.loads(path.read_text())
+        if command in later.get("upstream", {}):
+            later["upstream"][command] = cli._run_entry(obj)
+            path.write_text(json.dumps(later), encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([*STAGE_FILES, *INPUT_FILES]),
+       mutation=st.sampled_from(["truncate", "flip", "delete", "junk", "nest", "past_end"]),
+       pick=st.integers(0, 1 << 16), junk=st.sampled_from(JUNK))
+def test_mutated_stage_file_exits_cleanly(stage_run, name, mutation, pick, junk):
+    """Whatever one stage, manifest, reference, gold or score file holds,
+    each command that reads it exits 0, 1 or 2 without a traceback, and a
+    failed command leaves `out/` byte-identical. A mutated stage file is
+    re-signed in its manifest, so that its reader, not the checksum, sees it."""
+    work = stage_run.parent / "stage_work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(stage_run, work)
+    out = work / "out"
+    talk = next((t for t in ("talk0000", "talk0001") if t in name), f"talk000{pick % 2}")
+    m, n = (len((out / "talks" / talk / f"{side}_units.txt").read_text().splitlines())
+            for side in ("source", "target"))
+    _mutate(work / name, mutation, pick, junk, m, n)
+    if name in STAGE_FILES:
+        _resign(out, name)
+    for config, args in STAGE_COMMANDS:
+        before = _tree(out)
+        code = run([*args, "--config", work / config])
+        assert code in (0, 1, 2), (config, args)
+        if code:
+            assert _tree(out) == before, (config, args)
 
 
 def _config_keys(default, prefix=""):

@@ -185,6 +185,48 @@ def test_only_the_codec_reads_files():
     assert not offenders, "\n".join(offenders)
 
 
+# writing a file (text, bytes, or `open` in a writing mode), or making or renaming one
+WRITES_FILE = re.compile(r"""\.write_(text|bytes)\(|\bopen\([^)]*["'][wax]b?\+?["']"""
+                         r"""|\bos\.(replace|rename|makedirs)\(|\.mkdir\(""")
+# the functions that may write: the run manifest's `save`, and the writer of
+# the vector files that the benchmark reads
+WRITERS = {("cli.py", "RunManifest.save"), ("embeddings.py", "write_table_file")}
+
+
+def _function_lines(tree: ast.Module) -> dict[str, range]:
+    """Dotted name (`Class.method`) -> line range of every function and class."""
+    ranges = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                ranges[prefix + child.name] = range(child.lineno, child.end_lineno + 1)
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return ranges
+
+
+def test_only_the_manifest_writes_files():
+    """`cli.RunManifest.save` is the one place that writes a run's files, so
+    a command writes nothing until it has every artifact; the one other
+    writer is `embeddings.write_table_file`."""
+    offenders, found = [], set()
+    for module in sorted(SRC.glob("*.py")):
+        text = module.read_text(encoding="utf-8")
+        ranges = _function_lines(ast.parse(text))
+        allowed = set()
+        for name, lines in ranges.items():
+            if (module.name, name) in WRITERS:
+                found.add((module.name, name))
+                allowed.update(lines)
+        offenders += [f"{module.name}:{lineno}: {line.strip()}"
+                      for lineno, line in enumerate(text.splitlines(), 1)
+                      if lineno not in allowed and WRITES_FILE.search(line)]
+    assert found == WRITERS
+    assert not offenders, "\n".join(offenders)
+
+
 def test_every_public_function_has_a_caller():
     """Each top-level public function and class of the package is named by
     the package or the benchmark scripts, beyond its own definition: code
