@@ -307,7 +307,12 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
         pairs[doc.talk_id] = _within(read(name, al.read_alignment_jsonl), doc,
                                      cfg.out_dir / name).kept()
         if stage == "intra":
-            trims[doc.talk_id] = read(f"{stage}/{doc.talk_id}.trims.jsonl", fa.read_trims)
+            trims_name = f"{stage}/{doc.talk_id}.trims.jsonl"
+            trims[doc.talk_id] = read(trims_name, fa.read_trims)
+            if trims[doc.talk_id].keys() != {pair.key() for pair in pairs[doc.talk_id]}:
+                raise ValidationError(f"{cfg.out_dir / trims_name} does not match the links of "
+                                      f"{cfg.out_dir / name}, both listed in {path}: "
+                                      f"rerun {STAGES[stage]}")
     return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
 
 
@@ -346,8 +351,14 @@ def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
     return al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
 
 
+def _bench_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
+    return al.align_talk(doc, sb.BENCH_EMBED, cfg.align)
+
+
 def _map_talks(fn, docs, cfg: PipelineConfig):
-    """Talk-level parallelism; results returned in input order."""
+    """`fn(doc, cfg)` for every talk, over `cfg.jobs` worker processes;
+    results returned in input order. This is si-align's only parallelism:
+    each process runs one BLAS thread (see `si_align/__init__.py`)."""
     if cfg.jobs <= 1 or len(docs) <= 1:
         return [fn(d, cfg) for d in docs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(docs))) as pool:
@@ -508,13 +519,17 @@ def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> None:
 
 
 def cmd_bench(cfg: PipelineConfig) -> None:
+    """Link P/R/F1 per omission rate: every generated talk of every setting
+    is aligned over `_map_talks`, then scored here in talk order."""
     manifest = RunManifest("bench", cfg)
-    rows = []
-    for om in cfg.bench_omission_rates:
-        noise = dataclasses.replace(cfg.noise, omission_rate=om)
-        triple = sb.run_bench_setting(cfg.synth.seed, cfg.bench_talks, cfg.synth.sentences,
-                                      noise, cfg.synth.vocab_size, params=cfg.align)
-        rows.append((noise, cfg.bench_talks, triple))
+    settings = [dataclasses.replace(cfg.noise, omission_rate=om)
+                for om in cfg.bench_omission_rates]
+    corpora = [sb.generate_corpus(cfg.synth.seed, cfg.bench_talks, cfg.synth.sentences,
+                                  noise, cfg.synth.vocab_size) for noise in settings]
+    alignments = iter(_map_talks(_bench_one, [t.doc for talks in corpora for t in talks], cfg))
+    rows = [(noise, cfg.bench_talks,
+             sb.mean_score([sb.score_alignment(next(alignments), t.gold) for t in talks]))
+            for noise, talks in zip(settings, corpora)]
     text = sb.bench_text(rows)
     manifest.write_artifact(cfg.out_dir / "bench.tsv", text)
     manifest.save()

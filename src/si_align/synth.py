@@ -16,7 +16,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .align import AlignmentSet, AlignParams, align_talk, validate_alignment
+from .align import AlignmentSet, validate_alignment
 from .corpus import AlignedPair, DocumentPair, Pos, Rank, TextUnit, Token, ValidationError
 from .embeddings import EmbeddingProviderSpec
 from .inter import RefEntry, ReferenceTranslation
@@ -335,12 +335,8 @@ def score_alignment(pred: AlignmentSet, gold: AlignmentSet) -> ScoreTriple:
 BENCH_EMBED = EmbeddingProviderSpec(dim=2048, orders=(3, 4), seed=17)
 
 
-def run_bench_setting(base_seed: int, n_talks: int, m: int, noise: NoiseParams,
-                      vocab_size: int = 200, params: AlignParams = AlignParams()) -> ScoreTriple:
-    """Mean link precision/recall/F1 over a generated corpus, each talk
-    aligned under the `BENCH_EMBED` profile."""
-    talks = generate_corpus(base_seed, n_talks, m, noise, vocab_size)
-    scores = [score_alignment(align_talk(t.doc, BENCH_EMBED, params), t.gold) for t in talks]
+def mean_score(scores) -> ScoreTriple:
+    """Mean link precision/recall/F1 over the talks of one setting."""
     n = len(scores)
     return ScoreTriple(
         precision=sum(s.precision for s in scores) / n,

@@ -9,13 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from si_align.align import DENOM_FLOOR, AlignmentSet, _cosine_grid, validate_alignment
+from si_align.align import (DENOM_FLOOR, AlignmentSet, AlignParams, _cosine_grid, align_talk,
+                            validate_alignment)
 from si_align.corpus import (AlignedPair, ParseError, TextUnit, ValidationError,
                              normalize_text, read_lines)
 from si_align.embeddings import (RENORM_WARN_TOL, SOURCE, TARGET, EmbeddingProviderSpec,
                                  EmbeddingTable, MissingWindowError, _gram_slot,
                                  build_fallback_table, window_rows)
 from si_align.inter import CHRF_BETA, CHRF_MAX_ORDER
+from si_align.synth import (BENCH_EMBED, NoiseParams, ScoreTriple, generate_corpus,
+                            score_alignment)
 
 from conftest import doc
 
@@ -372,3 +375,18 @@ def reference_chrf(f_text: str, t_text: str, max_order: int = CHRF_MAX_ORDER,
         return 0.0
     b2 = beta * beta
     return (1 + b2) * p * r / (b2 * p + r)
+
+
+def run_bench_setting(base_seed: int, n_talks: int, m: int, noise: NoiseParams,
+                      vocab_size: int = 200, params: AlignParams = AlignParams()) -> ScoreTriple:
+    """Mean link precision/recall/F1 over a generated corpus, each talk
+    aligned under the `BENCH_EMBED` profile, one after another in this
+    process: the serial bench of one omission setting."""
+    talks = generate_corpus(base_seed, n_talks, m, noise, vocab_size)
+    scores = [score_alignment(align_talk(t.doc, BENCH_EMBED, params), t.gold) for t in talks]
+    n = len(scores)
+    return ScoreTriple(
+        precision=sum(s.precision for s in scores) / n,
+        recall=sum(s.recall for s in scores) / n,
+        f1=sum(s.f1 for s in scores) / n,
+    )

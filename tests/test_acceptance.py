@@ -19,10 +19,10 @@ from si_align.inter import InterFilterParams, apply_inter_filter
 from si_align.intra import IntraFilterParams, apply_intra_filter, \
     has_content_word, trim_boundaries
 from si_align.recovery import lcs_substring_len, recovery_accuracy
-from si_align.synth import (BENCH_EMBED, NoiseParams, build_reference, generate_corpus,
-                            run_bench_setting)
+from si_align.synth import BENCH_EMBED, NoiseParams, build_reference, generate_corpus
 
-from oracles import exhaustive_best, quadratic_lcs, random_instance, step_cost_table
+from oracles import (exhaustive_best, quadratic_lcs, random_instance, run_bench_setting,
+                     step_cost_table)
 from test_intra import random_pair_and_doc
 
 

@@ -5,16 +5,23 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import pickle
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from si_align import align, cli, embeddings, inter, splitter
+import si_align
+from si_align import align, cli, embeddings, inter, splitter, synth
 from si_align.cli import main
 from si_align.embeddings import MissingWindowError
 from si_align.inter import MissingReferenceError
+
+from oracles import run_bench_setting
 
 
 def write_config(tmp_path, **overrides):
@@ -48,6 +55,21 @@ def test_synth_align_bench_happy_path(tmp_path):
     lines = (out / "bench.tsv").read_text().splitlines()
     assert len(lines) == 3 and lines[0].startswith("omission_rate")
     assert (out / "coarse" / "talk0000.jsonl").exists()
+
+
+def test_bench_jobs_parity(tmp_path):
+    """`bench --jobs 2` writes the bench.tsv of `--jobs 1`, which is each
+    setting's talks aligned and scored one after another."""
+    cfg = write_config(tmp_path, bench_talks=2, bench_omission_rates=[0.0, 0.2])
+    for jobs in (1, 2):
+        assert run(["bench", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
+    serial = (tmp_path / "run1" / "bench.tsv").read_bytes()
+    assert serial == (tmp_path / "run2" / "bench.tsv").read_bytes()
+    config = cli.load_config(cfg, argparse.Namespace())
+    noises = [dataclasses.replace(config.noise, omission_rate=om) for om in (0.0, 0.2)]
+    rows = [(noise, 2, run_bench_setting(config.synth.seed, 2, config.synth.sentences, noise,
+                                         config.synth.vocab_size)) for noise in noises]
+    assert serial == synth.bench_text(rows).encode("utf-8")
 
 
 def test_align_missing_embedding_file_exit_two(tmp_path, capsys):
@@ -400,6 +422,39 @@ def test_jobs_parity(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"[{vectors}:{line}]" in err and "bad numeric field" in err
         assert "Traceback" not in err
+
+
+needs_threads = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or not os.path.isdir("/proc/self/task"),
+    reason="needs two CPUs and /proc/self/task")
+
+
+def _threads_after_matmul(**env):
+    """The thread count of a fresh interpreter that imports si_align, then
+    numpy, and multiplies two 512x512 matrices, with only `env` of the BLAS
+    thread variables set."""
+    child_env = {k: v for k, v in os.environ.items() if k not in si_align._BLAS_THREAD_VARS}
+    child_env["PYTHONPATH"] = str(Path(si_align.__file__).parent.parent)
+    script = ("import si_align, numpy, os\n"
+              "a = numpy.ones((512, 512))\n"
+              "a @ a\n"
+              "print(len(os.listdir('/proc/self/task')))\n")
+    done = subprocess.run([sys.executable, "-c", script], env={**child_env, **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(done.stdout)
+
+
+@needs_threads
+def test_one_blas_thread_by_default():
+    """With no BLAS thread variable set, `--jobs` is the only parallelism:
+    the BLAS pool has no worker threads."""
+    assert _threads_after_matmul() == 1
+
+
+@needs_threads
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_user_blas_threads_win(name):
+    assert _threads_after_matmul(**{name: "2"}) == 2
 
 
 def _rerun(*args):
@@ -875,6 +930,30 @@ def test_mutated_stage_file_exits_cleanly(stage_run, name, mutation, pick, junk)
         assert code in (0, 1, 2), (config, args)
         if code:
             assert _tree(out) == before, (config, args)
+
+
+def test_trims_file_must_match_its_links(stage_run, capsys):
+    """A re-signed trims file whose trimmed spans are not the links of its
+    stage exits 1 naming the file and the manifest, and writes nothing."""
+    work = stage_run.parent / "trims_work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(stage_run, work)
+    out = work / "out"
+    name = "out/intra/talk0001.trims.jsonl"
+    n = len((out / "talks" / "talk0001" / "target_units.txt").read_text().splitlines())
+    rows = [json.loads(line) for line in (work / name).read_text().splitlines()]
+    trimmed = [row for row in rows if row["trims"]]
+    assert trimmed
+    for row in trimmed:
+        row["new_tgt_start"] = n + 100
+    (work / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    _resign(out, name)
+    before = _tree(out)
+    capsys.readouterr()
+    assert run(["filter-inter", "--config", work / "config.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(work / name) in err and str(out / "manifests" / "filter-intra.json") in err
+    assert _tree(out) == before
 
 
 def _config_keys(default, prefix=""):

@@ -9,8 +9,10 @@ from si_align.corpus import (MANIFEST_NAME, AlignedPair, ValidationError,
 from si_align.inter import InterFilterParams, apply_inter_filter
 from si_align.intra import has_content_word, CONTENT_POS_DEFAULT
 from si_align.synth import (NoiseParams, build_reference,
-                            generate_corpus, generate_talk, run_bench_setting,
+                            generate_corpus, generate_talk,
                             sample_transformations, score_alignment)
+
+from oracles import run_bench_setting
 
 
 def test_noise_params_validation():
