@@ -22,20 +22,28 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 
-class ParseError(ValueError):
-    """An input file does not match its declared format."""
+class _LocatedError(ValueError):
+    """An input error naming the file and line it was found at, when known:
+    printed as `message [path:line]`. Built from `(message, path, line)`
+    alone, so it pickles as it is, from a `--jobs` worker too."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f" [{path}" + (f":{line}" if line is not None else "") + "]"
-        super().__init__(message + loc)
-        self.path = str(path) if path is not None else None
-        self.line = line
+        super().__init__(message, None if path is None else str(path), line)
+        self.message, self.path, self.line = self.args
+
+    def __str__(self) -> str:
+        if self.path is None:
+            return self.message
+        line = "" if self.line is None else f":{self.line}"
+        return f"{self.message} [{self.path}{line}]"
 
 
-class ValidationError(ValueError):
-    """A structural invariant does not hold."""
+class ParseError(_LocatedError):
+    """An input file does not match its declared format or lacks a row (exit 2)."""
+
+
+class ValidationError(_LocatedError):
+    """A structural invariant does not hold (exit 1)."""
 
 
 def read_lines(path, digest=None):
@@ -203,6 +211,17 @@ class DocumentPair:
         return " ".join(u.text for u in self.target_units[start : start + length])
 
 
+def check_spans(doc: DocumentPair, spans, path=None, line: int | None = None) -> None:
+    """Every (src_start, src_len, tgt_start, tgt_len) span of `spans` lies
+    within `doc`'s M source and N target units; a span beyond them, made for
+    another talk or corpus, is a ValidationError."""
+    m, n = len(doc.source_units), len(doc.target_units)
+    for span in spans:
+        if span[0] + span[1] > m or span[2] + span[3] > n:
+            raise ValidationError(f"span {span} lies outside talk {doc.talk_id} (M={m}, N={n})",
+                                  path=path, line=line)
+
+
 @dataclass(frozen=True)
 class TalkManifest:
     """Pointers to the four files that make up one talk."""
@@ -314,8 +333,8 @@ def load_document_pair(manifest: TalkManifest) -> DocumentPair:
         units = _build_units(_read_unit_lines(units_path), _read_tag_blocks(tags_path),
                              units_path, tags_path)
         if not units:
-            raise ValidationError(
-                f"{manifest.talk_id}: both sides must have at least one unit [{units_path}]")
+            raise ValidationError(f"{manifest.talk_id}: both sides must have at least one unit",
+                                  path=units_path)
         sides.append(units)
     doc = DocumentPair(talk_id=manifest.talk_id, interpreter_rank=manifest.interpreter_rank,
                        source_units=sides[0], target_units=sides[1])

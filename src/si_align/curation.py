@@ -13,8 +13,8 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import (AlignedPair, DocumentPair, ParseError, ValidationError, jsonl_text,
-                     normalize_text, read_lines)
+from .corpus import (AlignedPair, DocumentPair, ParseError, ValidationError, check_spans,
+                     jsonl_text, normalize_text, read_lines)
 
 log = logging.getLogger(__name__)
 
@@ -39,22 +39,19 @@ class AnnotationRecord:
     good_mt: bool | None = None
     edited_target: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, path=None, line: int | None = None) -> None:
+        """Labels that contradict each other, or an edit that normalizes to
+        nothing, are a ValidationError naming the record's `path` and `line`."""
+        problem = None
         if self.good_mt is not None and self.good_align is None:
-            raise ValidationError(
-                f"{self.talk_id} ({self.src_start},{self.src_len}): "
-                "good_mt is set but good_align is not"
-            )
-        if self.good_mt is True and self.good_align is not True:
-            raise ValidationError(
-                f"{self.talk_id} ({self.src_start},{self.src_len}): "
-                "good_mt=true requires good_align=true"
-            )
-        if self.edited_target is not None and not normalize_text(self.edited_target):
-            raise ValidationError(
-                f"{self.talk_id} ({self.src_start},{self.src_len}): "
-                "edited_target is set but empty after normalization"
-            )
+            problem = "good_mt is set but good_align is not"
+        elif self.good_mt is True and self.good_align is not True:
+            problem = "good_mt=true requires good_align=true"
+        elif self.edited_target is not None and not normalize_text(self.edited_target):
+            problem = "edited_target is set but empty after normalization"
+        if problem is not None:
+            raise ValidationError(f"{self.talk_id} ({self.src_start},{self.src_len}): {problem}",
+                                  path=path, line=line)
 
 
 @dataclass(frozen=True)
@@ -133,27 +130,12 @@ def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
             good_align=_BOOL[cols[7]], good_mt=_BOOL[cols[8]],
             edited_target=cols[9] if cols[9] != "" else None,
         )
-        try:
-            record.validate()
-            if docs is not None and record.talk_id in docs:
-                _check_bounds(record, docs[record.talk_id])
-        except ValidationError as exc:
-            raise ValidationError(f"{exc} [{path}:{lineno}]") from None
+        record.validate(path, lineno)
+        if docs is not None and record.talk_id in docs:
+            check_spans(docs[record.talk_id], [(src_start, src_len, tgt_start, tgt_len)],
+                        path=path, line=lineno)
         records.append(record)
     return records
-
-
-def _check_bounds(record: AnnotationRecord, doc: DocumentPair) -> None:
-    if record.src_start + record.src_len > len(doc.source_units):
-        raise ValidationError(
-            f"{record.talk_id}: source span ({record.src_start},{record.src_len}) "
-            f"exceeds document bounds"
-        )
-    if record.tgt_start + record.tgt_len > len(doc.target_units):
-        raise ValidationError(
-            f"{record.talk_id}: target span ({record.tgt_start},{record.tgt_len}) "
-            f"exceeds document bounds"
-        )
 
 
 def import_annotations(path, docs: dict[str, DocumentPair] | None = None,

@@ -39,19 +39,6 @@ PARSE_CHUNK_CHARS = 128 << 10
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
-class MissingWindowError(KeyError):
-    def __init__(self, side: str, start: int, window_len: int, path=None):
-        where = f" in {path}" if path is not None else ""
-        super().__init__(
-            f"no embedding for window ({side}, start={start}, len={window_len}){where}")
-        self.window = (side, start, window_len)
-        self.path = path
-
-    def __reduce__(self):
-        # rebuilt from the constructor's arguments, so a `--jobs` worker can send it back
-        return type(self), (*self.window, self.path)
-
-
 PROVIDER_FALLBACK = "fallback_hash"
 PROVIDER_PRECOMPUTED = "precomputed_file"
 
@@ -242,7 +229,8 @@ def load_precomputed(path, n_source: int, n_target: int,
     Values are read by numpy's float parser, `PARSE_CHUNK_ROWS` rows at a
     time: ASCII decimal, `inf` or `nan` literals, optionally padded with
     whitespace. Unlike `float()`, it takes no `_` digit separators and no
-    non-ASCII digits. Every error names the first bad line of the file.
+    non-ASCII digits. Every error names the first bad line of the file, or
+    the file alone for a window that has no row.
     """
     path = Path(path)
     rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
@@ -329,7 +317,8 @@ def load_precomputed(path, n_source: int, n_target: int,
     for (side, w), block in rows.items():
         for start, row in enumerate(block):
             if not filled[row]:
-                raise MissingWindowError(side, start, w, path)
+                raise ParseError(f"no vector for window ({side}, start={start}, len={w})",
+                                 path=path)
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
                           entries if entries is not None else np.empty((0, 0)))
 

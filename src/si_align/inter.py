@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,18 +29,6 @@ REASON_ETA = "eta"
 
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
-
-
-class MissingReferenceError(KeyError):
-    def __init__(self, talk_id: str, src_start: int, src_len: int):
-        super().__init__(
-            f"no reference translation for {talk_id} span (start={src_start}, len={src_len})"
-        )
-        self.span = (talk_id, src_start, src_len)
-
-    def __reduce__(self):
-        # rebuilt from the constructor's arguments, so a `--jobs` worker can send it back
-        return type(self), self.span
 
 
 @dataclass(frozen=True)
@@ -70,16 +58,19 @@ class RefEntry:
 
 @dataclass(frozen=True)
 class ReferenceTranslation:
-    """Offline translations T keyed by source span (start, len)."""
+    """Offline translations T keyed by source span (start, len), read from
+    `path` (None when built in memory)."""
 
     talk_id: str
     entries: dict[tuple[int, int], RefEntry]
+    path: str | None = field(default=None, compare=False)
 
     def entry(self, src_start: int, src_len: int) -> RefEntry:
         try:
             return self.entries[(src_start, src_len)]
         except KeyError:
-            raise MissingReferenceError(self.talk_id, src_start, src_len) from None
+            raise ParseError(f"no reference translation for {self.talk_id} span "
+                             f"(start={src_start}, len={src_len})", path=self.path) from None
 
 
 @dataclass(frozen=True)
@@ -188,25 +179,22 @@ def _matched_ngrams(texts: list[str]) -> list[list[int]]:
     return matched
 
 
-class BuiltinScorer:
-    """Deterministic chrF-style scorer; the hermetic default."""
-
-    def scores(self, talk_id: str, spans, text_pairs) -> list[float]:
-        return chrf_scores(text_pairs)
-
-
 class ExternalScorer:
-    """Scores precomputed by a learned metric, keyed by source span."""
+    """Scores precomputed by a learned metric, keyed by source span, read
+    from `path` (None when built in memory)."""
 
-    def __init__(self, scores: dict[tuple[str, int, int], float]):
+    def __init__(self, scores: dict[tuple[str, int, int], float], path=None):
         self._scores = scores
+        self.path = path
 
-    def scores(self, talk_id: str, spans, text_pairs) -> list[float]:
+    def scores(self, talk_id: str, spans) -> list[float]:
+        """The score of each (start, len) source span of the talk."""
         out = []
         for start, length in spans:
             key = (talk_id, start, length)
             if key not in self._scores:
-                raise MissingReferenceError(talk_id, start, length)
+                raise ParseError(f"no external score for {talk_id} span "
+                                 f"(start={start}, len={length})", path=self.path)
             out.append(self._scores[key])
         return out
 
@@ -217,13 +205,12 @@ def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
                        ) -> tuple[list[AlignedPair], list[FilterDecision]]:
     """Keep pairs passing all three thresholds; record a decision for each.
 
-    A scorer scores all pairs of the talk at once: `scores(talk_id, spans,
-    text_pairs)` with each pair's source span and (F, T) texts. When pairs
-    are broken, the error is that of the first one in pair order, with a
-    missing or empty reference found before a missing score.
+    Eta scores all pairs of the talk at once: `chrf_scores` of their (F, T)
+    texts, or with an ExternalScorer, `scorer.scores(talk_id, spans)` of
+    their source spans. When pairs are broken, the error is that of the
+    first one in pair order, with a missing or empty reference found before
+    a missing score.
     """
-    if scorer is None:
-        scorer = BuiltinScorer()
     trims_by_pair = trims_by_pair or {}
     resolved, broken = [], None
     for pair in pairs:
@@ -233,11 +220,13 @@ def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
             resolved.append((pair, entry, f_text,
                              _coverage(entry, f_text, params.coverage_pos),
                              _length_ratio(pair, entry, f_text, ref.talk_id)))
-        except (MissingReferenceError, ValidationError) as exc:
+        except (ParseError, ValidationError) as exc:
             broken = exc
             break
-    etas = scorer.scores(doc.talk_id, [(pair.src_start, pair.src_len) for pair, *_ in resolved],
-                         [(f_text, entry.text) for _, entry, f_text, *_ in resolved])
+    if scorer is None:
+        etas = chrf_scores([(f_text, entry.text) for _, entry, f_text, *_ in resolved])
+    else:
+        etas = scorer.scores(doc.talk_id, [(pair.src_start, pair.src_len) for pair, *_ in resolved])
     if broken is not None:
         raise broken
     kept, decisions = [], []
@@ -304,7 +293,7 @@ def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslati
             talk_id = row_talk
         if row_talk == talk_id:
             entries[span] = entry
-    return ReferenceTranslation(talk_id=talk_id or "", entries=entries)
+    return ReferenceTranslation(talk_id=talk_id or "", entries=entries, path=str(path))
 
 
 def read_external_scores(path) -> ExternalScorer:
@@ -323,7 +312,7 @@ def read_external_scores(path) -> ExternalScorer:
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {cols[3]!r}", path=path, line=lineno)
         scores[key] = score
-    return ExternalScorer(scores)
+    return ExternalScorer(scores, path=str(path))
 
 
 def decisions_text(decisions) -> str:

@@ -218,33 +218,20 @@ def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
 
     i = 0
     while i < m:
-        tag = tags[i]
+        tag, used = tags[i], 1
         t0 = len(tgt_units)
-        if tag == PROV_OMITTED:
-            links.append(AlignedPair(i, 1, t0, 0, 0.0))
-            i += 1
-            continue
         if tag == PROV_MISTRANSLATED:
             emit(_noise_tokens(rng_render, rng_render.randint(5, 9)), PROV_MISTRANSLATED)
-            links.append(AlignedPair(i, 1, t0, 1, 0.0))
-            i += 1
-            continue
-        if tag == PROV_SPLIT:
+        elif tag == PROV_SPLIT:
             rendering = render_sentence(sentences[i])
             k = rng_render.randint(2, 3)
             cuts = sorted(rng_render.sample(range(1, len(rendering)), k - 1))
-            parts = [rendering[a:b] for a, b in zip([0] + cuts, cuts + [len(rendering)])]
-            for part in parts:
-                emit(part, PROV_SPLIT)
-            links.append(AlignedPair(i, 1, t0, k, 0.0))
-            i += 1
-            continue
-        if tag == PROV_MERGED:
+            for a, b in zip([0] + cuts, cuts + [len(rendering)]):
+                emit(rendering[a:b], PROV_SPLIT)
+        elif tag == PROV_MERGED:
             emit(render_sentence(sentences[i]) + render_sentence(sentences[i + 1]), PROV_MERGED)
-            links.append(AlignedPair(i, 2, t0, 1, 0.0))
-            i += 2
-            continue
-        if tag == PROV_FILLER:
+            used = 2
+        elif tag == PROV_FILLER:
             # the sentence trails off: the two tokens before its closing
             # marker spill into a trailing chunk opened by a filler word,
             # all tagged non-content like any disfluency
@@ -254,12 +241,11 @@ def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
             filler = [Token(rng_render.choice(FILLER_WORDS), Pos.OTHER)]
             filler += [Token(t.surface, Pos.OTHER) for t in spill]
             emit(filler, PROV_FILLER)
-            links.append(AlignedPair(i, 1, t0, 2, 0.0))
-            i += 1
-            continue
-        emit(render_sentence(sentences[i]), PROV_CLEAN)
-        links.append(AlignedPair(i, 1, t0, 1, 0.0))
-        i += 1
+        elif tag != PROV_OMITTED:
+            emit(render_sentence(sentences[i]), PROV_CLEAN)
+        # an omitted sentence links to the empty target span at t0
+        links.append(AlignedPair(i, used, t0, len(tgt_units) - t0, 0.0))
+        i += used
 
     rank = rng_meta.choice((Rank.S, Rank.A, Rank.B))
     doc = DocumentPair(

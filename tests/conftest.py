@@ -3,7 +3,6 @@ import random
 import pytest
 
 from si_align.corpus import DocumentPair, ParseError, Pos, Rank, TextUnit, Token
-from si_align.embeddings import MissingWindowError
 
 
 def unit(index, text, tags=None):
@@ -29,13 +28,12 @@ def doc(src_texts, tgt_texts, talk_id="t0", rank=Rank.S, src_tags=None, tgt_tags
 
 def vector_outcome(load, path, *shape):
     """What a vector-file loader makes of a file: the table's shape and
-    bytes, or the error's type and the line or window it names."""
+    bytes, or ParseError and the line it names, or its whole message (which
+    names the missing window) when it names no line."""
     try:
         table = load(path, *shape)
     except ParseError as exc:
-        return ParseError, exc.line
-    except MissingWindowError as exc:
-        return MissingWindowError, exc.window
+        return ParseError, str(exc) if exc.line is None else exc.line
     return table.entries.shape, table.entries.tobytes()
 
 

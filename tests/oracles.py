@@ -14,7 +14,7 @@ from si_align.align import (DENOM_FLOOR, AlignmentSet, AlignParams, _cosine_grid
 from si_align.corpus import (AlignedPair, ParseError, TextUnit, ValidationError,
                              normalize_text, read_lines)
 from si_align.embeddings import (RENORM_WARN_TOL, SOURCE, TARGET, EmbeddingProviderSpec,
-                                 EmbeddingTable, MissingWindowError, _gram_slot,
+                                 EmbeddingTable, _gram_slot,
                                  build_fallback_table, window_rows)
 from si_align.inter import CHRF_BETA, CHRF_MAX_ORDER
 from si_align.synth import (BENCH_EMBED, NoiseParams, ScoreTriple, generate_corpus,
@@ -60,11 +60,17 @@ def fallback_embed(text: str, params: EmbeddingProviderSpec) -> np.ndarray:
     return vec / norm
 
 
+def missing_window(side: str, start: int, window_len: int, path=None) -> ParseError:
+    """The error of `load_precomputed` for a window that has no row."""
+    return ParseError(f"no vector for window ({side}, start={start}, len={window_len})",
+                      path=path)
+
+
 def window_vector(table: EmbeddingTable, side: str, start: int, window_len: int) -> np.ndarray:
     """The row of window (side, start, window_len) of a table."""
     block = table.rows.get((side, window_len), range(0))
     if not 0 <= start < len(block):
-        raise MissingWindowError(side, start, window_len)
+        raise missing_window(side, start, window_len)
     return table.entries[block[start]]
 
 
@@ -119,7 +125,7 @@ def reference_load_precomputed(path, n_source: int, n_target: int,
     for (side, w), block in rows.items():
         for start, row in enumerate(block):
             if not filled[row]:
-                raise MissingWindowError(side, start, w, path)
+                raise missing_window(side, start, w, path)
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
                           entries if entries is not None else np.empty((0, 0)))
 
@@ -239,9 +245,9 @@ def link_cost(src_span, tgt_span, table, denom, skip_penalty):
     if sl == 0 or tl == 0:
         return skip_penalty * (sl + tl)
     if sl > table.max_src_window:
-        raise MissingWindowError(SOURCE, si, sl)
+        raise missing_window(SOURCE, si, sl)
     if tl > table.max_tgt_window:
-        raise MissingWindowError(TARGET, ti, tl)
+        raise missing_window(TARGET, ti, tl)
     sim = cosine(window_vector(table, SOURCE, si, sl), window_vector(table, TARGET, ti, tl))
     return (1.0 - sim) / denom * (sl + tl) / 2.0
 

@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 import si_align
 from si_align import align, cli, embeddings, inter, splitter, synth
 from si_align.cli import main
-from si_align.embeddings import MissingWindowError
-from si_align.inter import MissingReferenceError
+from si_align.corpus import ParseError, ValidationError
 
 from oracles import run_bench_setting
 
@@ -339,15 +338,25 @@ def test_memory_error_exit_one(tmp_path, monkeypatch, capsys):
     assert not any("Traceback" in line for line in err)
 
 
-@pytest.mark.parametrize("error", [MissingWindowError("source", 3, 2, "emb/t0.tsv"),
-                                   MissingWindowError("target", 1, 1),
-                                   MissingReferenceError("t0", 2, 3)],
-                         ids=["window", "window-no-path", "reference"])
+@pytest.mark.parametrize("error", [
+    ParseError("no vector for window (source, start=3, len=2)", path="emb/t0.tsv"),
+    ParseError("no vector for window (target, start=1, len=1)"),
+    ParseError("no reference translation for t0 span (start=2, len=3)",
+               path=Path("refs/t0.refs.jsonl")),
+    ParseError("bad row: expected a JSON object", path="refs/t0.refs.jsonl", line=7),
+    ValidationError("span (0, 1, 5, 1) lies outside talk t0 (M=2, N=3)",
+                    path="out/coarse/t0.jsonl"),
+    ValidationError("t0 (0,1): good_mt is set but good_align is not", path="anno.tsv", line=4),
+    ValidationError("bench_talks: must be >= 1, got 0"),
+], ids=["window", "window-no-path", "reference", "parse-line", "validation",
+        "validation-line", "validation-no-path"])
 def test_missing_errors_survive_pickling(error):
-    """A `--jobs` worker sends its exception back pickled."""
+    """A `--jobs` worker sends its exception back pickled: the two error
+    types keep their message, file and line."""
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error) and str(copy) == str(error)
     assert vars(copy) == vars(error)
+    assert (copy.message, copy.path, copy.line) == error.args
 
 
 @pytest.mark.parametrize("jobs,workers", [(8, 3), (2, 2)])
@@ -407,7 +416,7 @@ def test_jobs_parity(tmp_path, capsys):
         assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"bad{jobs}"]) == 2
         errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
     assert errors[0] == errors[1] and len(errors[0]) == 1
-    assert str(vectors) in errors[0][0]
+    assert errors[0][0] == f"error: no vector for window (source, start=2, len=1) [{vectors}]"
 
     # a value numpy's parser rejects, on a line past the first parse chunk
     line = embeddings.PARSE_CHUNK_ROWS + 5
@@ -630,6 +639,41 @@ def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
     assert rows and all("eta" in row["reasons"] for row in rows)
 
 
+@pytest.mark.parametrize("missing", ["refs", "scores"])
+def test_missing_row_names_its_file(tmp_path, capsys, missing):
+    """A refs file or an external score file that lacks the span of a pair
+    exits 2 with one error line naming that file, alike at `--jobs 1` and
+    `--jobs 2`."""
+    cfg = write_config(tmp_path, scores_path="scores.tsv")
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"talk{t:04d}\t{start}\t{length}\t0.5\n" for t in range(2)
+                              for start in range(6) for length in range(1, 5)), encoding="utf-8")
+    assert run(["pipeline", "--config", cfg]) == 0
+    link = next(l for l in align.read_alignment_jsonl(tmp_path / "out" / "intra" /
+                                                       "talk0001.jsonl").kept())
+    span = (link.src_start, link.src_len)
+    refs = tmp_path / "out" / "refs" / "talk0001.refs.jsonl"
+    if missing == "refs":
+        named, what = refs, "no reference translation"
+        ref = inter.read_reference_jsonl(refs)
+        del ref.entries[span]
+        refs.write_text(inter.references_text(ref), encoding="utf-8")
+    else:
+        named, what = scores, "no external score"
+        row = f"talk0001\t{span[0]}\t{span[1]}\t0.5\n"
+        scores.write_text(scores.read_text(encoding="utf-8").replace(row, ""), encoding="utf-8")
+    errors = []
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"bad{jobs}"]) == 2
+        errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert errors[0][0] == (f"error: {what} for talk0001 span (start={span[0]}, "
+                            f"len={span[1]}) [{named}]")
+
+
 def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):
     """Lineage records what each run wrote: an `align` rerun whose coarse
     links are byte-identical leaves the intra stage current."""
@@ -659,7 +703,7 @@ def test_link_outside_its_talk_refused(tmp_path, capsys):
         capsys.readouterr()
         assert run([*args, "--config", cfg]) == 1, args
         err = capsys.readouterr().err
-        assert f"{out / stage / 'talk0000.jsonl'}: link (" in err, (args, err)
+        assert f"[{out / stage / 'talk0000.jsonl'}]" in err and "span (" in err, (args, err)
         assert "lies outside talk talk0000" in err, (args, err)
         assert _tree(out) == before, args
 
@@ -675,7 +719,8 @@ def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
     before = _tree(tmp_path / "out")
     capsys.readouterr()
     assert run(["validate", "--config", cfg]) == 1
-    assert f"{gold}: link (5, " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "span (5, 1, " in err and f"[{gold}]" in err
     assert _tree(tmp_path / "out") == before
 
 

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
 from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
-                                 MissingWindowError, build_fallback_table, load_precomputed,
-                                 window_rows, write_table_file)
+                                 build_fallback_table, load_precomputed, window_rows,
+                                 write_table_file)
 
 from conftest import doc, unit, vector_outcome
 from oracles import (cosine, enumerate_windows, fallback_embed, reference_load_precomputed,
@@ -191,10 +191,11 @@ def test_precomputed_missing_window_named(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(l for l in lines if not l.startswith("target\t0\t1\t")),
                     encoding="utf-8")
-    with pytest.raises(MissingWindowError) as err:
+    with pytest.raises(ParseError) as err:
         load_precomputed(path, 2, 2, 2, 2)
     assert "target" in str(err.value) and "start=0" in str(err.value)
-    assert str(path) in str(err.value)
+    assert str(err.value) == f"no vector for window (target, start=0, len=1) [{path}]"
+    assert (err.value.path, err.value.line) == (str(path), None)
 
 
 def test_precomputed_renormalizes(tmp_path):

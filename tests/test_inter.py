@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
-from si_align.inter import (BuiltinScorer, ExternalScorer,
-                            InterFilterParams, MissingReferenceError, RefEntry,
-                            ReferenceTranslation, apply_inter_filter, chrf_scores,
-                            read_external_scores, read_reference_jsonl, references_text)
+from si_align.inter import (ExternalScorer, InterFilterParams, RefEntry, ReferenceTranslation,
+                            apply_inter_filter, chrf_scores, read_external_scores,
+                            read_reference_jsonl, references_text)
 
 from conftest import doc
 from oracles import reference_chrf
 
 
-def ref_for(talk_id, entries):
-    return ReferenceTranslation(talk_id=talk_id, entries=entries)
+def ref_for(talk_id, entries, path=None):
+    return ReferenceTranslation(talk_id=talk_id, entries=entries, path=path)
 
 
 def ref_entry(text, tags=None):
@@ -64,10 +63,12 @@ def test_alpha_one_when_no_content_tokens():
 
 def test_alpha_missing_reference_names_span():
     document = doc(["src a"], ["kamo"])
-    ref = ref_for("t0", {})
-    with pytest.raises(MissingReferenceError) as err:
+    ref = ref_for("t0", {}, path="refs/t0.refs.jsonl")
+    with pytest.raises(ParseError) as err:
         decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0))
     assert "start=0" in str(err.value)
+    assert str(err.value) == "no reference translation for t0 span (start=0, len=1) " \
+                             "[refs/t0.refs.jsonl]"
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +166,11 @@ def test_chrf_scores_match_oracle_bit_for_bit(text_pairs):
 
 
 def test_external_scorer_lookup_and_missing():
-    scorer = ExternalScorer({("t0", 0, 1): 0.42})
-    assert scorer.scores("t0", [(0, 1)], [("f", "t")]) == [0.42]
-    with pytest.raises(MissingReferenceError):
-        scorer.scores("t0", [(0, 1), (5, 1)], [("f", "t"), ("f", "t")])
+    scorer = ExternalScorer({("t0", 0, 1): 0.42}, path="scores.tsv")
+    assert scorer.scores("t0", [(0, 1)]) == [0.42]
+    with pytest.raises(ParseError) as err:
+        scorer.scores("t0", [(0, 1), (5, 1)])
+    assert str(err.value) == "no external score for t0 span (start=5, len=1) [scores.tsv]"
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +203,24 @@ def test_gamma_low_dropped_as_under_translation():
 
 
 @pytest.mark.parametrize("broken,named", [
-    ({0: "score", 1: "reference"}, (0, 1)),
-    ({0: "reference", 1: "score"}, (0, 1)),
-    ({1: "score", 2: "reference"}, (1, 1)),
-    ({1: "reference", 2: "score"}, (1, 1)),
+    ({0: "score", 1: "reference"}, ("scores.tsv", 0)),
+    ({0: "reference", 1: "score"}, ("refs.jsonl", 0)),
+    ({1: "score", 2: "reference"}, ("scores.tsv", 1)),
+    ({1: "reference", 2: "score"}, ("refs.jsonl", 1)),
 ])
 def test_first_broken_pair_is_reported(broken, named):
     """With several broken pairs, the error names the first in pair order,
-    whether its reference or its external score is missing."""
+    and the file it lacks: its reference's or its external score's."""
     document, ref, pairs = _setup(4)
     entries = {span: e for span, e in ref.entries.items()
                if broken.get(span[0]) != "reference"}
     scores = {("t0", i, 1): 0.5 for i in range(4) if broken.get(i) != "score"}
-    with pytest.raises(MissingReferenceError) as err:
-        apply_inter_filter(pairs, document, ref_for("t0", entries), InterFilterParams(),
-                           scorer=ExternalScorer(scores))
-    assert err.value.span == ("t0", *named)
+    with pytest.raises(ParseError) as err:
+        apply_inter_filter(pairs, document, ref_for("t0", entries, path="refs.jsonl"),
+                           InterFilterParams(), scorer=ExternalScorer(scores, path="scores.tsv"))
+    path, start = named
+    assert (err.value.path, err.value.line) == (path, None)
+    assert err.value.message.endswith(f"for t0 span (start={start}, len=1)")
 
 
 def test_empty_reference_before_later_missing_score():
@@ -339,7 +343,8 @@ def test_external_scores_file(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("t0\t0\t1\t0.91\nt0\t1\t2\t0.13\n", encoding="utf-8")
     scorer = read_external_scores(path)
-    assert scorer.scores("t0", [(0, 1), (1, 2)], [("", ""), ("", "")]) == [0.91, 0.13]
+    assert scorer.scores("t0", [(0, 1), (1, 2)]) == [0.91, 0.13]
+    assert scorer.path == str(path)
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
