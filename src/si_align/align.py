@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import embeddings as em
-from .corpus import AlignedPair, DocumentPair, ValidationError, jsonl_text, read_jsonl
+from .corpus import (AlignedPair, DocumentPair, ValidationError, check_span, jsonl_text,
+                     read_jsonl)
 from .embeddings import SOURCE, TARGET, EmbeddingTable
 
 log = logging.getLogger(__name__)
@@ -236,9 +237,10 @@ def links_text(talk_id: str, links) -> str:
     } for link in links)
 
 
-def read_alignment_jsonl(path, digest=None) -> AlignmentSet:
-    """The links of one talk; every row must name the same talk_id. `digest`
-    is as for `corpus.read_lines`."""
+def read_alignment_jsonl(path, digest=None, doc: DocumentPair | None = None) -> AlignmentSet:
+    """The links of one talk; every row must name the same talk_id. Given
+    the talk `doc`, a link outside it is a ValidationError naming its line.
+    `digest` is as for `corpus.read_lines`."""
     talk_id = None
 
     def link(obj) -> AlignedPair:
@@ -259,5 +261,6 @@ def read_alignment_jsonl(path, digest=None) -> AlignmentSet:
             drop_reason=obj.get("drop_reason"),
         )
 
-    links = tuple(read_jsonl(path, link, digest))
+    check = None if doc is None else lambda pair: check_span(doc, pair.key())
+    links = tuple(read_jsonl(path, link, digest, check))
     return AlignmentSet(talk_id=talk_id or "", links=links, total_cost=sum(l.cost for l in links))

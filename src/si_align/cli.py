@@ -277,8 +277,9 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
     """Read a stage back for every talk. The manifest of the run that wrote
     it must list the files with their checksums, every manifest it records
     upstream must be on disk as recorded, and every link must lie within
-    its talk; otherwise a ValidationError names the manifests or the link
-    file. A manifest that is not a JSON object of objects is a ParseError."""
+    its talk; otherwise a ValidationError names the manifests, or the link's
+    file and line. A manifest that is not a JSON object of objects is a
+    ParseError."""
     path = cfg.out_dir / "manifests" / f"{STAGES[stage]}.json"
     obj = _saved_manifest(path, f"stage {stage} needs {path}")
     upstream = obj.get("upstream", {})
@@ -304,8 +305,7 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
     pairs, trims = {}, {}
     for doc in docs:
         name = f"{stage}/{doc.talk_id}.jsonl"
-        aset = read(name, al.read_alignment_jsonl)
-        cm.check_spans(doc, (link.key() for link in aset.links), path=cfg.out_dir / name)
+        aset = read(name, lambda path, digest: al.read_alignment_jsonl(path, digest, doc))
         pairs[doc.talk_id] = aset.kept()
         if stage == "intra":
             trims_name = f"{stage}/{doc.talk_id}.trims.jsonl"
@@ -402,8 +402,7 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
         gold_path = cfg.gold_dir / f"{doc.talk_id}.gold.jsonl"
         manifest.add_input(gold_path)
         auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], 0.0)
-        gold = al.read_alignment_jsonl(gold_path)
-        cm.check_spans(doc, (link.key() for link in gold.links), path=gold_path)
+        gold = al.read_alignment_jsonl(gold_path, doc=doc)
         reports.append(rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons)))
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
                                 rv.report_text(reports[-1]))

@@ -61,12 +61,13 @@ def read_lines(path, digest=None):
             yield lineno, text.removesuffix("\n").removesuffix("\r")
 
 
-def read_jsonl(path, parse_row, digest=None):
+def read_jsonl(path, parse_row, digest=None, check=None):
     """Yield `parse_row(row)` for each JSON object row of a JSON Lines file,
     skipping blank lines. A row that is not a JSON object (or is nested too
     deeply to decode), or whose fields `parse_row` rejects with KeyError,
-    TypeError or ValueError, is a ParseError naming the line. `digest` is as
-    for `read_lines`."""
+    TypeError or ValueError, is a ParseError naming the line. A
+    ValidationError from `check(value)`, run on each parsed row, is raised
+    naming the line too. `digest` is as for `read_lines`."""
     for lineno, line in read_lines(path, digest):
         if not line.strip():
             continue
@@ -77,6 +78,11 @@ def read_jsonl(path, parse_row, digest=None):
             value = parse_row(obj)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad row: {exc}", path=path, line=lineno) from exc
+        if check is not None:
+            try:
+                check(value)
+            except ValidationError as exc:
+                raise ValidationError(exc.message, path=path, line=lineno) from exc
         yield value
 
 
@@ -211,15 +217,14 @@ class DocumentPair:
         return " ".join(u.text for u in self.target_units[start : start + length])
 
 
-def check_spans(doc: DocumentPair, spans, path=None, line: int | None = None) -> None:
-    """Every (src_start, src_len, tgt_start, tgt_len) span of `spans` lies
-    within `doc`'s M source and N target units; a span beyond them, made for
-    another talk or corpus, is a ValidationError."""
+def check_span(doc: DocumentPair, span, path=None, line: int | None = None) -> None:
+    """A (src_start, src_len, tgt_start, tgt_len) span lies within `doc`'s M
+    source and N target units; a span beyond them, made for another talk or
+    corpus, is a ValidationError."""
     m, n = len(doc.source_units), len(doc.target_units)
-    for span in spans:
-        if span[0] + span[1] > m or span[2] + span[3] > n:
-            raise ValidationError(f"span {span} lies outside talk {doc.talk_id} (M={m}, N={n})",
-                                  path=path, line=line)
+    if span[0] + span[1] > m or span[2] + span[3] > n:
+        raise ValidationError(f"span {span} lies outside talk {doc.talk_id} (M={m}, N={n})",
+                              path=path, line=line)
 
 
 @dataclass(frozen=True)

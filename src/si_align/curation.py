@@ -13,7 +13,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import (AlignedPair, DocumentPair, ParseError, ValidationError, check_spans,
+from .corpus import (AlignedPair, DocumentPair, ParseError, ValidationError, check_span,
                      jsonl_text, normalize_text, read_lines)
 
 log = logging.getLogger(__name__)
@@ -132,8 +132,8 @@ def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
         )
         record.validate(path, lineno)
         if docs is not None and record.talk_id in docs:
-            check_spans(docs[record.talk_id], [(src_start, src_len, tgt_start, tgt_len)],
-                        path=path, line=lineno)
+            check_span(docs[record.talk_id], (src_start, src_len, tgt_start, tgt_len),
+                       path=path, line=lineno)
         records.append(record)
     return records
 

@@ -8,7 +8,6 @@ EmbeddingTable.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -86,7 +85,6 @@ def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
                             max_src_window, max_tgt_window)
 
 
-@functools.lru_cache(maxsize=1 << 20)
 def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     """Seeded stable hash of one n-gram: (bucket, sign). blake2b keeps this
     identical across platforms and Python versions, unlike hash()."""
@@ -95,6 +93,33 @@ def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     ).digest()
     value = int.from_bytes(digest, "little")
     return value % dim, 1 if value >> 63 else -1
+
+
+# every n-gram hashed so far under one (seed, dim), as its packed slot: the
+# bucket, or ~bucket (negative) when the sign is -1; cleared when the spec
+# changes or past MAX_SLOT_GRAMS n-grams
+MAX_SLOT_GRAMS = 1 << 20
+_slots: dict[str, int] = {}
+_slots_spec: tuple[int, int] | None = None
+
+
+def _packed_slots(grams: list[str], seed: int, dim: int) -> np.ndarray:
+    """The packed slot of each n-gram of `grams`, hashing only those not
+    seen before in this process under (seed, dim)."""
+    global _slots_spec
+    if _slots_spec != (seed, dim):
+        _slots.clear()
+        _slots_spec = (seed, dim)
+    missing = set(grams).difference(_slots)
+    if len(_slots) + len(missing) > MAX_SLOT_GRAMS:
+        _slots.clear()
+        missing = set(grams)
+    # n-grams too many to keep even alone are looked up once, then dropped
+    slots = _slots if len(missing) <= MAX_SLOT_GRAMS else {}
+    for gram in missing:
+        bucket, sign = _gram_slot(gram, seed, dim)
+        slots[gram] = bucket if sign > 0 else ~bucket
+    return np.fromiter(map(slots.__getitem__, grams), dtype=np.int64, count=len(grams))
 
 
 @dataclass
@@ -143,12 +168,13 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
 
     A window's text is its units' texts joined with single spaces, stripped
     of surrounding whitespace; its vector adds each n-gram's sign into the
-    n-gram's bucket. Each side's units are joined once and every n-gram of
-    that text is hashed once, so a window is a character range of it and the
-    whole table is one weighted `bincount`. Counts are small integers, exact
-    in float64, so the sums do not depend on order. A window yielding no
-    n-grams (all whitespace, or shorter than every order) maps to basis
-    vector 0 so downstream cosines stay defined.
+    n-gram's bucket. Each side's units are joined once and the packed slot
+    of every n-gram position of that text is read from one dict, which
+    hashes each distinct n-gram once per process; a window is a character
+    range of the text and the whole table is one weighted `bincount`.
+    Counts are small integers, exact in float64, so the sums do not depend
+    on order. A window yielding no n-grams (all whitespace, or shorter than
+    every order) maps to basis vector 0 so downstream cosines stay defined.
     """
     rows = window_rows(len(doc.source_units), len(doc.target_units),
                        max_src_window, max_tgt_window)
@@ -172,13 +198,14 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
             hi.append(np.maximum(last[b], lo[-1]))
         row, lo, hi = np.concatenate(row), np.concatenate(lo), np.concatenate(hi)
         for n in spec.orders:
-            slots = np.array([_gram_slot(text[i:i + n], spec.seed, dim)
-                              for i in range(len(text) - n + 1)], dtype=np.int64).reshape(-1, 2)
+            slots = _packed_slots([text[i:i + n] for i in range(len(text) - n + 1)],
+                                  spec.seed, dim)
             count = np.maximum(hi - lo - n + 1, 0)
             offset = np.cumsum(count) - count
-            pos = np.repeat(lo - offset, count) + np.arange(count.sum())
-            cells.append(np.repeat(row * dim, count) + slots[pos, 0])
-            signs.append(slots[pos, 1].astype(np.int8))
+            packed = slots[np.repeat(lo - offset, count) + np.arange(count.sum())]
+            negative = packed < 0
+            cells.append(np.repeat(row * dim, count) + np.where(negative, ~packed, packed))
+            signs.append(np.where(negative, np.int8(-1), np.int8(1)))
     # concatenate one array at a time, so each list of pieces is freed before the next copy
     cells = np.concatenate(cells)
     signs = np.concatenate(signs, dtype=float)
@@ -299,6 +326,9 @@ def load_precomputed(path, n_source: int, n_target: int,
                 text = text.replace("\r", " ")
             dim = text.count(",") + 1
             if entries is None:
+                if len(filled) * dim > MAX_TABLE_CELLS:
+                    raise ParseError(f"{dim} values x {len(filled)} windows exceeds the table "
+                                     f"limit of {MAX_TABLE_CELLS} cells", path=path, line=lineno)
                 entries = np.empty((len(filled), dim))
             elif dim != entries.shape[1]:
                 raise ParseError(f"dimension {dim} differs from first row's {entries.shape[1]}",

@@ -323,6 +323,29 @@ def test_table_over_cell_limit_exit_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "coarse").exists()
 
 
+def test_vector_file_over_cell_limit_exit_two(tmp_path, monkeypatch, capsys):
+    """A vector file whose first row is too wide for the table limit exits 2
+    naming that row."""
+    cfg = write_config(tmp_path, embedding={"kind": "precomputed_file",
+                                            "path_pattern": "vectors/{talk_id}.tsv"})
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    out = tmp_path / "out"
+    (out / "vectors").mkdir()
+    doc, = cli.load_corpus(cli.PipelineConfig(out_dir=out, corpus=out / "corpus.json"))
+    vectors = out / "vectors" / "talk0000.tsv"
+    embeddings.write_table_file(embeddings.build_fallback_table(
+        doc, embeddings.EmbeddingProviderSpec(dim=128)), vectors)
+    lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    vectors.write_text("\n" + "".join(lines), encoding="utf-8")
+    monkeypatch.setattr(embeddings, "MAX_TABLE_CELLS", 1000)
+    capsys.readouterr()
+    assert run(["pipeline", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"128 values x {len(lines)} windows exceeds the table limit of 1000 cells " \
+           f"[{vectors}:2]" in err
+    assert not (out / "coarse").exists()
+
+
 def test_memory_error_exit_one(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
@@ -696,16 +719,26 @@ def test_link_outside_its_talk_refused(tmp_path, capsys):
     assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
                 "--sentences", "5"]) == 0
     out = tmp_path / "out"
+    m, n = (len((out / "talks" / "talk0000" / f"{side}_units.txt").read_text().splitlines())
+            for side in ("source", "target"))
     for args, stage in [(["filter-intra"], "coarse"), (["validate"], "coarse"),
                         (["export-anno", "--stage", "coarse"], "coarse"),
                         (["filter-inter"], "intra"), (["stats"], "coarse")]:
+        links = out / stage / "talk0000.jsonl"
+        line = next(i for i, row in enumerate(links.read_text().splitlines(), start=1)
+                    if _outside(json.loads(row), m, n))
         before = _tree(out)
         capsys.readouterr()
         assert run([*args, "--config", cfg]) == 1, args
         err = capsys.readouterr().err
-        assert f"[{out / stage / 'talk0000.jsonl'}]" in err and "span (" in err, (args, err)
+        assert f"[{links}:{line}]" in err and "span (" in err, (args, err)
         assert "lies outside talk talk0000" in err, (args, err)
         assert _tree(out) == before, args
+
+
+def _outside(row, m, n):
+    """Whether a link row's span reaches past M source or N target units."""
+    return row["src_start"] + row["src_len"] > m or row["tgt_start"] + row["tgt_len"] > n
 
 
 def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
@@ -720,7 +753,7 @@ def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
     capsys.readouterr()
     assert run(["validate", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "span (5, 1, " in err and f"[{gold}]" in err
+    assert "span (5, 1, " in err and f"[{gold}:{len(rows)}]" in err
     assert _tree(tmp_path / "out") == before
 
 

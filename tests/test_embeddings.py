@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import random
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from si_align import embeddings
 from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
 from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
                                  build_fallback_table, load_precomputed, window_rows,
@@ -157,6 +159,60 @@ def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_t
     table = build_fallback_table(document, params, max_src_window, max_tgt_window)
     assert table.entries.shape == expected.shape
     assert table.entries.tobytes() == expected.tobytes()
+
+
+SHARED_TEXTS = (["the cat sat", "on the mat", "ça va bien"], ["le chat", "sur le tapis", "ça"])
+
+
+def oracle_rows(document, params, max_window) -> list[bytes]:
+    """The bytes of the oracle's vector of each row of a table."""
+    rows = window_rows(len(document.source_units), len(document.target_units),
+                       max_window, max_window)
+    expected = np.empty((rows[(TARGET, max_window)].stop, params.dim))
+    for side, units in ((SOURCE, document.source_units), (TARGET, document.target_units)):
+        for start, w, text in enumerate_windows(units, max_window):
+            expected[rows[(side, w)][start]] = fallback_embed(text, params)
+    return [row.tobytes() for row in expected]
+
+
+def test_specs_in_one_process_keep_their_own_slots():
+    """Tables built one after another under another seed, another dim and
+    the first spec again each equal the oracle, row by row: the slots
+    hashed under one spec never reach another's table."""
+    document = doc(*SHARED_TEXTS)
+    first = EmbeddingProviderSpec(dim=64, orders=(2, 3), seed=5)
+    for spec in (first, dataclasses.replace(first, seed=6),
+                 dataclasses.replace(first, dim=128), first):
+        table = build_fallback_table(document, spec, 3, 3)
+        assert [row.tobytes() for row in table.entries] == oracle_rows(document, spec, 3), spec
+
+
+def test_slot_dict_stays_within_its_limit(monkeypatch):
+    """With room for a few n-grams, the dict is cleared before it would
+    grow past them, one order's n-grams too many to keep are looked up
+    without it, and the table still equals the oracle."""
+    monkeypatch.setattr(embeddings, "MAX_SLOT_GRAMS", 16)
+    monkeypatch.setattr(embeddings, "_slots", {})
+    monkeypatch.setattr(embeddings, "_slots_spec", None)
+    sizes = []
+    packed_slots = embeddings._packed_slots
+
+    def recorded(grams, seed, dim):
+        slots = packed_slots(grams, seed, dim)
+        sizes.append((len(set(grams)), len(embeddings._slots)))
+        return slots
+
+    monkeypatch.setattr(embeddings, "_packed_slots", recorded)
+    document = doc(*SHARED_TEXTS)
+    spec = EmbeddingProviderSpec(dim=64, orders=(1, 2, 3), seed=9)
+    for _ in range(2):
+        table = build_fallback_table(document, spec, 3, 3)
+        assert [row.tobytes() for row in table.entries] == oracle_rows(document, spec, 3)
+    assert max(size for _, size in sizes) <= 16
+    # both ways past the limit were taken: the dict shrank once, and one
+    # call's n-grams were more than it may hold
+    assert any(after < before for (_, before), (_, after) in zip(sizes, sizes[1:]))
+    assert any(distinct > 16 for distinct, _ in sizes)
 
 
 def test_precomputed_round_trip_and_counts(tmp_path):
