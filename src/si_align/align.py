@@ -237,10 +237,11 @@ def links_text(talk_id: str, links) -> str:
     } for link in links)
 
 
-def read_alignment_jsonl(path, digest=None, doc: DocumentPair | None = None) -> AlignmentSet:
+def read_alignment_jsonl(path, doc: DocumentPair | None = None,
+                         data: bytes | None = None) -> AlignmentSet:
     """The links of one talk; every row must name the same talk_id. Given
     the talk `doc`, a link outside it is a ValidationError naming its line.
-    `digest` is as for `corpus.read_lines`."""
+    `data` is as for `corpus.read_lines`."""
     talk_id = None
 
     def link(obj) -> AlignedPair:
@@ -262,5 +263,5 @@ def read_alignment_jsonl(path, digest=None, doc: DocumentPair | None = None) -> 
         )
 
     check = None if doc is None else lambda pair: check_span(doc, pair.key())
-    links = tuple(read_jsonl(path, link, digest, check))
+    links = tuple(read_jsonl(path, link, check, data))
     return AlignmentSet(talk_id=talk_id or "", links=links, total_cost=sum(l.cost for l in links))

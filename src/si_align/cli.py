@@ -291,21 +291,21 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
             raise ValidationError(f"{path} was made from another {up_path}: rerun {STAGES[stage]}")
     artifacts = obj.get("artifacts", {})
 
-    def read(name, reader):
-        # a listed file is hashed as it is read, and must hash as listed
+    def read(name, reader, **kwargs):
+        # a listed file's bytes must hash as listed before they are parsed,
+        # so a hand-edited file is reported as stale, not as malformed
         if name not in artifacts:
             raise ValidationError(f"{path} does not list {name}")
-        digest = hashlib.sha256()
-        value = reader(cfg.out_dir / name, digest=digest)
-        if digest.hexdigest() != artifacts[name]:
+        data = cm.read_file(cfg.out_dir / name)
+        if hashlib.sha256(data).hexdigest() != artifacts[name]:
             raise ValidationError(f"{cfg.out_dir / name} differs from its checksum in {path}: "
                                   f"rerun {STAGES[stage]}")
-        return value
+        return reader(cfg.out_dir / name, data=data, **kwargs)
 
     pairs, trims = {}, {}
     for doc in docs:
         name = f"{stage}/{doc.talk_id}.jsonl"
-        aset = read(name, lambda path, digest: al.read_alignment_jsonl(path, digest, doc))
+        aset = read(name, al.read_alignment_jsonl, doc=doc)
         pairs[doc.talk_id] = aset.kept()
         if stage == "intra":
             trims_name = f"{stage}/{doc.talk_id}.trims.jsonl"

@@ -5,12 +5,13 @@ pre-tokenized and POS-tagged upstream. Units arrive one per line; token
 annotations arrive in blank-line-separated TSV blocks.
 
 This module is also the input codec of the whole program: every file is
-read through `read_lines`, `read_jsonl` or `read_json`, and every JSON Lines
-artifact is framed by `jsonl_text`.
+read through `read_lines`, `read_jsonl`, `read_json` or `read_file`, and
+every JSON Lines artifact is framed by `jsonl_text`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -46,14 +47,12 @@ class ValidationError(_LocatedError):
     """A structural invariant does not hold (exit 1)."""
 
 
-def read_lines(path, digest=None):
+def read_lines(path, data: bytes | None = None):
     """Yield (line number, text) of a UTF-8 file, one line at a time, each
-    without its `\n` or `\r\n` ending. A `digest` (a hashlib object) is fed
-    every byte read."""
-    with open(path, "rb") as handle:
+    without its `\n` or `\r\n` ending. Given `data`, the file's bytes
+    already read, those are split and `path` only names the file in errors."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as handle:
         for lineno, raw in enumerate(handle, start=1):
-            if digest is not None:
-                digest.update(raw)
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -61,14 +60,14 @@ def read_lines(path, digest=None):
             yield lineno, text.removesuffix("\n").removesuffix("\r")
 
 
-def read_jsonl(path, parse_row, digest=None, check=None):
+def read_jsonl(path, parse_row, check=None, data: bytes | None = None):
     """Yield `parse_row(row)` for each JSON object row of a JSON Lines file,
     skipping blank lines. A row that is not a JSON object (or is nested too
     deeply to decode), or whose fields `parse_row` rejects with KeyError,
     TypeError or ValueError, is a ParseError naming the line. A
     ValidationError from `check(value)`, run on each parsed row, is raised
-    naming the line too. `digest` is as for `read_lines`."""
-    for lineno, line in read_lines(path, digest):
+    naming the line too. `data` is as for `read_lines`."""
+    for lineno, line in read_lines(path, data):
         if not line.strip():
             continue
         try:
@@ -86,10 +85,15 @@ def read_jsonl(path, parse_row, digest=None, check=None):
         yield value
 
 
+def read_file(path) -> bytes:
+    """The bytes of a whole file."""
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def read_json(path):
     """The JSON value of a whole UTF-8 document."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = read_file(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -151,6 +155,25 @@ def char_len(text: str) -> int:
 class Token:
     surface: str
     pos: Pos
+
+
+class TokenTable(dict):
+    """(surface, tag name) as read -> its Token, built on the first lookup of
+    a key: the surface NFKC-normalized by `normalize_text`, the tag resolved by
+    `pos_named`. A surface that is not a string or normalizes to empty, or
+    an unknown tag, is a TypeError or ValueError and the key is not stored,
+    so each bad row raises where it stands. One table per file; Token is
+    frozen, so rows share them."""
+
+    def __missing__(self, key):
+        surface, tag = key
+        if not isinstance(surface, str):
+            raise TypeError(f"token surface must be a string, got {surface!r}")
+        normalized = normalize_text(surface)
+        if not normalized:
+            raise ValueError("empty token surface")
+        token = self[key] = Token(normalized, pos_named(tag))
+        return token
 
 
 @dataclass(frozen=True)
@@ -287,6 +310,7 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
     blocks: list[tuple[int, list[Token]]] = []
     current: list[Token] = []
     block_start = None
+    tokens = TokenTable()
     for lineno, line in read_lines(path):
         if not line.strip():
             if current:
@@ -297,16 +321,13 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
         if len(cols) != 2:
             raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
-        surface = normalize_text(cols[0])
-        if not surface:
-            raise ParseError("empty token surface", path=path, line=lineno)
         try:
-            pos = pos_named(cols[1].strip())
+            token = tokens[cols[0], cols[1].strip()]
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
         if block_start is None:
             block_start = lineno
-        current.append(Token(surface, pos))
+        current.append(token)
     if current:
         blocks.append((block_start, current))
     return blocks

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token, ValidationError,
-                     char_len, jsonl_text, normalize_text, pos_named, read_jsonl, read_lines)
+from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token, TokenTable,
+                     ValidationError, char_len, jsonl_text, normalize_text, read_jsonl,
+                     read_lines)
 
 log = logging.getLogger(__name__)
 
@@ -263,20 +264,9 @@ def references_text(ref: ReferenceTranslation) -> str:
     } for (start, length), entry in sorted(ref.entries.items()))
 
 
-class _TokenTable(dict):
-    """(surface, tag) -> Token, each built on first use; Token is frozen."""
-
-    def __missing__(self, key):
-        surface, tag = key
-        if not isinstance(surface, str):
-            raise TypeError(f"token surface must be a string, got {surface!r}")
-        token = self[key] = Token(surface, pos_named(tag))
-        return token
-
-
 def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
     """Entries of `talk_id` (by default the first row's talk) from reference JSON Lines."""
-    tokens = _TokenTable()
+    tokens = TokenTable()
 
     def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
         span = (obj["src_start"], obj["src_len"])

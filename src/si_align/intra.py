@@ -115,7 +115,8 @@ def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
     return trimmed.key(), tuple(trims)
 
 
-def read_trims(path, digest=None) -> dict[tuple[int, int, int, int], tuple[str, ...]]:
-    """Trims keyed by the trimmed pair's key; `digest` is as for
+def read_trims(path, data: bytes | None = None) -> dict[tuple[int, int, int, int],
+                                                       tuple[str, ...]]:
+    """Trims keyed by the trimmed pair's key; `data` is as for
     `corpus.read_lines`."""
-    return dict(read_jsonl(path, _trims_row, digest))
+    return dict(read_jsonl(path, _trims_row, data=data))

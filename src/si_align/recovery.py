@@ -16,9 +16,16 @@ from .corpus import DocumentPair, ValidationError, normalize_text
 
 
 def lcs_substring_len(a: str, b: str) -> int:
-    """Length in characters of the longest contiguous common substring."""
+    """Length in characters of the longest contiguous common substring.
+
+    No common substring is longer than the shorter string, so when that
+    string occurs in the other its length is exact; only a partial overlap
+    needs the matcher."""
     if not a or not b:
         return 0
+    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+    if shorter in longer:
+        return len(shorter)
     matcher = SequenceMatcher(None, a, b, autojunk=False)
     return matcher.find_longest_match(0, len(a), 0, len(b)).size
 

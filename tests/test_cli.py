@@ -236,6 +236,7 @@ def test_malformed_trims_line_exit_two(tmp_path, capsys):
     trims = tmp_path / "out" / "intra" / "talk0000.trims.jsonl"
     first = trims.read_text(encoding="utf-8").splitlines()[0]
     trims.write_text(first + "\nnot json\n", encoding="utf-8")
+    _resign(tmp_path / "out", "out/intra/talk0000.trims.jsonl")
     capsys.readouterr()
     assert run(["filter-inter", "--config", cfg]) == 2
     assert f"{trims}:2" in capsys.readouterr().err
@@ -408,8 +409,8 @@ def test_worker_count_capped_at_talks(monkeypatch, jobs, workers):
 
 
 def test_jobs_parity(tmp_path, capsys):
-    """`--jobs 1` and `--jobs 2` write the same artifacts, and fail alike
-    when a vector row is missing or a value is bad."""
+    """`--jobs 1` and `--jobs 2` write the same artifacts, recovery reports
+    included, and fail alike when a vector row is missing or a value is bad."""
     cfg = write_config(tmp_path, embedding={"kind": "precomputed_file",
                                             "path_pattern": "vectors/{talk_id}.tsv"})
     assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3",
@@ -427,8 +428,12 @@ def test_jobs_parity(tmp_path, capsys):
 
     for jobs in (1, 2):
         assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
+        assert run(["validate", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
     serial = artifacts("run1")
-    assert len(serial) == 5 and serial == artifacts("run2")
+    assert len(serial) == 6 and serial == artifacts("run2")
+    reports = [{path.name: path.read_bytes() for path in (tmp_path / run_dir / "reports").iterdir()}
+               for run_dir in ("run1", "run2")]
+    assert len(reports[0]) == 4 and reports[0] == reports[1]
 
     vectors = out / "vectors" / "talk0001.tsv"
     lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -594,6 +599,25 @@ def test_hand_edited_stage_file_refused(tmp_path, capsys):
     assert run(["filter-inter", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert str(links) in err and str(out / "manifests" / "filter-intra.json") in err
+    assert _tree(out) == before
+
+
+def test_stale_stage_file_reported_before_malformed(tmp_path, capsys):
+    """A hand-edited stage file that no longer parses exits 1 as stale, with
+    what to rerun: its bytes are checked against the manifest before they
+    are parsed."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    coarse = out / "coarse" / "talk0000.jsonl"
+    coarse.write_text("not json\n" + coarse.read_text(encoding="utf-8"), encoding="utf-8")
+    before = _tree(out)
+    capsys.readouterr()
+    assert run(["filter-intra", "--config", cfg]) == 1
+    manifest = out / "manifests" / "align.json"
+    assert f"{coarse} differs from its checksum in {manifest}: rerun align" in (
+        capsys.readouterr().err)
     assert _tree(out) == before
 
 
@@ -888,11 +912,10 @@ def test_mutated_config_exits_cleanly(split_dir, cfg):
         assert _tree(split_dir) == before
 
 
-# a stage file -> the command whose manifest lists it
-STAGE_FILES = {"out/coarse/talk0000.jsonl": "align", "out/coarse/talk0001.jsonl": "align",
-               "out/intra/talk0000.jsonl": "filter-intra",
-               "out/intra/talk0001.trims.jsonl": "filter-intra",
-               "out/inter/talk0001.jsonl": "filter-inter"}
+# stage files the mutation property edits; `_resign` finds their command in `cli.STAGES`
+STAGE_FILES = ["out/coarse/talk0000.jsonl", "out/coarse/talk0001.jsonl",
+               "out/intra/talk0000.jsonl", "out/intra/talk0001.trims.jsonl",
+               "out/inter/talk0001.jsonl"]
 INPUT_FILES = ["out/manifests/align.json", "out/manifests/filter-intra.json",
                "out/manifests/filter-inter.json", "out/refs/talk0000.refs.jsonl",
                "out/refs/talk0001.refs.jsonl", "out/gold/talk0001.gold.jsonl", "scores.tsv"]
@@ -970,10 +993,10 @@ def _mutate(path, mutation, pick, junk, m, n):
 def _resign(out, name):
     """List a mutated stage file's new checksum in its manifest, and record
     the changed manifest in each manifest whose lineage holds it."""
-    command = STAGE_FILES[name]
+    rel = name.removeprefix("out/")
+    command = cli.STAGES[rel.split("/")[0]]
     manifests = out / "manifests"
     obj = json.loads((manifests / f"{command}.json").read_text())
-    rel = name.removeprefix("out/")
     obj["artifacts"][rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
     (manifests / f"{command}.json").write_text(json.dumps(obj), encoding="utf-8")
     for path in manifests.glob("*.json"):

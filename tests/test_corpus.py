@@ -89,6 +89,16 @@ def test_unknown_tag_rejected(tmp_path):
     assert "ADJ" in str(err.value)
 
 
+def test_repeated_bad_row_names_its_first_line(tmp_path):
+    """Each distinct row is read once, but only valid rows are kept, so a
+    bad row that repeats is reported at its first line."""
+    rows = [("aa", "NOUN"), ("aa", "NOUN"), ("aa", "ADJ"), ("aa", "ADJ")]
+    path = _write_talk(tmp_path, ["aa aa aa aa"], ["tt"], [rows], [[("tt", "NOUN")]])
+    with pytest.raises(ParseError, match="'ADJ' outside the tag") as err:
+        load_document_pair(read_manifest(path))
+    assert str(err.value).endswith(f"[{tmp_path / 's.tsv'}:3]")
+
+
 def test_wrong_column_count(tmp_path):
     (tmp_path / "s.tsv").write_text("aa\tNOUN\textra\n", encoding="utf-8")
     (tmp_path / "t.tsv").write_text("tt\tNOUN\n", encoding="utf-8")

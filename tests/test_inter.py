@@ -327,7 +327,8 @@ def test_reference_tokens_built_once_per_file(tmp_path):
 @pytest.mark.parametrize("token,message", [(["kamo", "NUON"], "POS tag 'NUON' outside the tag"),
                                            ([5, "NOUN"], "surface must be a string"),
                                            (["kamo", ["NOUN"]], "unhashable"),
-                                           (["kamo"], "values to unpack")])
+                                           (["kamo"], "values to unpack"),
+                                           (["\u3000", "NOUN"], "empty token surface")])
 def test_bad_reference_token_names_line(tmp_path, token, message):
     good = {"talk_id": "t0", "src_start": 0, "src_len": 1, "text": "kamo",
             "tokens": [["kamo", "NOUN"]]}
@@ -337,6 +338,19 @@ def test_bad_reference_token_names_line(tmp_path, token, message):
     with pytest.raises(ParseError, match=message) as err:
         read_reference_jsonl(path)
     assert f"{path}:2" in str(err.value)
+
+
+def test_reference_token_surfaces_normalized(tmp_path):
+    """A reference token is NFKC-normalized like the target text, so a
+    full-width token covers its own occurrence."""
+    row = {"talk_id": "t0", "src_start": 0, "src_len": 1, "text": "ＡＢＣ xyz",
+           "tokens": [["ＡＢＣ", "NOUN"], ["xyz", "OTHER"]]}
+    path = tmp_path / "refs.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    ref = read_reference_jsonl(path)
+    assert ref.entry(0, 1).tokens == (Token("ABC", Pos.NOUN), Token("xyz", Pos.OTHER))
+    decision = decide(doc(["s"], ["ABC xyz"], talk_id="t0"), ref, AlignedPair(0, 1, 0, 1, 0.0))
+    assert decision.alpha == 1.0
 
 
 def test_external_scores_file(tmp_path):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from si_align.align import AlignmentSet
 from si_align.corpus import AlignedPair, ValidationError
@@ -26,6 +27,33 @@ def test_lcs_against_quadratic_oracle():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         assert lcs_substring_len(a, b) == quadratic_lcs_oracle(a, b)
+
+
+LCS_ALPHABET = "a é字"
+
+
+@st.composite
+def overlapping_pair(draw):
+    """(a, b) with a a slice of b, equal to b, or b with one character
+    changed, in either order: the containment cases random strings miss."""
+    b = draw(st.text(LCS_ALPHABET, max_size=30))
+    kind = draw(st.sampled_from(["slice", "equal", "changed"]))
+    if kind == "slice":
+        start = draw(st.integers(0, len(b)))
+        a = b[start:draw(st.integers(start, len(b)))]
+    elif kind == "equal" or not b:
+        a = b
+    else:
+        i = draw(st.integers(0, len(b) - 1))
+        a = b[:i] + draw(st.sampled_from([c for c in LCS_ALPHABET if c != b[i]])) + b[i + 1:]
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(overlapping_pair())
+def test_lcs_of_overlapping_strings_matches_oracle(pair):
+    a, b = pair
+    assert lcs_substring_len(a, b) == quadratic_lcs_oracle(a, b)
 
 
 def test_lcs_symmetric():
