@@ -22,12 +22,16 @@ import logging
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import embeddings as em
 from .corpus import (AlignedPair, DocumentPair, ValidationError, check_span, jsonl_text,
                      read_jsonl)
 from .embeddings import SOURCE, TARGET, EmbeddingTable
+
+# numpy is imported by the functions that compute with it, so that importing
+# this module imports neither numpy nor `typing` (for its TYPE_CHECKING)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +84,8 @@ def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int
     index pair is drawn per iteration, source index first. Each distinct row
     is normed once; the samples are summed in drawing order.
     """
+    import numpy as np
+
     if table.n_source_units < 1 or table.n_target_units < 1:
         raise ValidationError("denominator needs at least one singleton window per side")
     rng = random.Random(seed)
@@ -101,6 +107,8 @@ def _cosine_grid(table: EmbeddingTable, max_a: int,
                  max_b: int) -> dict[tuple[int, int], np.ndarray]:
     """cos[(a, b)][i, j] = cosine of source window (i, a) and target window (j, b),
     one matmul of two table blocks per span-size pair."""
+    import numpy as np
+
     return {(a, b): np.clip(table.windows(SOURCE, a) @ table.windows(TARGET, b).T, -1.0, 1.0)
             for a in range(1, max_a + 1) for b in range(1, max_b + 1)}
 
@@ -113,6 +121,8 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     then target span. The cheapest move earliest in that order wins, so the
     result is identical across runs and platforms for identical inputs.
     """
+    import numpy as np
+
     m, n = len(doc.source_units), len(doc.target_units)
     if params.max_src_span > table.max_src_window or params.max_tgt_span > table.max_tgt_window:
         raise ValidationError(
@@ -240,8 +250,8 @@ def links_text(talk_id: str, links) -> str:
 def read_alignment_jsonl(path, doc: DocumentPair | None = None,
                          data: bytes | None = None) -> AlignmentSet:
     """The links of one talk; every row must name the same talk_id. Given
-    the talk `doc`, a link outside it is a ValidationError naming its line.
-    `data` is as for `corpus.read_lines`."""
+    the talk `doc`, a row naming another talk, or a link outside it, is a
+    ValidationError naming its line. `data` is as for `corpus.read_lines`."""
     talk_id = None
 
     def link(obj) -> AlignedPair:
@@ -262,6 +272,10 @@ def read_alignment_jsonl(path, doc: DocumentPair | None = None,
             drop_reason=obj.get("drop_reason"),
         )
 
-    check = None if doc is None else lambda pair: check_span(doc, pair.key())
-    links = tuple(read_jsonl(path, link, check, data))
+    def check(pair: AlignedPair) -> None:
+        if talk_id != doc.talk_id:
+            raise ValidationError(f"link of talk {talk_id!r} where {doc.talk_id!r} was expected")
+        check_span(doc, pair.key())
+
+    links = tuple(read_jsonl(path, link, None if doc is None else check, data))
     return AlignmentSet(talk_id=talk_id or "", links=links, total_cost=sum(l.cost for l in links))

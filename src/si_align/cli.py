@@ -10,7 +10,6 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -219,14 +218,21 @@ class Stage:
 
 def _run_entry(manifest: dict) -> dict:
     """How a consumer's manifest records one upstream run: by what it wrote,
-    so that a rerun with other settings but the same output stays current."""
-    canon = json.dumps(manifest.get("artifacts"), sort_keys=True).encode("utf-8")
-    return {"artifacts_sha256": hashlib.sha256(canon).hexdigest()}
+    so that a rerun with other settings but the same output stays current,
+    and, for `align`, by the talk files it read."""
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
+
+    entry = {"artifacts_sha256": digest(manifest.get("artifacts"))}
+    if "talks" in manifest:
+        entry["talks_sha256"] = digest(manifest["talks"])
+    return entry
 
 
 class RunManifest:
-    """Records one run's inputs, parameter hash, artifacts and the lineage
-    (`upstream`) of the stages it consumed; writes nothing before `save`."""
+    """Records one run's inputs, parameter hash, artifacts, the lineage
+    (`upstream`) of the stages it consumed and, in `talks`, the
+    `files_sha256` of each talk it aligned; writes nothing before `save`."""
 
     def __init__(self, command: str, cfg: PipelineConfig, *consumed: Stage):
         self.command = command
@@ -235,6 +241,7 @@ class RunManifest:
         self.params_hash = hashlib.sha256(canon.encode("utf-8")).hexdigest()
         self.inputs: list[str] = []
         self.texts: dict[Path, str] = {}
+        self.talks: dict[str, str] = {}
         self.upstream = {cmd: entry for stage in consumed for cmd, entry in stage.lineage.items()}
 
     def add_input(self, path) -> None:
@@ -251,6 +258,8 @@ class RunManifest:
                    for path, text in self.texts.items()}
         obj = {"command": self.command, "params_hash": self.params_hash,
                "inputs": sorted(set(self.inputs)), "artifacts": digests}
+        if self.talks:
+            obj["talks"] = self.talks
         if self.upstream:
             obj["upstream"] = self.upstream
         manifest = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -268,7 +277,7 @@ def _saved_manifest(path: Path, needed_by: str) -> dict:
         raise ValidationError(f"{needed_by}, which is missing")
     obj = cm.read_json(path)
     if not (isinstance(obj, dict) and all(isinstance(obj.get(key, {}), dict)
-                                          for key in ("artifacts", "upstream"))):
+                                          for key in ("artifacts", "talks", "upstream"))):
         raise ParseError("not a run manifest", path=path)
     return obj
 
@@ -276,18 +285,21 @@ def _saved_manifest(path: Path, needed_by: str) -> dict:
 def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
     """Read a stage back for every talk. The manifest of the run that wrote
     it must list the files with their checksums, every manifest it records
-    upstream must be on disk as recorded, and every link must lie within
-    its talk; otherwise a ValidationError names the manifests, or the link's
-    file and line. A manifest that is not a JSON object of objects is a
+    upstream must be on disk as recorded, every link must lie within its
+    talk, and each talk's files must be those the `align` run read;
+    otherwise a ValidationError names the manifests, the link's file and
+    line, or the talk. A manifest that is not a JSON object of objects is a
     ParseError."""
     path = cfg.out_dir / "manifests" / f"{STAGES[stage]}.json"
     obj = _saved_manifest(path, f"stage {stage} needs {path}")
+    manifests = {STAGES[stage]: obj}
     upstream = obj.get("upstream", {})
     if not upstream and stage != next(iter(STAGES)):
         raise ValidationError(f"{path} records no upstream manifests: rerun {STAGES[stage]}")
     for command, entry in upstream.items():
         up_path = path.parent / f"{command}.json"
-        if _run_entry(_saved_manifest(up_path, f"{path} was made from {up_path}")) != entry:
+        manifests[command] = _saved_manifest(up_path, f"{path} was made from {up_path}")
+        if _run_entry(manifests[command]) != entry:
             raise ValidationError(f"{path} was made from another {up_path}: rerun {STAGES[stage]}")
     artifacts = obj.get("artifacts", {})
 
@@ -314,6 +326,13 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
                 raise ValidationError(f"{cfg.out_dir / trims_name} does not match the links of "
                                       f"{cfg.out_dir / name}, both listed in {path}: "
                                       f"rerun {STAGES[stage]}")
+    # the corpus is checked last, so that links made for a talk of another
+    # shape are reported at their line
+    talks = manifests.get("align", {}).get("talks", {})
+    for doc in docs:
+        if talks.get(doc.talk_id) != doc.files_sha256:
+            raise ValidationError(f"the files of talk {doc.talk_id} are not those that "
+                                  f"{path.parent / 'align.json'} records: rerun align")
     return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
 
 
@@ -351,6 +370,8 @@ def _map_talks(fn, docs, cfg: PipelineConfig):
     each process runs one BLAS thread (see `si_align/__init__.py`)."""
     if cfg.jobs <= 1 or len(docs) <= 1:
         return [fn(d, cfg) for d in docs]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(docs))) as pool:
         futures = [pool.submit(fn, d, cfg) for d in docs]
         return [f.result() for f in futures]
@@ -385,6 +406,7 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 def cmd_align(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> Stage:
     manifest = RunManifest("align", cfg)
     manifest.add_input(cfg.corpus)
+    manifest.talks = {doc.talk_id: doc.files_sha256 for doc in docs}
     results = _map_talks(_align_one, docs, cfg)
     for doc, aset in zip(docs, results):
         manifest.write_artifact(cfg.out_dir / "coarse" / f"{doc.talk_id}.jsonl",
@@ -403,6 +425,8 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
         manifest.add_input(gold_path)
         auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], 0.0)
         gold = al.read_alignment_jsonl(gold_path, doc=doc)
+        if not gold.links:
+            raise ValidationError(f"no gold links for talk {doc.talk_id}", path=gold_path)
         reports.append(rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons)))
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
                                 rv.report_text(reports[-1]))

@@ -11,12 +11,13 @@ every JSON Lines artifact is framed by `jsonl_text`.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
 import math
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -162,8 +163,9 @@ class TokenTable(dict):
     a key: the surface NFKC-normalized by `normalize_text`, the tag resolved by
     `pos_named`. A surface that is not a string or normalizes to empty, or
     an unknown tag, is a TypeError or ValueError and the key is not stored,
-    so each bad row raises where it stands. One table per file; Token is
-    frozen, so rows share them."""
+    so each bad row raises where it stands. One table per process, `TOKENS`,
+    serves every tag and reference file read; it is cleared before it would
+    hold more than MAX_TOKENS keys. Token is frozen, so rows share them."""
 
     def __missing__(self, key):
         surface, tag = key
@@ -172,8 +174,15 @@ class TokenTable(dict):
         normalized = normalize_text(surface)
         if not normalized:
             raise ValueError("empty token surface")
-        token = self[key] = Token(normalized, pos_named(tag))
+        token = Token(normalized, pos_named(tag))
+        if len(self) >= MAX_TOKENS:
+            self.clear()
+        self[key] = token
         return token
+
+
+MAX_TOKENS = 1 << 16
+TOKENS = TokenTable()
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,9 @@ class DocumentPair:
     interpreter_rank: Rank
     source_units: tuple[TextUnit, ...]
     target_units: tuple[TextUnit, ...]
+    # SHA-256 of the four talk files as read (see `load_document_pair`);
+    # empty for a talk built in memory
+    files_sha256: str = field(default="", compare=False, repr=False)
 
     def src_text(self, start: int, length: int) -> str:
         return " ".join(u.text for u in self.source_units[start : start + length])
@@ -291,9 +303,9 @@ def read_manifest(path) -> TalkManifest:
                         **{key: path.parent / obj[key] for key in TALK_FILES})
 
 
-def _read_unit_lines(path: Path) -> list[str]:
+def _read_unit_lines(path: Path, data: bytes) -> list[str]:
     texts = []
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(path, data):
         text = normalize_text(line)
         if not text:
             raise ParseError("empty unit line", path=path, line=lineno)
@@ -301,8 +313,9 @@ def _read_unit_lines(path: Path) -> list[str]:
     return texts
 
 
-def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
-    """Blank-line-separated blocks of `surface<TAB>pos` rows.
+def _read_tag_blocks(path: Path, data: bytes) -> list[tuple[int, list[Token]]]:
+    """Blank-line-separated blocks of `surface<TAB>pos` rows of the file's
+    bytes `data`.
 
     Returns (first line number, tokens) per block so later consistency errors
     can name the offending location.
@@ -310,8 +323,7 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
     blocks: list[tuple[int, list[Token]]] = []
     current: list[Token] = []
     block_start = None
-    tokens = TokenTable()
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(path, data):
         if not line.strip():
             if current:
                 blocks.append((block_start, current))
@@ -322,7 +334,7 @@ def _read_tag_blocks(path: Path) -> list[tuple[int, list[Token]]]:
             raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
         try:
-            token = tokens[cols[0], cols[1].strip()]
+            token = TOKENS[cols[0], cols[1].strip()]
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
         if block_start is None:
@@ -352,18 +364,25 @@ def _build_units(texts: list[str], blocks, units_path, tags_path) -> tuple[TextU
 
 
 def load_document_pair(manifest: TalkManifest) -> DocumentPair:
-    """Load, normalize, and validate one talk."""
-    sides = []
+    """Load, normalize, and validate one talk. Each file is read once, and
+    its bytes are both parsed and hashed: `files_sha256` is the SHA-256 of
+    the four files' own SHA-256 digests, source units first, then source
+    tags, target units and target tags."""
+    sides, digests = [], []
     for units_path, tags_path in ((manifest.source_units_path, manifest.source_tags_path),
                                   (manifest.target_units_path, manifest.target_tags_path)):
-        units = _build_units(_read_unit_lines(units_path), _read_tag_blocks(tags_path),
-                             units_path, tags_path)
+        units_data = read_file(units_path)
+        texts = _read_unit_lines(units_path, units_data)
+        tags_data = read_file(tags_path)
+        units = _build_units(texts, _read_tag_blocks(tags_path, tags_data), units_path, tags_path)
+        digests += [hashlib.sha256(units_data).digest(), hashlib.sha256(tags_data).digest()]
         if not units:
             raise ValidationError(f"{manifest.talk_id}: both sides must have at least one unit",
                                   path=units_path)
         sides.append(units)
     doc = DocumentPair(talk_id=manifest.talk_id, interpreter_rank=manifest.interpreter_rank,
-                       source_units=sides[0], target_units=sides[1])
+                       source_units=sides[0], target_units=sides[1],
+                       files_sha256=hashlib.sha256(b"".join(digests)).hexdigest())
     log.debug("loaded %s: M=%d N=%d", doc.talk_id, len(doc.source_units), len(doc.target_units))
     return doc
 

@@ -13,9 +13,13 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import DocumentPair, ParseError, ValidationError, read_lines
+
+# numpy is imported by the functions that compute with it, so that importing
+# this module imports neither numpy nor `typing` (for its TYPE_CHECKING)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +110,8 @@ _slots_spec: tuple[int, int] | None = None
 def _packed_slots(grams: list[str], seed: int, dim: int) -> np.ndarray:
     """The packed slot of each n-gram of `grams`, hashing only those not
     seen before in this process under (seed, dim)."""
+    import numpy as np
+
     global _slots_spec
     if _slots_spec != (seed, dim):
         _slots.clear()
@@ -176,6 +182,8 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     on order. A window yielding no n-grams (all whitespace, or shorter than
     every order) maps to basis vector 0 so downstream cosines stay defined.
     """
+    import numpy as np
+
     rows = window_rows(len(doc.source_units), len(doc.target_units),
                        max_src_window, max_tgt_window)
     n_rows, dim = rows[(TARGET, max_tgt_window)].stop, spec.dim
@@ -227,6 +235,8 @@ def _stripped_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
     `last[p]`, one past the last non-whitespace position before p (0 if
     none). Range [a, b) stripped as `str.strip` does is
     [min(first[a], b), max(last[b], that))."""
+    import numpy as np
+
     solid = ~np.fromiter(map(str.isspace, text), dtype=bool, count=len(text))
     pos = np.arange(len(text) + 1)
     first = np.minimum.accumulate(np.where(np.append(solid, True), pos, len(text))[::-1])[::-1]
@@ -259,6 +269,8 @@ def load_precomputed(path, n_source: int, n_target: int,
     non-ASCII digits. Every error names the first bad line of the file, or
     the file alone for a window that has no row.
     """
+    import numpy as np
+
     path = Path(path)
     rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
     filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
@@ -355,4 +367,6 @@ def load_precomputed(path, n_source: int, n_target: int,
 
 def _parse_vectors(texts: list[str]) -> np.ndarray:
     """The `[len(texts), dim]` float64 values of comma-separated vector texts."""
+    import numpy as np
+
     return np.loadtxt(texts, delimiter=",", dtype=np.float64, ndmin=2, comments=None)

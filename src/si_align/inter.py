@@ -13,9 +13,7 @@ import math
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .corpus import (AlignedPair, DocumentPair, ParseError, Pos, Token, TokenTable,
+from .corpus import (TOKENS, AlignedPair, DocumentPair, ParseError, Pos, Token,
                      ValidationError, char_len, jsonl_text, normalize_text, read_jsonl,
                      read_lines)
 
@@ -158,6 +156,8 @@ def _matched_ngrams(texts: list[str]) -> list[list[int]]:
     of the order, so ids stay dense and exact at any length. N-grams that
     run from one text into the next get ids too, but are not counted.
     """
+    import numpy as np
+
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     text_of = np.repeat(np.arange(len(texts)), lengths)
@@ -266,15 +266,13 @@ def references_text(ref: ReferenceTranslation) -> str:
 
 def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
     """Entries of `talk_id` (by default the first row's talk) from reference JSON Lines."""
-    tokens = TokenTable()
-
     def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
         span = (obj["src_start"], obj["src_len"])
         if not all(type(v) is int for v in span):
             raise TypeError(f"span fields must be ints: {span}")
         # a token row is a JSON list, made a tuple to serve as its own key
         entry = RefEntry(text=normalize_text(obj["text"]),
-                         tokens=tuple(map(tokens.__getitem__, map(tuple, obj["tokens"]))))
+                         tokens=tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"]))))
         return str(obj["talk_id"]), span, entry
 
     entries: dict[tuple[int, int], RefEntry] = {}

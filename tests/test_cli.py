@@ -494,6 +494,59 @@ def test_user_blas_threads_win(name):
     assert _threads_after_matmul(**{name: "2"}) == 2
 
 
+def _child_env():
+    return {**os.environ, "PYTHONPATH": str(Path(si_align.__file__).parent.parent)}
+
+
+def test_cli_import_leaves_numpy_out():
+    script = ("import sys\nimport si_align.cli\n"
+              "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+# runs each command line of argv[1] (a JSON list) through `cli.main` in a
+# process where importing numpy raises, and stops at the first that fails
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from si_align import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
+def test_read_only_commands_run_without_numpy(tmp_path):
+    """Every command that neither aligns, scores chrF nor reads vectors
+    runs where numpy cannot be imported, and writes what it writes where
+    numpy can be imported."""
+    synth = [["synth", "--seed", "5", "--talks", "2", "--sentences", "6"]]
+    lean = [["validate"], ["filter-intra"], ["split"], ["stats"], ["export-anno"],
+            ["import-anno", "out/annotations.tsv"]]
+    manifests = {}
+    for name in ("full", "lean"):
+        base = tmp_path / name
+        base.mkdir()
+        cfg = write_config(base)
+        steps = [(synth, name == "lean"), ([["pipeline"]], False), (lean, name == "lean")]
+        for commands, without_numpy in steps:
+            commands = [[*args, "--config", str(cfg)] for args in commands]
+            if without_numpy:
+                subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, json.dumps(commands)],
+                               cwd=base, env=_child_env(), timeout=120, check=True)
+            else:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.chdir(base)
+                    assert all(run(args) == 0 for args in commands)
+        manifests[name] = {path.name: json.loads(path.read_text())["artifacts"]
+                           for path in sorted((base / "out" / "manifests").glob("*.json"))}
+    assert len(manifests["full"]) == 9
+    assert manifests["lean"] == manifests["full"]
+
+
 def _rerun(*args):
     return lambda tmp_path, cfg: run([*args, "--config", cfg])
 
@@ -779,6 +832,77 @@ def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "span (5, 1, " in err and f"[{gold}:{len(rows)}]" in err
     assert _tree(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("other_talk,line,message", [
+    (None, None, "no gold links for talk talk0001"),
+    ("talk0009", 1, "link of talk 'talk0009' where 'talk0001' was expected"),
+], ids=["empty", "other-talk"])
+def test_gold_file_of_another_talk_refused(tmp_path, capsys, other_talk, line, message):
+    """A gold file that names no talk, or another talk, exits 1 naming the
+    file (and the row's line), and nothing is written."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    gold = tmp_path / "out" / "gold" / "talk0001.gold.jsonl"
+    text = gold.read_text(encoding="utf-8")
+    gold.write_text(text.replace('"talk0001"', f'"{other_talk}"') if other_talk else "",
+                    encoding="utf-8")
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert run(["validate", "--config", cfg]) == 1
+    where = gold if line is None else f"{gold}:{line}"
+    assert f"error: {message} [{where}]" in capsys.readouterr().err
+    assert _tree(tmp_path / "out") == before
+
+
+def _rewrite_first_source_unit(talk_dir):
+    """The words of a talk's first source unit and of its tag rows, each
+    spelled backwards: the same unit and token counts, other text."""
+    units = talk_dir / "source_units.txt"
+    lines = units.read_text(encoding="utf-8").splitlines(keepends=True)
+    words = lines[0].split()
+    lines[0] = " ".join(word[::-1] for word in words) + "\n"
+    assert lines[0].split() != words
+    units.write_text("".join(lines), encoding="utf-8")
+    tags = talk_dir / "source_tags.tsv"
+    rows = tags.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in range(len(words)):
+        surface, tag = rows[i].split("\t")
+        rows[i] = f"{surface[::-1]}\t{tag}"
+    tags.write_text("".join(rows), encoding="utf-8")
+
+
+def test_changed_talk_refused(tmp_path, capsys):
+    """A talk whose words changed since `align`, its shape kept, exits 1
+    naming the talk and what to rerun, and nothing is written; once `align`
+    and the stages after it are rerun, every command accepts it."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "4", "--talks", "2",
+                "--sentences", "6"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    _rewrite_first_source_unit(out / "talks" / "talk0000")
+    commands = [["validate"], ["filter-intra"], ["filter-inter"], ["stats"],
+                ["export-anno", "--stage", "coarse"], ["export-anno"]]
+    for args in commands:
+        before = _tree(out)
+        capsys.readouterr()
+        assert run([*args, "--config", cfg]) == 1, args
+        err = capsys.readouterr().err
+        assert (f"error: the files of talk talk0000 are not those that "
+                f"{out / 'manifests' / 'align.json'} records: rerun align") in err, (args, err)
+        assert _tree(out) == before, args
+    talks = json.loads((out / "manifests" / "align.json").read_text())["talks"]
+    assert sorted(talks) == ["talk0000", "talk0001"]
+    assert run(["align", "--config", cfg]) == 0
+    rerun = json.loads((out / "manifests" / "align.json").read_text())["talks"]
+    assert rerun["talk0001"] == talks["talk0001"] and rerun["talk0000"] != talks["talk0000"]
+    # the intra stage was made from the old talk files, so it is stale too
+    assert run(["filter-inter", "--config", cfg]) == 1
+    assert run(["pipeline", "--config", cfg]) == 0
+    for args in commands:
+        assert run([*args, "--config", cfg]) == 0, args
 
 
 def test_failed_filter_inter_writes_nothing(tmp_path, capsys):

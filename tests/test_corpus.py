@@ -3,9 +3,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from si_align.corpus import (MANIFEST_NAME, ParseError, Pos, Rank,
+from si_align import corpus
+from si_align.corpus import (MANIFEST_NAME, TOKENS, ParseError, Pos, Rank,
                              ValidationError, load_document_pair, normalize_text,
                              read_manifest, talk_texts)
+from si_align.inter import read_reference_jsonl
 
 from conftest import doc
 
@@ -97,6 +99,29 @@ def test_repeated_bad_row_names_its_first_line(tmp_path):
     with pytest.raises(ParseError, match="'ADJ' outside the tag") as err:
         load_document_pair(read_manifest(path))
     assert str(err.value).endswith(f"[{tmp_path / 's.tsv'}:3]")
+
+
+def test_one_token_table_per_process(tmp_path, monkeypatch):
+    """Tag files and reference files read their rows through one table,
+    which builds each distinct row once and stays within its limit."""
+    src, tgt = ["aa bb", "ＡＡ"], ["xx aa"]
+    blocks = [[("aa", "NOUN"), ("bb", "VERB")], [("ＡＡ", "NOUN")]]
+    path = _write_talk(tmp_path, src, tgt, blocks, [[("xx", "NOUN"), ("aa", "NOUN")]])
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(json.dumps({"talk_id": "talkX", "src_start": 0, "src_len": 1, "text": "aa",
+                                "tokens": [["aa", "NOUN"]]}) + "\n", encoding="utf-8")
+    TOKENS.clear()
+    first = load_document_pair(read_manifest(path))
+    assert len(TOKENS) == 4  # ("aa", "NOUN") once for both files
+    again = load_document_pair(read_manifest(path))
+    ref_token = read_reference_jsonl(refs).entries[(0, 1)].tokens[0]
+    assert again.source_units[0].tokens[0] is first.source_units[0].tokens[0] is ref_token
+    assert len(TOKENS) == 4
+    monkeypatch.setattr(corpus, "MAX_TOKENS", 2)
+    TOKENS.clear()
+    assert load_document_pair(read_manifest(path)) == first
+    assert read_reference_jsonl(refs).entries[(0, 1)].tokens == (ref_token,)
+    assert 0 < len(TOKENS) <= 2
 
 
 def test_wrong_column_count(tmp_path):
