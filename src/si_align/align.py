@@ -52,8 +52,11 @@ class AlignParams:
     rng_seed: int = 17
 
     def __post_init__(self):
-        if self.max_src_span < 1 or self.max_tgt_span < 1:
-            raise ValidationError("span limits must be >= 1")
+        # a span limit is the longest window the table holds
+        for key in ("max_src_span", "max_tgt_span"):
+            if not 1 <= getattr(self, key) <= em.MAX_WINDOW_LIMIT:
+                raise ValidationError(f"{key}: must be in 1..{em.MAX_WINDOW_LIMIT}, "
+                                      f"got {getattr(self, key)}")
         if self.skip_penalty < 0:
             raise ValidationError(f"skip_penalty must be non-negative, got {self.skip_penalty}")
         if self.prune_cost_threshold <= 0:

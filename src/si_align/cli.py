@@ -82,8 +82,9 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.bench_talks < 1:
-            raise ValidationError(f"bench_talks: must be >= 1, got {self.bench_talks}")
+        for key in ("bench_talks", "jobs"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key}: must be >= 1, got {getattr(self, key)}")
         for rate in self.bench_omission_rates:  # each one is a `noise` section of the bench
             try:
                 dataclasses.replace(self.noise, omission_rate=rate)
@@ -360,20 +361,27 @@ def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
     return al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
 
 
-def _bench_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
-    return al.align_talk(doc, sb.BENCH_EMBED, cfg.align)
+def _bench_one(talk: tuple[sb.NoiseParams, int], cfg: PipelineConfig) -> sb.ScoreTriple:
+    """The link scores of one bench talk, given as (noise setting, index):
+    the talk is generated, aligned and scored here, in the worker."""
+    noise, index = talk
+    gold_talk = sb.corpus_talk(cfg.synth.seed, index, cfg.synth.sentences, noise,
+                               cfg.synth.vocab_size)
+    return sb.score_alignment(al.align_talk(gold_talk.doc, sb.BENCH_EMBED, cfg.align),
+                              gold_talk.gold)
 
 
-def _map_talks(fn, docs, cfg: PipelineConfig):
-    """`fn(doc, cfg)` for every talk, over `cfg.jobs` worker processes;
-    results returned in input order. This is si-align's only parallelism:
-    each process runs one BLAS thread (see `si_align/__init__.py`)."""
-    if cfg.jobs <= 1 or len(docs) <= 1:
-        return [fn(d, cfg) for d in docs]
+def _map_talks(fn, talks, cfg: PipelineConfig):
+    """`fn(talk, cfg)` for every talk (a document, or a bench talk's
+    (noise, index)), over `cfg.jobs` worker processes; results returned in
+    input order. This is si-align's only parallelism: each process runs one
+    BLAS thread (see `si_align/__init__.py`)."""
+    if cfg.jobs <= 1 or len(talks) <= 1:
+        return [fn(t, cfg) for t in talks]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(docs))) as pool:
-        futures = [pool.submit(fn, d, cfg) for d in docs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(talks))) as pool:
+        futures = [pool.submit(fn, t, cfg) for t in talks]
         return [f.result() for f in futures]
 
 
@@ -533,17 +541,16 @@ def cmd_import_anno(cfg: PipelineConfig, anno_path: Path) -> None:
 
 
 def cmd_bench(cfg: PipelineConfig) -> None:
-    """Link P/R/F1 per omission rate: every generated talk of every setting
-    is aligned over `_map_talks`, then scored here in talk order."""
+    """Link P/R/F1 per omission rate: every talk of every setting is
+    generated, aligned and scored by `_bench_one` over `_map_talks`, and the
+    scores are averaged here per setting."""
     manifest = RunManifest("bench", cfg)
     settings = [dataclasses.replace(cfg.noise, omission_rate=om)
                 for om in cfg.bench_omission_rates]
-    corpora = [sb.generate_corpus(cfg.synth.seed, cfg.bench_talks, cfg.synth.sentences,
-                                  noise, cfg.synth.vocab_size) for noise in settings]
-    alignments = iter(_map_talks(_bench_one, [t.doc for talks in corpora for t in talks], cfg))
-    rows = [(noise, cfg.bench_talks,
-             sb.mean_score([sb.score_alignment(next(alignments), t.gold) for t in talks]))
-            for noise, talks in zip(settings, corpora)]
+    n = cfg.bench_talks
+    scores = _map_talks(_bench_one, [(noise, i) for noise in settings for i in range(n)], cfg)
+    rows = [(noise, n, sb.mean_score(scores[k * n:(k + 1) * n]))
+            for k, noise in enumerate(settings)]
     text = sb.bench_text(rows)
     manifest.write_artifact(cfg.out_dir / "bench.tsv", text)
     manifest.save()

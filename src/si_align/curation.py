@@ -40,15 +40,21 @@ class AnnotationRecord:
     edited_target: str | None = None
 
     def validate(self, path=None, line: int | None = None) -> None:
-        """Labels that contradict each other, or an edit that normalizes to
-        nothing, are a ValidationError naming the record's `path` and `line`."""
+        """A span that no link may have (as `AlignedPair` checks it), labels
+        that contradict each other, or an edit that normalizes to nothing,
+        are a ValidationError naming the record's `path` and `line`."""
         problem = None
-        if self.good_mt is not None and self.good_align is None:
-            problem = "good_mt is set but good_align is not"
-        elif self.good_mt is True and self.good_align is not True:
-            problem = "good_mt=true requires good_align=true"
-        elif self.edited_target is not None and not normalize_text(self.edited_target):
-            problem = "edited_target is set but empty after normalization"
+        try:
+            AlignedPair(self.src_start, self.src_len, self.tgt_start, self.tgt_len, 0.0)
+        except ValidationError as exc:
+            problem = exc.message
+        else:
+            if self.good_mt is not None and self.good_align is None:
+                problem = "good_mt is set but good_align is not"
+            elif self.good_mt is True and self.good_align is not True:
+                problem = "good_mt=true requires good_align=true"
+            elif self.edited_target is not None and not normalize_text(self.edited_target):
+                problem = "edited_target is set but empty after normalization"
         if problem is not None:
             raise ValidationError(f"{self.talk_id} ({self.src_start},{self.src_len}): {problem}",
                                   path=path, line=line)
@@ -99,10 +105,10 @@ def _bool_str(value: bool | None) -> str:
 
 def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
                          ) -> list[AnnotationRecord]:
-    """Records of an annotation file, each validated: labels always, span
-    bounds against `docs` when supplied (annotators may re-chunk by editing
-    tgt span fields). A record that fails is a ValidationError naming the
-    file and its line."""
+    """Records of an annotation file, each validated: spans and labels
+    always, span bounds against `docs` when supplied (annotators may
+    re-chunk by editing tgt span fields). A record that fails is a
+    ValidationError naming the file and its line."""
     records = []
     lines = read_lines(path)
     _, header = next(lines, (1, ""))

@@ -99,12 +99,25 @@ def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     return value % dim, 1 if value >> 63 else -1
 
 
-# every n-gram hashed so far under one (seed, dim), as its packed slot: the
-# bucket, or ~bucket (negative) when the sign is -1; cleared when the spec
-# changes or past MAX_SLOT_GRAMS n-grams
+class SlotTable(dict):
+    """n-gram -> its packed slot under `spec`, (seed, dim): the bucket, or
+    ~bucket (negative) when the sign is -1, hashed by `_gram_slot` on the
+    first lookup. One table per process, `SLOTS`, serves every fallback
+    table; it is cleared when the spec changes, and before it would hold
+    more than MAX_SLOT_GRAMS n-grams."""
+
+    spec: tuple[int, int] | None = None
+
+    def __missing__(self, gram):
+        bucket, sign = _gram_slot(gram, *self.spec)
+        if len(self) >= MAX_SLOT_GRAMS:
+            self.clear()
+        self[gram] = slot = bucket if sign > 0 else ~bucket
+        return slot
+
+
 MAX_SLOT_GRAMS = 1 << 20
-_slots: dict[str, int] = {}
-_slots_spec: tuple[int, int] | None = None
+SLOTS = SlotTable()
 
 
 def _packed_slots(grams: list[str], seed: int, dim: int) -> np.ndarray:
@@ -112,20 +125,10 @@ def _packed_slots(grams: list[str], seed: int, dim: int) -> np.ndarray:
     seen before in this process under (seed, dim)."""
     import numpy as np
 
-    global _slots_spec
-    if _slots_spec != (seed, dim):
-        _slots.clear()
-        _slots_spec = (seed, dim)
-    missing = set(grams).difference(_slots)
-    if len(_slots) + len(missing) > MAX_SLOT_GRAMS:
-        _slots.clear()
-        missing = set(grams)
-    # n-grams too many to keep even alone are looked up once, then dropped
-    slots = _slots if len(missing) <= MAX_SLOT_GRAMS else {}
-    for gram in missing:
-        bucket, sign = _gram_slot(gram, seed, dim)
-        slots[gram] = bucket if sign > 0 else ~bucket
-    return np.fromiter(map(slots.__getitem__, grams), dtype=np.int64, count=len(grams))
+    if SLOTS.spec != (seed, dim):
+        SLOTS.clear()
+        SLOTS.spec = (seed, dim)
+    return np.fromiter(map(SLOTS.__getitem__, grams), dtype=np.int64, count=len(grams))
 
 
 @dataclass
@@ -175,7 +178,7 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     A window's text is its units' texts joined with single spaces, stripped
     of surrounding whitespace; its vector adds each n-gram's sign into the
     n-gram's bucket. Each side's units are joined once and the packed slot
-    of every n-gram position of that text is read from one dict, which
+    of every n-gram position of that text is read from `SLOTS`, which
     hashes each distinct n-gram once per process; a window is a character
     range of the text and the whole table is one weighted `bincount`.
     Counts are small integers, exact in float64, so the sums do not depend

@@ -259,13 +259,16 @@ def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
     return GoldTalk(doc=doc, gold=gold, provenance=tuple(provenance))
 
 
+def corpus_talk(base_seed: int, index: int, m: int, noise: NoiseParams,
+                vocab_size: int = 200) -> GoldTalk:
+    """Talk `index` of the corpus generated from `base_seed`."""
+    return generate_talk(base_seed * 1_000_003 + index, m, noise, vocab_size,
+                         talk_id=f"talk{index:04d}")
+
+
 def generate_corpus(base_seed: int, n_talks: int, m: int, noise: NoiseParams,
                     vocab_size: int = 200) -> list[GoldTalk]:
-    return [
-        generate_talk(base_seed * 1_000_003 + idx, m, noise, vocab_size,
-                      talk_id=f"talk{idx:04d}")
-        for idx in range(n_talks)
-    ]
+    return [corpus_talk(base_seed, index, m, noise, vocab_size) for index in range(n_talks)]
 
 
 def build_reference(doc: DocumentPair, max_src_len: int):

@@ -183,6 +183,25 @@ def test_annotation_label_error_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "curated.jsonl").exists()
 
 
+@pytest.mark.parametrize("span,labels,message", [
+    (("-1", "1", "0", "3"), ("false", ""), "negative span field in (-1, 1, 0, 3)"),
+    (("2", "0", "2", "0"), ("true", "true"), "both spans empty")],
+    ids=["negative_unkept", "empty_kept"])
+def test_annotation_bad_span_names_file_and_line(tmp_path, capsys, span, labels, message):
+    """A span no link may have exits 1 naming the file and line, whatever
+    the row's labels."""
+    cfg, anno = export_annotations(tmp_path)
+    lines = anno.read_text(encoding="utf-8").splitlines()
+    cols = lines[3].split("\t")
+    cols[1:5], cols[7:9] = span, labels
+    lines[3] = "\t".join(cols)
+    anno.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["import-anno", "--config", cfg, anno]) == 1
+    assert f"{message} [{anno}:4]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "curated.jsonl").exists()
+
+
 def test_per_talk_threshold_override(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -278,6 +297,22 @@ def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, sect
     cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
     assert run([command, "--config", cfg]) == 1
     assert f"{cfg}: {section + '.' if section else ''}{key}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args,key,message", [
+    (["--max-src-span", 7], "align.max_src_span", "must be in 1..6, got 7"),
+    (["--max-tgt-span", 0], "align.max_tgt_span", "must be in 1..6, got 0"),
+    (["--jobs", 0], "jobs", "must be >= 1, got 0"),
+    (["--jobs", -3], "jobs", "must be >= 1, got -3")],
+    ids=["src_span_above_windows", "tgt_span_zero", "no_jobs", "negative_jobs"])
+def test_span_limits_and_jobs_checked_at_load(tmp_path, capsys, args, key, message):
+    """A span limit beyond the table's windows, or fewer than one job, is
+    refused when the config loads, naming the file and the key, before
+    `synth` writes references for it."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4", *args]) == 1
+    assert f"{cfg}: {key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -104,6 +104,23 @@ def test_import_rejects_invalid_combo_in_file(tmp_path):
     assert f"{path}:2" in str(err.value)
 
 
+@pytest.mark.parametrize("span,message", [((-1, 1, 0, 3), "negative span field"),
+                                          ((0, 0, 0, 0), "both spans empty")])
+def test_bad_span_rejected_whatever_the_labels(tmp_path, span, message):
+    """A span no link may have is refused at its line, also on a row that
+    would not be kept."""
+    document = _doc(1)
+    base = export_annotations({"curate": (_pairs(1), document)})[0]
+    for good_align, good_mt in ((True, True), (False, False), (None, None)):
+        bad = AnnotationRecord(**{**base.__dict__, "src_start": span[0], "src_len": span[1],
+                                  "tgt_start": span[2], "tgt_len": span[3],
+                                  "good_align": good_align, "good_mt": good_mt})
+        path = _round_trip(tmp_path, [base, bad])
+        with pytest.raises(ValidationError) as err:
+            import_annotations(path)
+        assert message in err.value.message and (err.value.path, err.value.line) == (str(path), 3)
+
+
 def test_empty_edited_target_rejected():
     record = AnnotationRecord("t", 0, 1, 0, 1, "s", "f",
                               good_align=True, good_mt=True, edited_target="   ")

@@ -188,19 +188,24 @@ def test_specs_in_one_process_keep_their_own_slots():
 
 
 def test_slot_dict_stays_within_its_limit(monkeypatch):
-    """With room for a few n-grams, the dict is cleared before it would
-    grow past them, one order's n-grams too many to keep are looked up
-    without it, and the table still equals the oracle."""
+    """With room for a few n-grams, the slot table is cleared before it
+    would grow past them, also within one call that looks up more n-grams
+    than it may hold, and the table still equals the oracle."""
     monkeypatch.setattr(embeddings, "MAX_SLOT_GRAMS", 16)
-    monkeypatch.setattr(embeddings, "_slots", {})
-    monkeypatch.setattr(embeddings, "_slots_spec", None)
-    sizes = []
+    sizes, distinct = [], []
+
+    class Recorded(embeddings.SlotTable):
+        def __missing__(self, gram):
+            slot = super().__missing__(gram)
+            sizes.append(len(self))
+            return slot
+
+    monkeypatch.setattr(embeddings, "SLOTS", Recorded())
     packed_slots = embeddings._packed_slots
 
     def recorded(grams, seed, dim):
-        slots = packed_slots(grams, seed, dim)
-        sizes.append((len(set(grams)), len(embeddings._slots)))
-        return slots
+        distinct.append(len(set(grams)))
+        return packed_slots(grams, seed, dim)
 
     monkeypatch.setattr(embeddings, "_packed_slots", recorded)
     document = doc(*SHARED_TEXTS)
@@ -208,11 +213,10 @@ def test_slot_dict_stays_within_its_limit(monkeypatch):
     for _ in range(2):
         table = build_fallback_table(document, spec, 3, 3)
         assert [row.tobytes() for row in table.entries] == oracle_rows(document, spec, 3)
-    assert max(size for _, size in sizes) <= 16
-    # both ways past the limit were taken: the dict shrank once, and one
-    # call's n-grams were more than it may hold
-    assert any(after < before for (_, before), (_, after) in zip(sizes, sizes[1:]))
-    assert any(distinct > 16 for distinct, _ in sizes)
+    assert max(sizes) <= 16
+    # the table shrank, and one call's n-grams were more than it may hold
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))
+    assert max(distinct) > 16
 
 
 def test_precomputed_round_trip_and_counts(tmp_path):
