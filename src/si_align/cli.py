@@ -60,7 +60,8 @@ class InterSection(fi.InterFilterParams):
 class PipelineConfig:
     """The config root. Each field is a key of the JSON config, and each
     section a dataclass whose fields are its keys. A path is relative to the
-    config file's directory."""
+    config file's directory, except `embedding.path_pattern`, which is
+    relative to the corpus file's directory."""
 
     out_dir: Path = Path("out")
     corpus: Path | None = None
@@ -357,10 +358,6 @@ def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
     return docs
 
 
-def _align_one(doc: cm.DocumentPair, cfg: PipelineConfig) -> al.AlignmentSet:
-    return al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
-
-
 def _bench_one(talk: tuple[sb.NoiseParams, int], cfg: PipelineConfig) -> sb.ScoreTriple:
     """The link scores of one bench talk, given as (noise setting, index):
     the talk is generated, aligned and scored here, in the worker."""
@@ -372,10 +369,10 @@ def _bench_one(talk: tuple[sb.NoiseParams, int], cfg: PipelineConfig) -> sb.Scor
 
 
 def _map_talks(fn, talks, cfg: PipelineConfig):
-    """`fn(talk, cfg)` for every talk (a document, or a bench talk's
-    (noise, index)), over `cfg.jobs` worker processes; results returned in
-    input order. This is si-align's only parallelism: each process runs one
-    BLAS thread (see `si_align/__init__.py`)."""
+    """`fn(talk, cfg)` for every talk (its `_talk_stages` job, or a bench
+    talk's (noise, index)), over `cfg.jobs` worker processes; results
+    returned in input order. This is si-align's only parallelism: each
+    process runs one BLAS thread (see `si_align/__init__.py`)."""
     if cfg.jobs <= 1 or len(talks) <= 1:
         return [fn(t, cfg) for t in talks]
     import concurrent.futures
@@ -411,15 +408,81 @@ def cmd_synth(cfg: PipelineConfig) -> None:
     log.info("synthesized %d talks into %s", len(talks), out)
 
 
-def cmd_align(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> Stage:
-    manifest = RunManifest("align", cfg)
-    manifest.add_input(cfg.corpus)
-    manifest.talks = {doc.talk_id: doc.files_sha256 for doc in docs}
-    results = _map_talks(_align_one, docs, cfg)
-    for doc, aset in zip(docs, results):
-        manifest.write_artifact(cfg.out_dir / "coarse" / f"{doc.talk_id}.jsonl",
-                                al.links_text(doc.talk_id, aset.links))
-    return Stage({doc.talk_id: aset.kept() for doc, aset in zip(docs, results)}, manifest.save())
+def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
+    """Run one talk's stages in order, in its worker. `job` is (doc, stages,
+    the pairs and trims of the stage before the first, external scorer or
+    None). Per stage: the pairs it passes on, its trims, its artifact texts
+    by file name, and how many pairs eta drops when `eta_min` exceeds every
+    external score of the talk (else 0)."""
+    doc, stages, pairs, trims, scorer = job
+    talk_id, results = doc.talk_id, []
+    for stage in stages:
+        name, eta_dropped = f"{stage}/{talk_id}.jsonl", 0
+        if stage == "coarse":
+            aset = al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
+            pairs, trims, texts = aset.kept(), {}, {name: al.links_text(talk_id, aset.links)}
+        elif stage == "intra":
+            trimmed = fa.apply_intra_filter(pairs, doc, cfg.intra)
+            texts = {name: al.links_text(talk_id, [r.pair for r in trimmed]),
+                     f"intra/{talk_id}.trims.jsonl": fa.trims_text(talk_id, pairs, trimmed)}
+            # trimming keeps every pair it is given
+            pairs, trims = tuple(r.pair for r in trimmed), {r.pair.key(): r.trims for r in trimmed}
+        else:
+            ref = fi.read_reference_jsonl(cfg.refs_dir / f"{talk_id}.refs.jsonl", talk_id=talk_id)
+            params = cfg.inter.per_talk.get(talk_id, cfg.inter)
+            kept, decisions = fi.apply_inter_filter(pairs, doc, ref, params, scorer=scorer,
+                                                    trims_by_pair=trims)
+            if scorer is not None and decisions and all(d.eta < params.eta_min for d in decisions):
+                eta_dropped = len(decisions)
+            texts = {name: al.links_text(talk_id, kept),
+                     f"decisions/{talk_id}.jsonl": fi.decisions_text(decisions)}
+            pairs, trims = tuple(kept), {}
+        results.append((pairs, trims, texts, eta_dropped))
+    return results
+
+
+def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPair],
+               upstream: Stage = Stage({}, {})) -> list[Stage]:
+    """The consecutive `stages` on `upstream`, the stage before the first
+    (empty before `coarse`), by `_talk_stages` over `_map_talks`. Once every
+    talk has passed them all, one manifest per stage records its texts and
+    is saved, in order; so the first failing talk in corpus order fails the
+    run, which then writes nothing."""
+    scorer = None
+    if "inter" in stages:
+        if cfg.refs_dir is None:
+            raise ValidationError("config needs 'refs_dir' for filter-inter")
+        unknown = sorted(cfg.inter.per_talk.keys() - {doc.talk_id for doc in docs})
+        if unknown:
+            raise ValidationError(f"inter.per_talk.{unknown[0]}: no talk of that id in the corpus",
+                                  path=cfg.corpus)
+        if cfg.scores_path is not None:
+            scorer = fi.read_external_scores(cfg.scores_path)
+    jobs = [(doc, stages, upstream.pairs.get(doc.talk_id), upstream.trims.get(doc.talk_id), scorer)
+            for doc in docs]
+    by_talk = _map_talks(_talk_stages, jobs, cfg)
+    done = [upstream]
+    for i, stage in enumerate(stages):
+        manifest = RunManifest(STAGES[stage], cfg, done[-1])
+        manifest.add_input(cfg.corpus)
+        if stage == "coarse":
+            manifest.talks = {doc.talk_id: doc.files_sha256 for doc in docs}
+        elif stage == "inter":
+            manifest.add_input(cfg.scores_path)
+            for doc in docs:
+                manifest.add_input(cfg.refs_dir / f"{doc.talk_id}.refs.jsonl")
+        pairs, trims = {}, {}
+        for doc, results in zip(docs, by_talk):
+            pairs[doc.talk_id], trims[doc.talk_id], texts, eta_dropped = results[i]
+            for name, text in texts.items():
+                manifest.write_artifact(cfg.out_dir / name, text)
+            if eta_dropped:
+                # an external score has no fixed range, so a threshold may lie above all of them
+                log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
+                            "so eta drops all %d pairs", doc.talk_id,
+                            cfg.inter.per_talk.get(doc.talk_id, cfg.inter).eta_min, eta_dropped)
+        done.append(Stage(pairs, manifest.save(), trims))
+    return done[1:]
 
 
 def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage) -> None:
@@ -441,52 +504,6 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
     manifest.write_artifact(cfg.out_dir / "reports" / "recovery.tsv",
                             rv.summary_tsv_text(reports))
     manifest.save()
-
-
-def cmd_filter_intra(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage) -> Stage:
-    manifest = RunManifest("filter-intra", cfg, coarse)
-    manifest.add_input(cfg.corpus)
-    pairs, trims = {}, {}
-    for doc in docs:
-        results = fa.apply_intra_filter(coarse.pairs[doc.talk_id], doc, cfg.intra)
-        manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.jsonl",
-                                al.links_text(doc.talk_id, [r.pair for r in results]))
-        manifest.write_artifact(cfg.out_dir / "intra" / f"{doc.talk_id}.trims.jsonl",
-                                fa.trims_text(doc.talk_id, coarse.pairs[doc.talk_id], results))
-        # trimming keeps every pair it is given
-        pairs[doc.talk_id] = tuple(r.pair for r in results)
-        trims[doc.talk_id] = {r.pair.key(): r.trims for r in results}
-    return Stage(pairs, manifest.save(), trims)
-
-
-def cmd_filter_inter(cfg: PipelineConfig, docs: list[cm.DocumentPair], intra: Stage) -> Stage:
-    manifest = RunManifest("filter-inter", cfg, intra)
-    manifest.add_input(cfg.corpus)
-    if cfg.refs_dir is None:
-        raise ValidationError("config needs 'refs_dir' for filter-inter")
-    scorer = None
-    if cfg.scores_path is not None:
-        manifest.add_input(cfg.scores_path)
-        scorer = fi.read_external_scores(cfg.scores_path)
-    pairs = {}
-    for doc in docs:
-        ref_path = cfg.refs_dir / f"{doc.talk_id}.refs.jsonl"
-        manifest.add_input(ref_path)
-        ref = fi.read_reference_jsonl(ref_path, talk_id=doc.talk_id)
-        params = cfg.inter.per_talk.get(doc.talk_id, cfg.inter)
-        kept, decisions = fi.apply_inter_filter(
-            intra.pairs[doc.talk_id], doc, ref, params, scorer=scorer,
-            trims_by_pair=intra.trims[doc.talk_id])
-        if scorer is not None and decisions and all(d.eta < params.eta_min for d in decisions):
-            # an external score has no fixed range, so a threshold may lie above all of them
-            log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
-                        "so eta drops all %d pairs", doc.talk_id, params.eta_min, len(decisions))
-        manifest.write_artifact(cfg.out_dir / "inter" / f"{doc.talk_id}.jsonl",
-                                al.links_text(doc.talk_id, kept))
-        manifest.write_artifact(cfg.out_dir / "decisions" / f"{doc.talk_id}.jsonl",
-                                fi.decisions_text(decisions))
-        pairs[doc.talk_id] = tuple(kept)
-    return Stage(pairs, manifest.save())
 
 
 def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> None:
@@ -558,12 +575,10 @@ def cmd_bench(cfg: PipelineConfig) -> None:
 
 
 def cmd_pipeline(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> None:
-    """align -> intra -> inter -> split -> stats, each stage handed over in memory."""
-    coarse = cmd_align(cfg, docs)
-    intra = cmd_filter_intra(cfg, docs, coarse)
-    inter = cmd_filter_inter(cfg, docs, intra)
+    """align -> intra -> inter (one task per talk) -> split -> stats, in memory."""
+    stages = run_stages(cfg, list(STAGES), docs)
     cmd_split(cfg, docs)
-    cmd_stats(cfg, docs, coarse, intra, inter)
+    cmd_stats(cfg, docs, *stages)
 
 
 def _upstream(cfg: PipelineConfig, *stages: str) -> tuple:
@@ -577,10 +592,10 @@ def _upstream(cfg: PipelineConfig, *stages: str) -> tuple:
 # parses the corpus once and reads no stage back
 COMMANDS = {
     "synth": lambda cfg, args: cmd_synth(cfg),
-    "align": lambda cfg, args: cmd_align(cfg, load_corpus(cfg)),
+    "align": lambda cfg, args: run_stages(cfg, ["coarse"], load_corpus(cfg)),
     "validate": lambda cfg, args: cmd_validate(cfg, *_upstream(cfg, "coarse")),
-    "filter-intra": lambda cfg, args: cmd_filter_intra(cfg, *_upstream(cfg, "coarse")),
-    "filter-inter": lambda cfg, args: cmd_filter_inter(cfg, *_upstream(cfg, "intra")),
+    "filter-intra": lambda cfg, args: run_stages(cfg, ["intra"], *_upstream(cfg, "coarse")),
+    "filter-inter": lambda cfg, args: run_stages(cfg, ["inter"], *_upstream(cfg, "intra")),
     "split": lambda cfg, args: cmd_split(cfg, load_corpus(cfg)),
     "stats": lambda cfg, args: cmd_stats(cfg, *_upstream(cfg, *STAGES)),
     "export-anno": lambda cfg, args: cmd_export_anno(cfg, *_upstream(cfg, args.stage)),

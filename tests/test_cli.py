@@ -443,12 +443,12 @@ def test_worker_count_capped_at_talks(monkeypatch, jobs, workers):
     assert started == [workers]
 
 
-def test_jobs_parity(tmp_path, capsys):
-    """`--jobs 1` and `--jobs 2` write the same artifacts, recovery reports
-    included, and fail alike when a vector row is missing or a value is bad."""
+def _vector_corpus(tmp_path, talks=3):
+    """The config of a synthetic corpus read through the precomputed_file
+    provider, its vector files written from the hashed table at dim 128."""
     cfg = write_config(tmp_path, embedding={"kind": "precomputed_file",
                                             "path_pattern": "vectors/{talk_id}.tsv"})
-    assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3",
+    assert run(["synth", "--config", cfg, "--seed", "3", "--talks", talks,
                 "--sentences", "8"]) == 0
     params = embeddings.EmbeddingProviderSpec(dim=128, orders=(3, 4))
     out = tmp_path / "out"
@@ -456,6 +456,15 @@ def test_jobs_parity(tmp_path, capsys):
     for doc in cli.load_corpus(cli.PipelineConfig(out_dir=out, corpus=out / "corpus.json")):
         table = embeddings.build_fallback_table(doc, params)
         embeddings.write_table_file(table, out / "vectors" / f"{doc.talk_id}.tsv")
+    return cfg
+
+
+def test_jobs_parity(tmp_path, capsys):
+    """`--jobs 1` and `--jobs 2` write the same artifacts, recovery reports
+    included, whether the stages run in `pipeline` or as standalone
+    commands, and fail alike when a vector row is missing or a value is bad."""
+    cfg = _vector_corpus(tmp_path)
+    out = tmp_path / "out"
 
     def artifacts(out_dir):
         return {path.name: json.loads(path.read_text())["artifacts"]
@@ -464,8 +473,14 @@ def test_jobs_parity(tmp_path, capsys):
     for jobs in (1, 2):
         assert run(["pipeline", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
         assert run(["validate", "--config", cfg, "--jobs", jobs, "--out-dir", f"run{jobs}"]) == 0
+        for command in ("align", "filter-intra", "filter-inter"):
+            assert run([command, "--config", cfg, "--jobs", jobs, "--out-dir", f"solo{jobs}"]) == 0
     serial = artifacts("run1")
     assert len(serial) == 6 and serial == artifacts("run2")
+    standalone = artifacts("solo1")
+    assert standalone == artifacts("solo2")
+    assert standalone == {name: serial[name] for name in
+                          ("align.json", "filter-intra.json", "filter-inter.json")}
     reports = [{path.name: path.read_bytes() for path in (tmp_path / run_dir / "reports").iterdir()}
                for run_dir in ("run1", "run2")]
     assert len(reports[0]) == 4 and reports[0] == reports[1]
@@ -753,7 +768,9 @@ def test_eta_min_outside_chrf_range_exit_one(tmp_path, capsys, inter, flags, key
 
 def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
     """A talk whose external scores all lie below `eta_min` gets one warning
-    naming it and the threshold; its decisions are written as before."""
+    naming it and the threshold, from `pipeline` and `filter-inter`, logged
+    by the parent process at `--jobs 1` and `--jobs 2`; its decisions are
+    written as before."""
     cfg = write_config(tmp_path, inter={"eta_min": 0.7}, scores_path="scores.tsv")
     assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
                 "--sentences", "6"]) == 0
@@ -763,13 +780,16 @@ def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
         for start in range(40) for length in range(1, 5)), encoding="utf-8")
     assert run(["pipeline", "--config", cfg]) == 0
     decisions = (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes()
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="si_align.cli"):
-        assert run(["filter-inter", "--config", cfg]) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.name == "si_align.cli"]
-    assert len(warnings) == 1
-    assert warnings[0].startswith("talk0000: inter.eta_min 0.7 exceeds every external score")
-    assert (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes() == decisions
+    for jobs in (1, 2):
+        for command in ("pipeline", "filter-inter"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="si_align.cli"):
+                assert run([command, "--config", cfg, "--jobs", jobs]) == 0
+            warnings = [r.getMessage() for r in caplog.records if r.name == "si_align.cli"]
+            assert len(warnings) == 1, (command, jobs)
+            assert warnings[0].startswith(
+                "talk0000: inter.eta_min 0.7 exceeds every external score")
+            assert (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes() == decisions
     rows = [json.loads(line) for line in decisions.decode("utf-8").splitlines()]
     assert rows and all("eta" in row["reasons"] for row in rows)
 
@@ -959,6 +979,77 @@ def test_failed_filter_inter_writes_nothing(tmp_path, capsys):
     assert f"[{refs}:3]" in capsys.readouterr().err
     assert _tree(out) == before
     assert run(["stats", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("fault", ["bad_row", "no_refs_dir"])
+def test_failed_inter_stage_writes_no_stage(tmp_path, capsys, fault):
+    """`pipeline` saves its three stages together once every talk has passed
+    all three: a reference row of the second talk that no longer parses, or
+    a config without `refs_dir`, fails the run at any `--jobs`, and no stage
+    is written."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "6", "--talks", "3",
+                "--sentences", "8"]) == 0
+    out = tmp_path / "out"
+    refs = out / "refs" / "talk0001.refs.jsonl"
+    if fault == "bad_row":
+        rows = refs.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows[1] = rows[1][:len(rows[1]) // 2] + "\n"
+        refs.write_text("".join(rows), encoding="utf-8")
+        code, message = 2, f"[{refs}:2]"
+    else:
+        obj = json.loads(cfg.read_text(encoding="utf-8"))
+        del obj["refs_dir"]
+        cfg.write_text(json.dumps(obj), encoding="utf-8")
+        code, message = 1, "config needs 'refs_dir' for filter-inter"
+    before = _tree(out)
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs]) == code
+        assert message in capsys.readouterr().err
+        assert _tree(out) == before
+
+
+def test_first_failing_talk_reported(tmp_path, capsys):
+    """With faults in two talks, the error is that of the first failing talk
+    in corpus order, at any `--jobs`: talk0000's missing refs file (its inter
+    stage), not talk0001's vector file without a row (its align stage)."""
+    cfg = _vector_corpus(tmp_path, talks=2)
+    out = tmp_path / "out"
+    refs = out / "refs" / "talk0000.refs.jsonl"
+    refs.unlink()
+    vectors = out / "vectors" / "talk0001.tsv"
+    lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    vectors.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+    before = _tree(out)
+    errors = []
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg, "--jobs", jobs]) == 2
+        errors.append([l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")])
+        assert _tree(out) == before
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert str(refs) in errors[0][0] and str(vectors) not in errors[0][0]
+
+
+def test_per_talk_override_of_unknown_talk_refused(tmp_path, capsys):
+    """An `inter.per_talk` id that is no talk of the corpus (a typo) exits 1
+    naming the key and the corpus file wherever the inter stage runs, and
+    nothing is written; commands without the inter stage run as before."""
+    cfg = write_config(tmp_path, inter={"per_talk": {"talk0001": {"eta_min": 0.0},
+                                                     "talk9999": {"eta_min": 0.0}}})
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
+    out = tmp_path / "out"
+    message = (f"error: inter.per_talk.talk9999: no talk of that id in the corpus "
+               f"[{out / 'corpus.json'}]")
+    for args, code in [(["pipeline"], 1), (["align"], 0), (["filter-intra"], 0),
+                       (["filter-inter"], 1)]:
+        before = _tree(out)
+        capsys.readouterr()
+        assert run([*args, "--config", cfg]) == code, args
+        if code:
+            assert message in capsys.readouterr().err.splitlines(), args
+            assert _tree(out) == before, args
 
 
 def test_validate_reads_every_gold_file_before_writing(tmp_path, capsys):
