@@ -410,11 +410,11 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 
 def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
     """Run one talk's stages in order, in its worker. `job` is (doc, stages,
-    the pairs and trims of the stage before the first, external scorer or
-    None). Per stage: the pairs it passes on, its trims, its artifact texts
-    by file name, and how many pairs eta drops when `eta_min` exceeds every
-    external score of the talk (else 0)."""
-    doc, stages, pairs, trims, scorer = job
+    the pairs and trims of the stage before the first, the talk's external
+    scores or None). Per stage: the pairs it passes on, its trims, its
+    artifact texts by file name, and how many pairs eta drops when `eta_min`
+    exceeds every external score of the talk (else 0)."""
+    doc, stages, pairs, trims, scores = job
     talk_id, results = doc.talk_id, []
     for stage in stages:
         name, eta_dropped = f"{stage}/{talk_id}.jsonl", 0
@@ -430,9 +430,9 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
         else:
             ref = fi.read_reference_jsonl(cfg.refs_dir / f"{talk_id}.refs.jsonl", talk_id=talk_id)
             params = cfg.inter.per_talk.get(talk_id, cfg.inter)
-            kept, decisions = fi.apply_inter_filter(pairs, doc, ref, params, scorer=scorer,
+            kept, decisions = fi.apply_inter_filter(pairs, doc, ref, params, scores=scores,
                                                     trims_by_pair=trims)
-            if scorer is not None and decisions and all(d.eta < params.eta_min for d in decisions):
+            if scores is not None and decisions and all(d.eta < params.eta_min for d in decisions):
                 eta_dropped = len(decisions)
             texts = {name: al.links_text(talk_id, kept),
                      f"decisions/{talk_id}.jsonl": fi.decisions_text(decisions)}
@@ -448,7 +448,7 @@ def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPai
     talk has passed them all, one manifest per stage records its texts and
     is saved, in order; so the first failing talk in corpus order fails the
     run, which then writes nothing."""
-    scorer = None
+    scores = {}
     if "inter" in stages:
         if cfg.refs_dir is None:
             raise ValidationError("config needs 'refs_dir' for filter-inter")
@@ -457,9 +457,13 @@ def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPai
             raise ValidationError(f"inter.per_talk.{unknown[0]}: no talk of that id in the corpus",
                                   path=cfg.corpus)
         if cfg.scores_path is not None:
-            scorer = fi.read_external_scores(cfg.scores_path)
-    jobs = [(doc, stages, upstream.pairs.get(doc.talk_id), upstream.trims.get(doc.talk_id), scorer)
-            for doc in docs]
+            scores = fi.read_external_scores(cfg.scores_path)
+            for doc in docs:
+                # a talk the file lacks fails at its first pair, naming the file
+                scores.setdefault(doc.talk_id, fi.SpanTable(fi.SCORE, doc.talk_id,
+                                                            path=str(cfg.scores_path)))
+    jobs = [(doc, stages, upstream.pairs.get(doc.talk_id), upstream.trims.get(doc.talk_id),
+             scores.get(doc.talk_id)) for doc in docs]
     by_talk = _map_talks(_talk_stages, jobs, cfg)
     done = [upstream]
     for i, stage in enumerate(stages):

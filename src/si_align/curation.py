@@ -106,9 +106,9 @@ def _bool_str(value: bool | None) -> str:
 def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
                          ) -> list[AnnotationRecord]:
     """Records of an annotation file, each validated: spans and labels
-    always, span bounds against `docs` when supplied (annotators may
-    re-chunk by editing tgt span fields). A record that fails is a
-    ValidationError naming the file and its line."""
+    always, its talk and span bounds against `docs` when supplied
+    (annotators may re-chunk by editing tgt span fields). A record that
+    fails is a ValidationError naming the file and its line."""
     records = []
     lines = read_lines(path)
     _, header = next(lines, (1, ""))
@@ -137,7 +137,10 @@ def read_annotations_tsv(path, docs: dict[str, DocumentPair] | None = None,
             edited_target=cols[9] if cols[9] != "" else None,
         )
         record.validate(path, lineno)
-        if docs is not None and record.talk_id in docs:
+        if docs is not None:
+            if record.talk_id not in docs:
+                raise ValidationError(f"{record.talk_id}: no talk of that id in the corpus",
+                                      path=path, line=lineno)
             check_span(docs[record.talk_id], (src_start, src_len, tgt_start, tgt_len),
                        path=path, line=lineno)
         records.append(record)

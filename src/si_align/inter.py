@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import (TOKENS, AlignedPair, DocumentPair, ParseError, Pos, Token,
                      ValidationError, char_len, jsonl_text, normalize_text, read_jsonl,
@@ -55,21 +55,23 @@ class RefEntry:
     tokens: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceTranslation:
-    """Offline translations T keyed by source span (start, len), read from
-    `path` (None when built in memory)."""
+REFERENCE = "reference translation"
+SCORE = "external score"
 
-    talk_id: str
-    entries: dict[tuple[int, int], RefEntry]
-    path: str | None = field(default=None, compare=False)
 
-    def entry(self, src_start: int, src_len: int) -> RefEntry:
-        try:
-            return self.entries[(src_start, src_len)]
-        except KeyError:
-            raise ParseError(f"no reference translation for {self.talk_id} span "
-                             f"(start={src_start}, len={src_len})", path=self.path) from None
+class SpanTable(dict):
+    """One talk's values keyed by source span (start, len): its reference
+    entries (`noun` REFERENCE) or its external scores (SCORE), read from
+    `path` (None when built in memory). A missing span is a ParseError
+    naming the file."""
+
+    def __init__(self, noun: str, talk_id: str, entries=(), path: str | None = None):
+        super().__init__(entries)
+        self.noun, self.talk_id, self.path = noun, talk_id, path
+
+    def __missing__(self, span):
+        raise ParseError(f"no {self.noun} for {self.talk_id} span "
+                         f"(start={span[0]}, len={span[1]})", path=self.path)
 
 
 @dataclass(frozen=True)
@@ -180,54 +182,33 @@ def _matched_ngrams(texts: list[str]) -> list[list[int]]:
     return matched
 
 
-class ExternalScorer:
-    """Scores precomputed by a learned metric, keyed by source span, read
-    from `path` (None when built in memory)."""
-
-    def __init__(self, scores: dict[tuple[str, int, int], float], path=None):
-        self._scores = scores
-        self.path = path
-
-    def scores(self, talk_id: str, spans) -> list[float]:
-        """The score of each (start, len) source span of the talk."""
-        out = []
-        for start, length in spans:
-            key = (talk_id, start, length)
-            if key not in self._scores:
-                raise ParseError(f"no external score for {talk_id} span "
-                                 f"(start={start}, len={length})", path=self.path)
-            out.append(self._scores[key])
-        return out
-
-
-def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
-                       params: InterFilterParams, scorer=None,
+def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
+                       params: InterFilterParams, scores: SpanTable | None = None,
                        trims_by_pair: dict | None = None,
                        ) -> tuple[list[AlignedPair], list[FilterDecision]]:
     """Keep pairs passing all three thresholds; record a decision for each.
 
     Eta scores all pairs of the talk at once: `chrf_scores` of their (F, T)
-    texts, or with an ExternalScorer, `scorer.scores(talk_id, spans)` of
-    their source spans. When pairs are broken, the error is that of the
-    first one in pair order, with a missing or empty reference found before
-    a missing score.
+    texts, or the `scores` of their source spans. When pairs are broken,
+    the error is that of the first one in pair order, with a missing or
+    empty reference found before a missing score.
     """
     trims_by_pair = trims_by_pair or {}
     resolved, broken = [], None
     for pair in pairs:
         try:
-            entry = ref.entry(pair.src_start, pair.src_len)
+            entry = refs[(pair.src_start, pair.src_len)]
             f_text = doc.tgt_text(pair.tgt_start, pair.tgt_len)
             resolved.append((pair, entry, f_text,
                              _coverage(entry, f_text, params.coverage_pos),
-                             _length_ratio(pair, entry, f_text, ref.talk_id)))
+                             _length_ratio(pair, entry, f_text, refs.talk_id)))
         except (ParseError, ValidationError) as exc:
             broken = exc
             break
-    if scorer is None:
+    if scores is None:
         etas = chrf_scores([(f_text, entry.text) for _, entry, f_text, *_ in resolved])
     else:
-        etas = scorer.scores(doc.talk_id, [(pair.src_start, pair.src_len) for pair, *_ in resolved])
+        etas = [scores[(pair.src_start, pair.src_len)] for pair, *_ in resolved]
     if broken is not None:
         raise broken
     kept, decisions = [], []
@@ -255,23 +236,27 @@ def apply_inter_filter(pairs, doc: DocumentPair, ref: ReferenceTranslation,
     return kept, decisions
 
 
-def references_text(ref: ReferenceTranslation) -> str:
+def references_text(refs: SpanTable) -> str:
     """JSON Lines, one reference entry per row, ordered by source span."""
     return jsonl_text({
-        "talk_id": ref.talk_id, "src_start": start, "src_len": length,
+        "talk_id": refs.talk_id, "src_start": start, "src_len": length,
         "text": entry.text,
         "tokens": [[t.surface, t.pos.value] for t in entry.tokens],
-    } for (start, length), entry in sorted(ref.entries.items()))
+    } for (start, length), entry in sorted(refs.items()))
 
 
-def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslation:
-    """Entries of `talk_id` (by default the first row's talk) from reference JSON Lines."""
+def read_reference_jsonl(path, talk_id: str | None = None) -> SpanTable:
+    """Entries of `talk_id` (by default the first row's talk) from reference
+    JSON Lines; a repeated span keeps its last row."""
     def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
         span = (obj["src_start"], obj["src_len"])
         if not all(type(v) is int for v in span):
             raise TypeError(f"span fields must be ints: {span}")
+        text = normalize_text(obj["text"])
+        if not text:
+            raise ValueError(f"empty reference text for span {span}")
         # a token row is a JSON list, made a tuple to serve as its own key
-        entry = RefEntry(text=normalize_text(obj["text"]),
+        entry = RefEntry(text=text,
                          tokens=tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"]))))
         return str(obj["talk_id"]), span, entry
 
@@ -281,12 +266,13 @@ def read_reference_jsonl(path, talk_id: str | None = None) -> ReferenceTranslati
             talk_id = row_talk
         if row_talk == talk_id:
             entries[span] = entry
-    return ReferenceTranslation(talk_id=talk_id or "", entries=entries, path=str(path))
+    return SpanTable(REFERENCE, talk_id or "", entries, path=str(path))
 
 
-def read_external_scores(path) -> ExternalScorer:
-    """TSV `talk_id<TAB>src_start<TAB>src_len<TAB>score`."""
-    scores: dict[tuple[str, int, int], float] = {}
+def read_external_scores(path) -> dict[str, SpanTable]:
+    """TSV `talk_id<TAB>src_start<TAB>src_len<TAB>score`, one table per
+    talk; a repeated span keeps its last row."""
+    scores: dict[str, SpanTable] = {}
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -294,13 +280,15 @@ def read_external_scores(path) -> ExternalScorer:
         if len(cols) != 4:
             raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
         try:
-            key, score = (cols[0], int(cols[1]), int(cols[2])), float(cols[3])
+            span, score = (int(cols[1]), int(cols[2])), float(cols[3])
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {cols[3]!r}", path=path, line=lineno)
-        scores[key] = score
-    return ExternalScorer(scores, path=str(path))
+        if cols[0] not in scores:
+            scores[cols[0]] = SpanTable(SCORE, cols[0], path=str(path))
+        scores[cols[0]][span] = score
+    return scores
 
 
 def decisions_text(decisions) -> str:

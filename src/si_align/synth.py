@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .align import AlignmentSet, validate_alignment
 from .corpus import AlignedPair, DocumentPair, Pos, Rank, TextUnit, Token, ValidationError
 from .embeddings import EmbeddingProviderSpec
-from .inter import RefEntry, ReferenceTranslation
+from .inter import REFERENCE, RefEntry, SpanTable
 
 log = logging.getLogger(__name__)
 
@@ -286,7 +286,7 @@ def build_reference(doc: DocumentPair, max_src_len: int):
             tokens = [t for k in range(start, start + length) for t in per_sentence[k]]
             entries[(start, length)] = RefEntry(
                 text=" ".join(t.surface for t in tokens), tokens=tuple(tokens))
-    return ReferenceTranslation(talk_id=doc.talk_id, entries=entries)
+    return SpanTable(REFERENCE, doc.talk_id, entries)
 
 
 def provenance_text(talk: GoldTalk) -> str:

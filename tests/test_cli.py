@@ -202,6 +202,21 @@ def test_annotation_bad_span_names_file_and_line(tmp_path, capsys, span, labels,
     assert not (tmp_path / "out" / "curated.jsonl").exists()
 
 
+def test_annotation_unknown_talk_names_file_and_line(tmp_path, capsys):
+    """A record of a talk the corpus lacks exits 1 naming the file and line,
+    and nothing is written."""
+    cfg, anno = export_annotations(tmp_path)
+    lines = anno.read_text(encoding="utf-8").splitlines()
+    cols = lines[3].split("\t")
+    cols[0], cols[7:9] = "talk9999", ["true", "true"]
+    lines[3] = "\t".join(cols)
+    anno.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["import-anno", "--config", cfg, anno]) == 1
+    assert f"talk9999: no talk of that id in the corpus [{anno}:4]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "curated.jsonl").exists()
+
+
 def test_per_talk_threshold_override(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -794,11 +809,11 @@ def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
     assert rows and all("eta" in row["reasons"] for row in rows)
 
 
-@pytest.mark.parametrize("missing", ["refs", "scores"])
+@pytest.mark.parametrize("missing", ["refs", "scores", "talk"])
 def test_missing_row_names_its_file(tmp_path, capsys, missing):
-    """A refs file or an external score file that lacks the span of a pair
-    exits 2 with one error line naming that file, alike at `--jobs 1` and
-    `--jobs 2`."""
+    """A refs file or an external score file that lacks the span of a pair,
+    or a score file with no row for the pair's talk, exits 2 with one error
+    line naming that file, alike at `--jobs 1` and `--jobs 2`."""
     cfg = write_config(tmp_path, scores_path="scores.tsv")
     assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
                 "--sentences", "6"]) == 0
@@ -813,12 +828,14 @@ def test_missing_row_names_its_file(tmp_path, capsys, missing):
     if missing == "refs":
         named, what = refs, "no reference translation"
         ref = inter.read_reference_jsonl(refs)
-        del ref.entries[span]
+        del ref[span]
         refs.write_text(inter.references_text(ref), encoding="utf-8")
     else:
         named, what = scores, "no external score"
-        row = f"talk0001\t{span[0]}\t{span[1]}\t0.5\n"
-        scores.write_text(scores.read_text(encoding="utf-8").replace(row, ""), encoding="utf-8")
+        # the first pair's row, or every row of its talk
+        row = f"talk0001\t{span[0]}\t{span[1]}\t0.5\n" if missing == "scores" else "talk0001\t"
+        scores.write_text("".join(l for l in scores.read_text(encoding="utf-8").splitlines(True)
+                                  if not l.startswith(row)), encoding="utf-8")
     errors = []
     for jobs in (1, 2):
         capsys.readouterr()
@@ -827,6 +844,23 @@ def test_missing_row_names_its_file(tmp_path, capsys, missing):
     assert errors[0] == errors[1] and len(errors[0]) == 1
     assert errors[0][0] == (f"error: {what} for talk0001 span (start={span[0]}, "
                             f"len={span[1]}) [{named}]")
+
+
+def test_empty_reference_text_names_file_and_line(tmp_path, capsys):
+    """A refs row whose text normalizes to empty exits 2 naming its file and
+    line."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    refs = tmp_path / "out" / "refs" / "talk0001.refs.jsonl"
+    lines = refs.read_text(encoding="utf-8").splitlines(True)
+    row = json.loads(lines[0])
+    lines[0] = json.dumps({**row, "text": "\u3000 "}) + "\n"
+    refs.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pipeline", "--config", cfg]) == 2
+    span = (row["src_start"], row["src_len"])
+    assert f"empty reference text for span {span} [{refs}:1]" in capsys.readouterr().err
 
 
 def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
-from si_align.inter import (ExternalScorer, InterFilterParams, RefEntry, ReferenceTranslation,
+from si_align.inter import (REFERENCE, SCORE, InterFilterParams, RefEntry, SpanTable,
                             apply_inter_filter, chrf_scores, read_external_scores,
                             read_reference_jsonl, references_text)
 
@@ -14,7 +14,7 @@ from oracles import reference_chrf
 
 
 def ref_for(talk_id, entries, path=None):
-    return ReferenceTranslation(talk_id=talk_id, entries=entries, path=path)
+    return SpanTable(REFERENCE, talk_id, entries, path=path)
 
 
 def ref_entry(text, tags=None):
@@ -95,7 +95,7 @@ def test_gamma_hand_counted_fixture():
 
 def test_gamma_empty_reference_rejected():
     document = doc(["s"], ["kamo"])
-    ref = ReferenceTranslation("t0", {(0, 1): RefEntry(text="", tokens=())})
+    ref = ref_for("t0", {(0, 1): RefEntry(text="", tokens=())})
     with pytest.raises(ValidationError):
         decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0))
 
@@ -166,10 +166,10 @@ def test_chrf_scores_match_oracle_bit_for_bit(text_pairs):
 
 
 def test_external_scorer_lookup_and_missing():
-    scorer = ExternalScorer({("t0", 0, 1): 0.42}, path="scores.tsv")
-    assert scorer.scores("t0", [(0, 1)]) == [0.42]
+    scores = SpanTable(SCORE, "t0", {(0, 1): 0.42}, path="scores.tsv")
+    assert scores[(0, 1)] == 0.42
     with pytest.raises(ParseError) as err:
-        scorer.scores("t0", [(0, 1), (5, 1)])
+        scores[(5, 1)]
     assert str(err.value) == "no external score for t0 span (start=5, len=1) [scores.tsv]"
 
 
@@ -212,12 +212,12 @@ def test_first_broken_pair_is_reported(broken, named):
     """With several broken pairs, the error names the first in pair order,
     and the file it lacks: its reference's or its external score's."""
     document, ref, pairs = _setup(4)
-    entries = {span: e for span, e in ref.entries.items()
-               if broken.get(span[0]) != "reference"}
-    scores = {("t0", i, 1): 0.5 for i in range(4) if broken.get(i) != "score"}
+    entries = {span: e for span, e in ref.items() if broken.get(span[0]) != "reference"}
+    scores = {(i, 1): 0.5 for i in range(4) if broken.get(i) != "score"}
     with pytest.raises(ParseError) as err:
         apply_inter_filter(pairs, document, ref_for("t0", entries, path="refs.jsonl"),
-                           InterFilterParams(), scorer=ExternalScorer(scores, path="scores.tsv"))
+                           InterFilterParams(), scores=SpanTable(SCORE, "t0", scores,
+                                                                 path="scores.tsv"))
     path, start = named
     assert (err.value.path, err.value.line) == (path, None)
     assert err.value.message.endswith(f"for t0 span (start={start}, len=1)")
@@ -225,11 +225,10 @@ def test_first_broken_pair_is_reported(broken, named):
 
 def test_empty_reference_before_later_missing_score():
     document, ref, pairs = _setup(3)
-    entries = {**ref.entries, (0, 1): RefEntry(text="", tokens=())}
-    scorer = ExternalScorer({("t0", 0, 1): 0.5})
+    entries = {**ref, (0, 1): RefEntry(text="", tokens=())}
     with pytest.raises(ValidationError, match=r"span \(0, 1\)"):
         apply_inter_filter(pairs, document, ref_for("t0", entries), InterFilterParams(),
-                           scorer=scorer)
+                           scores=SpanTable(SCORE, "t0", {(0, 1): 0.5}))
 
 
 def test_every_pair_gets_exactly_one_decision():
@@ -261,7 +260,7 @@ def test_kept_set_matches_independent_predicate():
         kept, decisions = apply_inter_filter(pairs, document, ref, params)
         expected, alphas_gammas = [], []
         for pair in pairs:
-            entry = ref.entry(pair.src_start, pair.src_len)
+            entry = ref[(pair.src_start, pair.src_len)]
             f_text = document.tgt_text(pair.tgt_start, pair.tgt_len)
             # alpha: the reference's content surfaces found in F; gamma: the
             # ratio of non-whitespace character counts, F over the reference
@@ -311,7 +310,7 @@ def test_reference_round_trip(tmp_path):
     path = tmp_path / "refs.jsonl"
     path.write_text(references_text(ref), encoding="utf-8")
     loaded = read_reference_jsonl(path)
-    assert loaded == ref
+    assert loaded == ref and loaded.talk_id == ref.talk_id == "t0"
 
 
 def test_reference_tokens_built_once_per_file(tmp_path):
@@ -319,7 +318,7 @@ def test_reference_tokens_built_once_per_file(tmp_path):
              "tokens": [["kamo", "NOUN"], ["tesu", "VERB"]]} for i in range(3)]
     path = tmp_path / "refs.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    entries = read_reference_jsonl(path).entries
+    entries = read_reference_jsonl(path)
     assert entries[(0, 1)].tokens == (Token("kamo", Pos.NOUN), Token("tesu", Pos.VERB))
     assert all(a is b for a, b in zip(entries[(0, 1)].tokens, entries[(2, 1)].tokens))
 
@@ -348,17 +347,21 @@ def test_reference_token_surfaces_normalized(tmp_path):
     path = tmp_path / "refs.jsonl"
     path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
     ref = read_reference_jsonl(path)
-    assert ref.entry(0, 1).tokens == (Token("ABC", Pos.NOUN), Token("xyz", Pos.OTHER))
+    assert ref[(0, 1)].tokens == (Token("ABC", Pos.NOUN), Token("xyz", Pos.OTHER))
     decision = decide(doc(["s"], ["ABC xyz"], talk_id="t0"), ref, AlignedPair(0, 1, 0, 1, 0.0))
     assert decision.alpha == 1.0
 
 
 def test_external_scores_file(tmp_path):
+    """One table per talk, each naming the file; a repeated span keeps its
+    last row."""
     path = tmp_path / "scores.tsv"
-    path.write_text("t0\t0\t1\t0.91\nt0\t1\t2\t0.13\n", encoding="utf-8")
-    scorer = read_external_scores(path)
-    assert scorer.scores("t0", [(0, 1), (1, 2)]) == [0.91, 0.13]
-    assert scorer.path == str(path)
+    path.write_text("t0\t0\t1\t0.91\nt1\t0\t1\t0.5\nt0\t1\t2\t0.13\nt0\t0\t1\t0.25\n",
+                    encoding="utf-8")
+    scores = read_external_scores(path)
+    assert scores == {"t0": {(0, 1): 0.25, (1, 2): 0.13}, "t1": {(0, 1): 0.5}}
+    assert all((table.noun, table.talk_id, table.path) == (SCORE, talk_id, str(path))
+               for talk_id, table in scores.items())
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])

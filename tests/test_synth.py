@@ -172,10 +172,10 @@ def test_score_talk_mismatch():
 def test_reference_covers_all_windows_and_matches_clean_pairs():
     talk = generate_talk(11, m=6, noise=NoiseParams(), vocab_size=100)
     ref = build_reference(talk.doc, max_src_len=3)
-    assert set(ref.entries) == {(s, l) for l in (1, 2, 3) for s in range(6 - l + 1)}
+    assert set(ref) == {(s, l) for l in (1, 2, 3) for s in range(6 - l + 1)}
     # on a clean talk the reference for (i, 1) equals the target chunk text
     for i in range(6):
-        assert ref.entries[(i, 1)].text == talk.doc.target_units[i].text
+        assert ref[(i, 1)].text == talk.doc.target_units[i].text
 
 
 def test_inter_filter_drops_mistranslations_via_reference():
