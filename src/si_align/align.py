@@ -242,10 +242,7 @@ def validate_alignment(alignment: AlignmentSet, m: int, n: int) -> None:
 def links_text(talk_id: str, links) -> str:
     """JSON Lines, one link per row, in the given order."""
     return jsonl_text({
-        "talk_id": talk_id,
-        "src_start": link.src_start, "src_len": link.src_len,
-        "tgt_start": link.tgt_start, "tgt_len": link.tgt_len,
-        "cost": link.cost,
+        "talk_id": talk_id, **link.span_row(), "cost": link.cost,
         "dropped": link.dropped, "drop_reason": link.drop_reason,
     } for link in links)
 

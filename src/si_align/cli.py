@@ -372,14 +372,20 @@ def _map_talks(fn, talks, cfg: PipelineConfig):
     """`fn(talk, cfg)` for every talk (its `_talk_stages` job, or a bench
     talk's (noise, index)), over `cfg.jobs` worker processes; results
     returned in input order. This is si-align's only parallelism: each
-    process runs one BLAS thread (see `si_align/__init__.py`)."""
+    process runs one BLAS thread (see `si_align/__init__.py`). A worker
+    that ends abruptly, as when the OOM killer ends it, is a ValidationError."""
     if cfg.jobs <= 1 or len(talks) <= 1:
         return [fn(t, cfg) for t in talks]
     import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(talks))) as pool:
-        futures = [pool.submit(fn, t, cfg) for t in talks]
-        return [f.result() for f in futures]
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(talks))) as pool:
+            futures = [pool.submit(fn, t, cfg) for t in talks]
+            return [f.result() for f in futures]
+    except BrokenProcessPool:
+        raise ValidationError("a worker process ended abruptly (out of memory?); "
+                              "nothing was written") from None
 
 
 def cmd_synth(cfg: PipelineConfig) -> None:

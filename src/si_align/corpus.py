@@ -226,6 +226,11 @@ class AlignedPair:
     def key(self) -> tuple[int, int, int, int]:
         return (self.src_start, self.src_len, self.tgt_start, self.tgt_len)
 
+    def span_row(self) -> dict[str, int]:
+        """The span's four fields as every artifact row writes them."""
+        return {"src_start": self.src_start, "src_len": self.src_len,
+                "tgt_start": self.tgt_start, "tgt_len": self.tgt_len}
+
     @property
     def src_empty(self) -> bool:
         return self.src_len == 0

@@ -76,9 +76,7 @@ def export_annotations(pairs_by_talk: dict[str, tuple[list[AlignedPair], Documen
         pairs, doc = pairs_by_talk[talk_id]
         for pair in sorted(pairs, key=lambda p: (p.src_start, p.tgt_start)):
             records.append(AnnotationRecord(
-                talk_id=talk_id,
-                src_start=pair.src_start, src_len=pair.src_len,
-                tgt_start=pair.tgt_start, tgt_len=pair.tgt_len,
+                talk_id=talk_id, **pair.span_row(),
                 source_text=doc.src_text(pair.src_start, pair.src_len),
                 target_text=doc.tgt_text(pair.tgt_start, pair.tgt_len),
             ))
@@ -181,9 +179,7 @@ def import_annotations(path, docs: dict[str, DocumentPair] | None = None,
 def curated_text(kept) -> str:
     """curated.jsonl: one row per kept pair, in the given order."""
     return jsonl_text({
-        "talk_id": c.talk_id,
-        "src_start": c.pair.src_start, "src_len": c.pair.src_len,
-        "tgt_start": c.pair.tgt_start, "tgt_len": c.pair.tgt_len,
+        "talk_id": c.talk_id, **c.pair.span_row(),
         "source_text": c.source_text, "target_text": c.target_text,
     } for c in kept)
 

@@ -66,6 +66,8 @@ class EmbeddingProviderSpec:
             if not self.orders or any(n < 1 or n > 5 for n in self.orders):
                 raise ValidationError(
                     f"n-gram orders must be a non-empty subset of 1..5: {self.orders}")
+            if not -(1 << 63) <= self.seed < 1 << 63:  # the n-gram hash key is 8 bytes
+                raise ValidationError(f"seed: must be in -2**63..2**63-1, got {self.seed}")
         elif self.kind != PROVIDER_PRECOMPUTED:
             raise ValidationError(f"unknown embedding provider kind {self.kind!r}")
         elif not self.path_pattern:

@@ -77,10 +77,7 @@ class SpanTable(dict):
 @dataclass(frozen=True)
 class FilterDecision:
     talk_id: str
-    src_start: int
-    src_len: int
-    tgt_start: int
-    tgt_len: int
+    pair: AlignedPair
     alpha: float
     gamma: float
     eta: float
@@ -188,31 +185,27 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
                        ) -> tuple[list[AlignedPair], list[FilterDecision]]:
     """Keep pairs passing all three thresholds; record a decision for each.
 
-    Eta scores all pairs of the talk at once: `chrf_scores` of their (F, T)
-    texts, or the `scores` of their source spans. When pairs are broken,
-    the error is that of the first one in pair order, with a missing or
-    empty reference found before a missing score.
+    Each pair's reference, and its external score when `scores` is given,
+    is looked up in pair order, so a broken pair's error is that of the
+    first one, with a missing or empty reference found before a missing
+    score. Without `scores`, eta is `chrf_scores` of all the pairs' (F, T)
+    texts at once.
     """
     trims_by_pair = trims_by_pair or {}
-    resolved, broken = [], None
+    judged, texts, etas = [], [], []
     for pair in pairs:
-        try:
-            entry = refs[(pair.src_start, pair.src_len)]
-            f_text = doc.tgt_text(pair.tgt_start, pair.tgt_len)
-            resolved.append((pair, entry, f_text,
-                             _coverage(entry, f_text, params.coverage_pos),
-                             _length_ratio(pair, entry, f_text, refs.talk_id)))
-        except (ParseError, ValidationError) as exc:
-            broken = exc
-            break
+        span = (pair.src_start, pair.src_len)
+        entry, f_text = refs[span], doc.tgt_text(pair.tgt_start, pair.tgt_len)
+        judged.append((pair, _coverage(entry, f_text, params.coverage_pos),
+                       _length_ratio(pair, entry, f_text, refs.talk_id)))
+        if scores is None:
+            texts.append((f_text, entry.text))
+        else:
+            etas.append(scores[span])
     if scores is None:
-        etas = chrf_scores([(f_text, entry.text) for _, entry, f_text, *_ in resolved])
-    else:
-        etas = [scores[(pair.src_start, pair.src_len)] for pair, *_ in resolved]
-    if broken is not None:
-        raise broken
+        etas = chrf_scores(texts)
     kept, decisions = [], []
-    for (pair, _, _, alpha, gamma), eta in zip(resolved, etas):
+    for (pair, alpha, gamma), eta in zip(judged, etas):
         reasons = []
         if alpha < params.alpha_min:
             reasons.append(REASON_ALPHA)
@@ -226,10 +219,7 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
         if not reasons:
             kept.append(pair)
         decisions.append(FilterDecision(
-            talk_id=doc.talk_id,
-            src_start=pair.src_start, src_len=pair.src_len,
-            tgt_start=pair.tgt_start, tgt_len=pair.tgt_len,
-            alpha=alpha, gamma=gamma, eta=eta,
+            talk_id=doc.talk_id, pair=pair, alpha=alpha, gamma=gamma, eta=eta,
             trims=tuple(trims_by_pair.get(pair.key(), ())),
             verdict=verdict, reasons=tuple(reasons),
         ))
@@ -245,10 +235,13 @@ def references_text(refs: SpanTable) -> str:
     } for (start, length), entry in sorted(refs.items()))
 
 
-def read_reference_jsonl(path, talk_id: str | None = None) -> SpanTable:
-    """Entries of `talk_id` (by default the first row's talk) from reference
-    JSON Lines; a repeated span keeps its last row."""
+def read_reference_jsonl(path, talk_id: str) -> SpanTable:
+    """The entries of talk `talk_id` from its reference JSON Lines file; a
+    row of another talk is a ValidationError naming its line, and a
+    repeated span keeps its last row."""
     def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
+        if not isinstance(obj["talk_id"], str):
+            raise TypeError(f"talk_id must be a string, got {obj['talk_id']!r}")
         span = (obj["src_start"], obj["src_len"])
         if not all(type(v) is int for v in span):
             raise TypeError(f"span fields must be ints: {span}")
@@ -258,15 +251,15 @@ def read_reference_jsonl(path, talk_id: str | None = None) -> SpanTable:
         # a token row is a JSON list, made a tuple to serve as its own key
         entry = RefEntry(text=text,
                          tokens=tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"]))))
-        return str(obj["talk_id"]), span, entry
+        return obj["talk_id"], span, entry
 
-    entries: dict[tuple[int, int], RefEntry] = {}
-    for row_talk, span, entry in read_jsonl(path, row):
-        if talk_id is None:
-            talk_id = row_talk
-        if row_talk == talk_id:
-            entries[span] = entry
-    return SpanTable(REFERENCE, talk_id or "", entries, path=str(path))
+    def check(value) -> None:
+        if value[0] != talk_id:
+            raise ValidationError(f"reference of talk {value[0]!r} where {talk_id!r} was expected")
+
+    return SpanTable(REFERENCE, talk_id,
+                     {span: entry for _, span, entry in read_jsonl(path, row, check)},
+                     path=str(path))
 
 
 def read_external_scores(path) -> dict[str, SpanTable]:
@@ -294,9 +287,7 @@ def read_external_scores(path) -> dict[str, SpanTable]:
 def decisions_text(decisions) -> str:
     """JSON Lines, one filter decision per row, in the given order."""
     return jsonl_text({
-        "talk_id": d.talk_id,
-        "src_start": d.src_start, "src_len": d.src_len,
-        "tgt_start": d.tgt_start, "tgt_len": d.tgt_len,
+        "talk_id": d.talk_id, **d.pair.span_row(),
         "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
         "trims": list(d.trims),
         "verdict": d.verdict, "reasons": list(d.reasons),

@@ -97,9 +97,7 @@ def apply_intra_filter(pairs, doc: DocumentPair,
 def trims_text(talk_id: str, originals, results) -> str:
     """*.trims.jsonl: each input pair's spans before and after trimming."""
     return jsonl_text({
-        "talk_id": talk_id,
-        "src_start": original.src_start, "src_len": original.src_len,
-        "tgt_start": original.tgt_start, "tgt_len": original.tgt_len,
+        "talk_id": talk_id, **original.span_row(),
         "new_tgt_start": r.pair.tgt_start, "new_tgt_len": r.pair.tgt_len,
         "trims": list(r.trims), "flagged": r.flagged,
     } for original, r in zip(originals, results))

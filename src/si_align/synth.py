@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
 
@@ -71,9 +72,7 @@ class NoiseParams:
                  self.merge_rate, self.filler_rate)
         if any(r < 0 or r > 1 for r in rates):
             raise ValidationError(f"noise rates must lie in [0,1]: {rates}")
-        if self.split_rate + self.merge_rate > 1:
-            raise ValidationError("split_rate + merge_rate must not exceed 1")
-        if sum(rates) > 1:
+        if math.fsum(rates) > 1:  # summed exactly, so rates that sum to 1 pass
             raise ValidationError("noise rates must sum to at most 1 (one transformation per sentence)")
 
 

@@ -315,6 +315,26 @@ def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, sect
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed,code", [(10 ** 23, 1), (-(1 << 63) - 1, 1),
+                                       (-(1 << 63), 0), ((1 << 63) - 1, 0)])
+def test_embedding_seed_range_checked_at_load(tmp_path, capsys, seed, code):
+    """The n-gram hash is keyed by the seed's 8 bytes: `align` with a
+    `fallback_hash` seed outside -2**63..2**63-1 exits 1 when the config
+    loads, naming the file and `embedding.seed`; the ends of the range align."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "4"]) == 0
+    cfg = write_config(tmp_path, embedding={"kind": "fallback_hash", "dim": 64, "orders": [3],
+                                            "seed": seed})
+    capsys.readouterr()
+    assert run(["align", "--config", cfg, "--out-dir", "aligned"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"error: {cfg}: embedding.seed: must be in -2**63..2**63-1, got {seed}" in err
+        assert not (tmp_path / "aligned").exists()
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("args,key,message", [
     (["--max-src-span", 7], "align.max_src_span", "must be in 1..6, got 7"),
     (["--max-tgt-span", 0], "align.max_tgt_span", "must be in 1..6, got 0"),
@@ -524,6 +544,30 @@ def test_jobs_parity(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"[{vectors}:{line}]" in err and "bad numeric field" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "bench"])
+def test_dead_worker_exits_one(tmp_path, capsys, monkeypatch, command):
+    """A `--jobs` worker that ends abruptly, as when the OOM killer ends it,
+    exits 1 with one error line, no traceback, and writes nothing."""
+    cfg = write_config(tmp_path, bench_talks=2, bench_omission_rates=[0.0])
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    align_talk = align.align_talk
+
+    def dying(doc, *args):
+        if doc.talk_id == "talk0001":
+            os._exit(3)
+        return align_talk(doc, *args)
+
+    monkeypatch.setattr(align, "align_talk", dying)  # the forked workers inherit it
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--jobs", 2, "--out-dir", "dead"]) == 1
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: a worker process ended abruptly (out of memory?); nothing was written"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "dead").exists()
 
 
 needs_threads = pytest.mark.skipif(
@@ -827,7 +871,7 @@ def test_missing_row_names_its_file(tmp_path, capsys, missing):
     refs = tmp_path / "out" / "refs" / "talk0001.refs.jsonl"
     if missing == "refs":
         named, what = refs, "no reference translation"
-        ref = inter.read_reference_jsonl(refs)
+        ref = inter.read_reference_jsonl(refs, "talk0001")
         del ref[span]
         refs.write_text(inter.references_text(ref), encoding="utf-8")
     else:
@@ -861,6 +905,27 @@ def test_empty_reference_text_names_file_and_line(tmp_path, capsys):
     assert run(["pipeline", "--config", cfg]) == 2
     span = (row["src_start"], row["src_len"])
     assert f"empty reference text for span {span} [{refs}:1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("talk_id,code,message", [
+    ("talk0000", 1, "reference of talk 'talk0000' where 'talk0001' was expected"),
+    (5, 2, "bad row: talk_id must be a string, got 5")])
+def test_reference_row_of_another_talk_names_file_and_line(tmp_path, capsys, talk_id, code,
+                                                           message):
+    """A refs file holds one talk's rows: a row naming another talk exits 1,
+    and a talk_id that is not a string exits 2, each naming its file and
+    line, and nothing is written."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    refs = tmp_path / "out" / "refs" / "talk0001.refs.jsonl"
+    lines = refs.read_text(encoding="utf-8").splitlines(True)
+    lines.append(json.dumps({**json.loads(lines[0]), "talk_id": talk_id}) + "\n")
+    refs.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pipeline", "--config", cfg, "--out-dir", "other"]) == code
+    assert f"error: {message} [{refs}:{len(lines)}]" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
 
 
 def test_align_rerun_with_same_output_keeps_stages_current(tmp_path):

@@ -114,13 +114,13 @@ def test_one_token_table_per_process(tmp_path, monkeypatch):
     first = load_document_pair(read_manifest(path))
     assert len(TOKENS) == 4  # ("aa", "NOUN") once for both files
     again = load_document_pair(read_manifest(path))
-    ref_token = read_reference_jsonl(refs)[(0, 1)].tokens[0]
+    ref_token = read_reference_jsonl(refs, "talkX")[(0, 1)].tokens[0]
     assert again.source_units[0].tokens[0] is first.source_units[0].tokens[0] is ref_token
     assert len(TOKENS) == 4
     monkeypatch.setattr(corpus, "MAX_TOKENS", 2)
     TOKENS.clear()
     assert load_document_pair(read_manifest(path)) == first
-    assert read_reference_jsonl(refs)[(0, 1)].tokens == (ref_token,)
+    assert read_reference_jsonl(refs, "talkX")[(0, 1)].tokens == (ref_token,)
     assert 0 < len(TOKENS) <= 2
 
 

@@ -207,13 +207,15 @@ def test_gamma_low_dropped_as_under_translation():
     ({0: "reference", 1: "score"}, ("refs.jsonl", 0)),
     ({1: "score", 2: "reference"}, ("scores.tsv", 1)),
     ({1: "reference", 2: "score"}, ("refs.jsonl", 1)),
+    ({1: "reference score", 2: "score"}, ("refs.jsonl", 1)),
 ])
 def test_first_broken_pair_is_reported(broken, named):
     """With several broken pairs, the error names the first in pair order,
-    and the file it lacks: its reference's or its external score's."""
+    and the file it lacks: its reference's or its external score's, the
+    reference's when it lacks both."""
     document, ref, pairs = _setup(4)
-    entries = {span: e for span, e in ref.items() if broken.get(span[0]) != "reference"}
-    scores = {(i, 1): 0.5 for i in range(4) if broken.get(i) != "score"}
+    entries = {span: e for span, e in ref.items() if "reference" not in broken.get(span[0], "")}
+    scores = {(i, 1): 0.5 for i in range(4) if "score" not in broken.get(i, "")}
     with pytest.raises(ParseError) as err:
         apply_inter_filter(pairs, document, ref_for("t0", entries, path="refs.jsonl"),
                            InterFilterParams(), scores=SpanTable(SCORE, "t0", scores,
@@ -309,7 +311,7 @@ def test_reference_round_trip(tmp_path):
     _, ref, _ = _setup(3)
     path = tmp_path / "refs.jsonl"
     path.write_text(references_text(ref), encoding="utf-8")
-    loaded = read_reference_jsonl(path)
+    loaded = read_reference_jsonl(path, "t0")
     assert loaded == ref and loaded.talk_id == ref.talk_id == "t0"
 
 
@@ -318,7 +320,7 @@ def test_reference_tokens_built_once_per_file(tmp_path):
              "tokens": [["kamo", "NOUN"], ["tesu", "VERB"]]} for i in range(3)]
     path = tmp_path / "refs.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    entries = read_reference_jsonl(path)
+    entries = read_reference_jsonl(path, "t0")
     assert entries[(0, 1)].tokens == (Token("kamo", Pos.NOUN), Token("tesu", Pos.VERB))
     assert all(a is b for a, b in zip(entries[(0, 1)].tokens, entries[(2, 1)].tokens))
 
@@ -335,7 +337,7 @@ def test_bad_reference_token_names_line(tmp_path, token, message):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "tokens": [token]}) + "\n",
                     encoding="utf-8")
     with pytest.raises(ParseError, match=message) as err:
-        read_reference_jsonl(path)
+        read_reference_jsonl(path, "t0")
     assert f"{path}:2" in str(err.value)
 
 
@@ -346,7 +348,7 @@ def test_reference_token_surfaces_normalized(tmp_path):
            "tokens": [["ＡＢＣ", "NOUN"], ["xyz", "OTHER"]]}
     path = tmp_path / "refs.jsonl"
     path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
-    ref = read_reference_jsonl(path)
+    ref = read_reference_jsonl(path, "t0")
     assert ref[(0, 1)].tokens == (Token("ABC", Pos.NOUN), Token("xyz", Pos.OTHER))
     decision = decide(doc(["s"], ["ABC xyz"], talk_id="t0"), ref, AlignedPair(0, 1, 0, 1, 0.0))
     assert decision.alpha == 1.0

@@ -74,7 +74,8 @@ INPUTS = {
     "tags": ("target_tags.tsv", TALK["target_tags.tsv"], _document),
     "vectors": ("emb.tsv", VECTOR_FILE, _vectors),
     "links": ("links.jsonl", links_text("talk0", PAIRS).encode("utf-8"), read_alignment_jsonl),
-    "references": ("refs.jsonl", references_text(REFS).encode("utf-8"), read_reference_jsonl),
+    "references": ("refs.jsonl", references_text(REFS).encode("utf-8"),
+                   lambda path: read_reference_jsonl(path, "talk0")),
     "trims": ("talk0.trims.jsonl", TRIMS.encode("utf-8"), read_trims),
     "scores": ("scores.tsv", b"talk0\t0\t1\t0.5\ntalk0\t1\t1\t0.25\n", read_external_scores),
     "allowlist": ("allowlist.txt", b"talk0\ntalk1\n", read_allowlist),

@@ -25,6 +25,18 @@ def test_noise_params_validation():
     NoiseParams(omission_rate=0.1, split_rate=0.2)
 
 
+def test_noise_rates_summing_to_one_accepted():
+    """The rates are summed exactly: a set that sums to 1 loads although its
+    float sum is above 1, and a set that sums to 1.05 is still refused."""
+    rates = {"omission_rate": 0.2, "mistranslation_rate": 0.4, "split_rate": 0.3,
+             "merge_rate": 0.1}
+    assert sum(rates.values()) > 1
+    noise = NoiseParams(**rates)
+    assert len(generate_talk(5, m=12, noise=noise, vocab_size=100).doc.source_units) == 12
+    with pytest.raises(ValidationError, match="sum to at most 1"):
+        NoiseParams(**rates, filler_rate=0.05)
+
+
 def test_all_rates_zero_clean_one_to_one():
     talk = generate_talk(3, m=12, noise=NoiseParams(), vocab_size=100)
     assert len(talk.doc.target_units) == 12
