@@ -86,6 +86,10 @@ class PipelineConfig:
         for key in ("bench_talks", "jobs"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        # a gold link is recovered when its similarity, in [0, 1], is above eps
+        for eps in self.epsilons:
+            if not 0.0 <= eps < 1.0:
+                raise ValidationError(f"epsilons: must be in [0, 1), got {eps!r}")
         for rate in self.bench_omission_rates:  # each one is a `noise` section of the bench
             try:
                 dataclasses.replace(self.noise, omission_rate=rate)
@@ -100,16 +104,21 @@ class PipelineConfig:
                                           f"chrF scorer (no scores_path), got {params.eta_min!r}")
 
 
-# command-line flag -> the config keys it sets; `--seed` seeds the talks and their noise
-FLAG_KEYS = {
-    "out_dir": ("out_dir",), "jobs": ("jobs",),
-    "seed": ("synth.seed", "noise.rng_seed"), "talks": ("synth.talks",),
-    "sentences": ("synth.sentences",), "vocab_size": ("synth.vocab_size",),
-    "prune_cost": ("align.prune_cost_threshold",), "max_src_span": ("align.max_src_span",),
-    "max_tgt_span": ("align.max_tgt_span",), "skip_penalty": ("align.skip_penalty",),
-    "alpha_min": ("inter.alpha_min",), "gamma_min": ("inter.gamma_min",),
-    "gamma_max": ("inter.gamma_max",), "eta_min": ("inter.eta_min",),
+# command-line flag -> (its type, the config keys it sets); `--seed` seeds the
+# talks and their noise. Each command takes every flag but SYNTH_FLAGS, synth's.
+FLAGS = {
+    "--out-dir": (str, ("out_dir",)), "--jobs": (int, ("jobs",)),
+    "--seed": (int, ("synth.seed", "noise.rng_seed")),
+    "--alpha-min": (float, ("inter.alpha_min",)), "--gamma-min": (float, ("inter.gamma_min",)),
+    "--gamma-max": (float, ("inter.gamma_max",)), "--eta-min": (float, ("inter.eta_min",)),
+    "--prune-cost": (float, ("align.prune_cost_threshold",)),
+    "--max-src-span": (int, ("align.max_src_span",)),
+    "--max-tgt-span": (int, ("align.max_tgt_span",)),
+    "--skip-penalty": (float, ("align.skip_penalty",)),
+    "--talks": (int, ("synth.talks",)), "--sentences": (int, ("synth.sentences",)),
+    "--vocab-size": (int, ("synth.vocab_size",)),
 }
+SYNTH_FLAGS = ("--talks", "--sentences", "--vocab-size")
 
 
 def _typed(value, default, name: str):
@@ -181,37 +190,32 @@ def _dataclass_from(default, obj, context: str):
 
 
 def load_config(path: Path | None, args) -> PipelineConfig:
-    """Merge config file and CLI flags; flags win. An invalid value is a
-    ValidationError naming the config file and the key."""
-    if path is None:
-        return _merge_config({}, Path("."), args)
+    """The config file's object, each flag given in `args` set at its keys
+    (flags win), its paths relative to the file's directory. An invalid value
+    is a ValidationError naming the key, and the config file if there is one."""
     try:
-        return _merge_config(_typed(cm.read_json(path), {}, "root"), Path(path).parent, args)
+        raw = {} if path is None else _typed(cm.read_json(path), {}, "root")
+        for flag, (_, keys) in FLAGS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+            if value is None:
+                continue
+            for dotted in keys:
+                section, _, key = dotted.rpartition(".")
+                obj = raw.setdefault(section, {}) if section else raw
+                if isinstance(obj, dict):  # a section that is not an object is reported as such
+                    obj[key] = value
+        cfg = _dataclass_from(PipelineConfig(), raw, "")
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def _merge_config(raw: dict, base: Path, args) -> PipelineConfig:
-    """The config object with each given flag set at its keys, read from the
-    root down, its paths taken relative to `base`."""
-    for flag, keys in FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        for dotted in keys:
-            section, _, key = dotted.rpartition(".")
-            obj = raw.setdefault(section, {}) if section else raw
-            if isinstance(obj, dict):  # a section that is not an object is reported as such
-                obj[key] = value
-    cfg = _dataclass_from(PipelineConfig(), raw, "")
+        raise ValidationError(str(exc) if path is None else f"{path}: {exc}") from None
+    base = Path(".") if path is None else Path(path).parent
     return dataclasses.replace(cfg, **{key: base / value for key, value in vars(cfg).items()
                                        if isinstance(value, Path)})
 
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """A stage's result: per talk, the pairs it passes on and (intra only) the
-    trims; and its lineage, the run entry of every manifest behind it."""
+    """A stage's result: per talk, the pairs it passes on and (intra, read by
+    `load_stage`) the trims; its lineage, the run entry of each manifest behind it."""
 
     pairs: dict[str, tuple[cm.AlignedPair, ...]]
     lineage: dict[str, dict]
@@ -342,9 +346,7 @@ def _json_default(value):
     if isinstance(value, Path):
         return str(value)
     if isinstance(value, frozenset):
-        return sorted(v.value if hasattr(v, "value") else v for v in value)
-    if hasattr(value, "value"):
-        return value.value
+        return sorted(value)
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
@@ -352,9 +354,11 @@ def load_corpus(cfg: PipelineConfig) -> list[cm.DocumentPair]:
     if cfg.corpus is None:
         raise ValidationError("config needs a 'corpus' path for this command")
     docs = [cm.load_document_pair(cm.read_manifest(path)) for path in cm.read_corpus(cfg.corpus)]
-    ids = [d.talk_id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate talk_id in corpus")
+    seen = set()
+    for doc in docs:
+        if doc.talk_id in seen:
+            raise ValidationError(f"duplicate talk_id {doc.talk_id!r} in corpus", path=cfg.corpus)
+        seen.add(doc.talk_id)
     return docs
 
 
@@ -417,16 +421,15 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
     """Run one talk's stages in order, in its worker. `job` is (doc, stages,
     the pairs and trims of the stage before the first, the talk's external
-    scores or None). Per stage: the pairs it passes on, its trims, its
-    artifact texts by file name, and how many pairs eta drops when `eta_min`
-    exceeds every external score of the talk (else 0)."""
+    scores or None). Per stage: the pairs it passes on and its artifact
+    texts by file name."""
     doc, stages, pairs, trims, scores = job
     talk_id, results = doc.talk_id, []
     for stage in stages:
-        name, eta_dropped = f"{stage}/{talk_id}.jsonl", 0
+        name = f"{stage}/{talk_id}.jsonl"
         if stage == "coarse":
             aset = al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
-            pairs, trims, texts = aset.kept(), {}, {name: al.links_text(talk_id, aset.links)}
+            pairs, texts = aset.kept(), {name: al.links_text(talk_id, aset.links)}
         elif stage == "intra":
             trimmed = fa.apply_intra_filter(pairs, doc, cfg.intra)
             texts = {name: al.links_text(talk_id, [r.pair for r in trimmed]),
@@ -435,15 +438,13 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
             pairs, trims = tuple(r.pair for r in trimmed), {r.pair.key(): r.trims for r in trimmed}
         else:
             ref = fi.read_reference_jsonl(cfg.refs_dir / f"{talk_id}.refs.jsonl", talk_id=talk_id)
-            params = cfg.inter.per_talk.get(talk_id, cfg.inter)
-            kept, decisions = fi.apply_inter_filter(pairs, doc, ref, params, scores=scores,
-                                                    trims_by_pair=trims)
-            if scores is not None and decisions and all(d.eta < params.eta_min for d in decisions):
-                eta_dropped = len(decisions)
+            kept, decisions = fi.apply_inter_filter(pairs, doc, ref,
+                                                    cfg.inter.per_talk.get(talk_id, cfg.inter),
+                                                    scores=scores, trims_by_pair=trims)
             texts = {name: al.links_text(talk_id, kept),
                      f"decisions/{talk_id}.jsonl": fi.decisions_text(decisions)}
-            pairs, trims = tuple(kept), {}
-        results.append((pairs, trims, texts, eta_dropped))
+            pairs = tuple(kept)
+        results.append((pairs, texts))
     return results
 
 
@@ -481,17 +482,20 @@ def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPai
             manifest.add_input(cfg.scores_path)
             for doc in docs:
                 manifest.add_input(cfg.refs_dir / f"{doc.talk_id}.refs.jsonl")
-        pairs, trims = {}, {}
+        pairs = {}
         for doc, results in zip(docs, by_talk):
-            pairs[doc.talk_id], trims[doc.talk_id], texts, eta_dropped = results[i]
+            pairs[doc.talk_id], texts = results[i]
             for name, text in texts.items():
                 manifest.write_artifact(cfg.out_dir / name, text)
-            if eta_dropped:
-                # an external score has no fixed range, so a threshold may lie above all of them
-                log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
-                            "so eta drops all %d pairs", doc.talk_id,
-                            cfg.inter.per_talk.get(doc.talk_id, cfg.inter).eta_min, eta_dropped)
-        done.append(Stage(pairs, manifest.save(), trims))
+        done.append(Stage(pairs, manifest.save()))
+    # an external score has no fixed range, so a threshold may lie above all of
+    # them; scores are given only to inter, the last stage, which judged done[-2]
+    for doc in docs:
+        table, judged = scores.get(doc.talk_id), done[-2].pairs.get(doc.talk_id)
+        eta_min = cfg.inter.per_talk.get(doc.talk_id, cfg.inter).eta_min
+        if table and judged and max(table.values()) < eta_min:
+            log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
+                        "so eta drops all %d pairs", doc.talk_id, eta_min, len(judged))
     return done[1:]
 
 
@@ -616,27 +620,15 @@ COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None, help="JSON config file")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--jobs", type=int, default=None, help="talk-level parallelism")
-    common.add_argument("--seed", type=int, default=None, help="override synth/bench seed")
-    common.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    common.add_argument("--gamma-min", dest="gamma_min", type=float, default=None)
-    common.add_argument("--gamma-max", dest="gamma_max", type=float, default=None)
-    common.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    common.add_argument("--prune-cost", dest="prune_cost", type=float, default=None)
-    common.add_argument("--max-src-span", dest="max_src_span", type=int, default=None)
-    common.add_argument("--max-tgt-span", dest="max_tgt_span", type=int, default=None)
-    common.add_argument("--skip-penalty", dest="skip_penalty", type=float, default=None)
-
     parser = _Parser(prog="si-align",
                      description="SI corpus alignment and filtering pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
-    subs["synth"].add_argument("--talks", type=int, default=None)
-    subs["synth"].add_argument("--sentences", type=int, default=None)
-    subs["synth"].add_argument("--vocab-size", type=int, default=None)
+    subs = {name: sub.add_parser(name) for name in COMMANDS}
+    for name, command in subs.items():
+        command.add_argument("--config", type=Path, default=None, help="JSON config file")
+        for flag, (kind, keys) in FLAGS.items():
+            if name == "synth" or flag not in SYNTH_FLAGS:
+                command.add_argument(flag, type=kind, help="sets " + " and ".join(keys))
     subs["export-anno"].add_argument("--stage", choices=list(STAGES), default="inter")
     subs["import-anno"].add_argument("annotations", type=Path)
     return parser

@@ -300,6 +300,10 @@ def read_manifest(path) -> TalkManifest:
     if not_str:
         raise ParseError(f"manifest keys must be non-empty strings: {', '.join(not_str)}",
                          path=path)
+    # the talk id names the talk's files in every output and input directory
+    if obj["talk_id"] in (".", "..") or any(c in obj["talk_id"] for c in "/\\\0"):
+        raise ParseError(f"talk_id {obj['talk_id']!r} must be a file name: not '.' or '..', "
+                         "and without '/', '\\' or NUL", path=path)
     try:
         rank = Rank(obj["interpreter_rank"])
     except ValueError:

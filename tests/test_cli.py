@@ -251,6 +251,37 @@ def test_flag_overrides_config(tmp_path):
     assert all(dropped)  # everything above the tiny threshold
 
 
+# a valid value, other than the default, for each flag of `cli.FLAGS`
+FLAG_VALUES = {"--out-dir": "elsewhere", "--jobs": "3", "--seed": "9", "--alpha-min": "0.25",
+               "--gamma-min": "0.3", "--gamma-max": "1.8", "--eta-min": "0.2",
+               "--prune-cost": "0.9", "--max-src-span": "3", "--max-tgt-span": "2",
+               "--skip-penalty": "0.5", "--talks": "3", "--sentences": "9", "--vocab-size": "60"}
+
+
+@pytest.mark.parametrize("flag", list(cli.FLAGS))
+def test_each_flag_sets_its_config_keys(capsys, flag):
+    """A flag parsed for a command that takes it sets each config key of its
+    `cli.FLAGS` row, and the command's `--help` names those keys; a synth
+    flag given to another command is a usage error (exit 1)."""
+    kind, keys = cli.FLAGS[flag]
+    command = "synth" if flag in cli.SYNTH_FLAGS else "align"
+    cfg = cli.load_config(None, cli.build_parser().parse_args([command, flag, FLAG_VALUES[flag]]))
+    for dotted in keys:
+        value, default = cfg, cli.PipelineConfig()
+        for name in dotted.split("."):
+            value, default = getattr(value, name), getattr(default, name)
+        want = Path(FLAG_VALUES[flag]) if isinstance(default, Path) else kind(FLAG_VALUES[flag])
+        assert value == want != default, dotted
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert f"sets {' and '.join(keys)}" in " ".join(capsys.readouterr().out.split())
+    if flag in cli.SYNTH_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            run(["align", flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 1
+
+
 @pytest.mark.parametrize("text", ["{not json", '{"talk": []}', pytest.param(
     "[" * 100_000 + "]" * 100_000, id="deeply_nested")])
 def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):
@@ -260,6 +291,37 @@ def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):
     corpus.write_text(text, encoding="utf-8")
     assert run(["align", "--config", cfg]) == 2
     assert str(corpus) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("talk_id", ["../../../escaped", "a/b", "a\\b", "..", ".", "nul\0"])
+def test_talk_id_that_is_no_file_name_exit_two(tmp_path, capsys, talk_id):
+    """A talk id names the talk's file in each stage directory, so a talk
+    manifest whose `talk_id` is `.` or `..` or holds `/`, `\\` or NUL exits 2
+    naming the manifest, and nothing is written, in the run's directory or
+    above it."""
+    (tmp_path / "run").mkdir()
+    cfg = write_config(tmp_path / "run")
+    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
+    manifest = tmp_path / "run" / "out" / "talks" / "talk0000" / "manifest.json"
+    obj = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**obj, "talk_id": talk_id}), encoding="utf-8")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(["align", "--config", cfg]) == 2
+    assert f"talk_id {talk_id!r} must be a file name" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_duplicate_talk_id_named_with_the_corpus(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
+    manifest = tmp_path / "out" / "talks" / "talk0001" / "manifest.json"
+    obj = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**obj, "talk_id": "talk0000"}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["align", "--config", cfg]) == 1
+    corpus = tmp_path / "out" / "corpus.json"
+    assert f"error: duplicate talk_id 'talk0000' in corpus [{corpus}]" in capsys.readouterr().err
 
 
 def test_malformed_trims_line_exit_two(tmp_path, capsys):
@@ -302,16 +364,23 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,section,key,value", [("bench", None, "bench_talks", 0),
-                                                       ("synth", "synth", "vocab_size", 49),
-                                                       ("synth", "synth", "talks", -2),
-                                                       ("bench", "synth", "sentences", 0)])
-def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value):
+@pytest.mark.parametrize("command,section,key,value,message", [
+    ("bench", None, "bench_talks", 0, "must be >= 1, got 0"),
+    ("synth", "synth", "vocab_size", 49, "must be >= 50, got 49"),
+    ("synth", "synth", "talks", -2, "must be >= 1, got -2"),
+    ("bench", "synth", "sentences", 0, "must be >= 1, got 0"),
+    # a missing gold link scores 0, so at a negative epsilon it would count as recovered
+    ("validate", None, "epsilons", [-0.1, 0.5], "must be in [0, 1), got -0.1"),
+    ("validate", None, "epsilons", [0.5, 1.0], "must be in [0, 1), got 1.0")],
+    ids=["bench-None-bench_talks-0", "synth-synth-vocab_size-49", "synth-synth-talks--2",
+         "bench-synth-sentences-0", "validate-None-epsilons-negative", "validate-None-epsilons-1"])
+def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value,
+                                                 message):
     """A value the command could not use is refused when the config loads,
     naming the file and the dotted key, before anything is written."""
     cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
     assert run([command, "--config", cfg]) == 1
-    assert f"{cfg}: {section + '.' if section else ''}{key}: must be >= " in capsys.readouterr().err
+    assert f"{cfg}: {section + '.' if section else ''}{key}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -851,6 +920,42 @@ def test_external_eta_min_above_every_score_warns(tmp_path, caplog):
             assert (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes() == decisions
     rows = [json.loads(line) for line in decisions.decode("utf-8").splitlines()]
     assert rows and all("eta" in row["reasons"] for row in rows)
+
+
+def test_external_score_above_eta_min_on_an_unused_span_keeps_quiet(tmp_path, caplog):
+    """The warning reads the talk's score table, not the pairs judged: one
+    score above `eta_min`, on a span that no link uses, means `eta_min` does
+    not exceed every score of the talk, so nothing is logged although eta
+    drops every pair; the decisions are those of the table without it."""
+    cfg = write_config(tmp_path, inter={"eta_min": 0.7}, scores_path="scores.tsv")
+    assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
+                "--sentences", "6"]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    coarse = (tmp_path / "out" / "coarse" / "talk0000.jsonl").read_text(encoding="utf-8")
+    used = {(row["src_start"], row["src_len"]) for row in map(json.loads, coarse.splitlines())}
+    spans = [(start, length) for start in range(40) for length in range(1, 5)]
+    unused = next(span for span in spans if span not in used)
+
+    def write_scores(high):
+        rows = [(talk, span, 0.9 if talk == "talk0001" or span == high else 0.5)
+                for talk in ("talk0000", "talk0001") for span in spans]
+        (tmp_path / "scores.tsv").write_text("".join(
+            f"{talk}\t{start}\t{length}\t{value}\n" for talk, (start, length), value in rows),
+            encoding="utf-8")
+
+    write_scores(None)
+    assert run(["pipeline", "--config", cfg]) == 0
+    decisions = (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes()
+    rows = [json.loads(line) for line in decisions.decode("utf-8").splitlines()]
+    assert rows and all("eta" in row["reasons"] for row in rows)
+    write_scores(unused)
+    for jobs in (1, 2):
+        for command in ("pipeline", "filter-inter"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="si_align.cli"):
+                assert run([command, "--config", cfg, "--jobs", jobs]) == 0
+            assert not [r for r in caplog.records if r.name == "si_align.cli"], (command, jobs)
+            assert (tmp_path / "out" / "decisions" / "talk0000.jsonl").read_bytes() == decisions
 
 
 @pytest.mark.parametrize("missing", ["refs", "scores", "talk"])
