@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors (exit 1), not I/O errors (exit 2)
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -48,11 +48,16 @@ class ValidationError(_LocatedError):
     """A structural invariant does not hold (exit 1)."""
 
 
+# bytes read from a file at a time: more than one line of a dim-768 vector
+# file (about 7 KB), so a line is not pieced together from several reads
+READ_BUFFER = 64 << 10
+
+
 def read_lines(path, data: bytes | None = None):
     """Yield (line number, text) of a UTF-8 file, one line at a time, each
     without its `\n` or `\r\n` ending. Given `data`, the file's bytes
     already read, those are split and `path` only names the file in errors."""
-    with open(path, "rb") if data is None else io.BytesIO(data) as handle:
+    with open(path, "rb", buffering=READ_BUFFER) if data is None else io.BytesIO(data) as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 text = raw.decode("utf-8")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,9 +38,6 @@ MAX_TABLE_CELLS = 1 << 26
 # small next to the table; a chunk ends at whichever bound it reaches first
 PARSE_CHUNK_ROWS = 16
 PARSE_CHUNK_CHARS = 128 << 10
-# information separators: numpy's float parser strips them as whitespace,
-# `float()` rejects them, so a vector holding one is a bad field
-_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
 PROVIDER_FALLBACK = "fallback_hash"
@@ -268,57 +266,57 @@ def load_precomputed(path, n_source: int, n_target: int,
     valid UTF-8 with finite values. Vectors whose norm strays beyond a loose
     tolerance are renormalized with a warning.
 
-    Values are read by numpy's float parser, `PARSE_CHUNK_ROWS` rows at a
-    time: ASCII decimal, `inf` or `nan` literals, optionally padded with
-    whitespace. Unlike `float()`, it takes no `_` digit separators and no
-    non-ASCII digits. Every error names the first bad line of the file, or
-    the file alone for a window that has no row.
+    Each row's columns, side, start and length, and a vector field that is
+    blank or holds an information separator, are checked as the row is read;
+    the first row's value count sizes the table. The vector texts are then
+    parsed by numpy's float parser, `PARSE_CHUNK_ROWS` rows at a time, and
+    `settle_vectors` checks and stores each parsed block: it is the one
+    place that stores rows. A block numpy rejects, or whose width is not
+    the first row's, is parsed again row by row, checking each row's
+    values, then their finiteness, then its width. Values are ASCII decimal,
+    `inf` or `nan` literals, optionally padded with whitespace; unlike
+    `float()`, the parser takes no `_` digit separators and no non-ASCII
+    digits. Every error names the first bad line of the file, or the file
+    alone for a window that has no row.
     """
     import numpy as np
 
     path = Path(path)
     rows = window_rows(n_source, n_target, max_src_window, max_tgt_window)
-    filled = np.zeros(rows[(TARGET, max_tgt_window)].stop, dtype=bool)
+    index = {(side, start, w): row for (side, w), block in rows.items()
+             for start, row in enumerate(block)}
+    filled = np.zeros(len(index), dtype=bool)
     entries = None
-    # rows read but not yet parsed: (line number, window, table row or None, vector text)
-    pending: list[tuple[int, tuple[str, int, int], int | None, str]] = []
-    pending_chars = 0
-
-    def settle(items, block):
-        """Check and store parsed rows, in file order."""
-        finite = np.isfinite(block).all(axis=1)
-        for (lineno, key, row, _), vec, ok in zip(items, block, finite):
-            if not ok:
-                raise ParseError("non-finite vector value", path=path, line=lineno)
-            if row is None:
-                continue
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.isfinite(norm):
-                raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
-            if abs(norm - 1.0) > RENORM_WARN_TOL:
-                log.warning("%s:%d: window %s has norm %.6g, renormalizing",
-                            path, lineno, key, norm)
-            entries[row] = vec / norm
-            filled[row] = True
+    # rows read but not yet parsed: (line number, window, table row or -1) and vector text
+    pending: list[tuple[int, tuple[str, int, int], int]] = []
+    texts: list[str] = []
+    chars = 0
 
     def flush():
-        items = pending.copy()
+        items, chunk = pending.copy(), texts.copy()
         pending.clear()
+        texts.clear()
         if not items:
             return
         try:
-            block = _parse_vectors([text for *_, text in items])
+            block = _parse_vectors(chunk)
         except ValueError:
-            # parse row by row, so the first row numpy rejects is the one named
-            for item in items:
-                try:
-                    block = _parse_vectors([item[-1]])
-                except ValueError as exc:
-                    raise ParseError(f"bad numeric field: {exc}", path=path,
-                                     line=item[0]) from exc
-                settle([item], block)
-        else:
-            settle(items, block)
+            block = None
+        if block is not None and block.shape[1] == entries.shape[1]:
+            settle_vectors(path, block, items, entries, filled)
+            return
+        # row by row, so the first bad row is the one named, and for what the
+        # row-by-row `float()` reader names first: a bad value, then a non-finite
+        # one (which `settle_vectors` raises), then the width
+        for item, text in zip(items, chunk):
+            try:
+                block = _parse_vectors([text])
+            except ValueError as exc:
+                raise ParseError(f"bad numeric field: {exc}", path=path, line=item[0]) from exc
+            if block.shape[1] != entries.shape[1] and np.isfinite(block).all():
+                raise ParseError(f"dimension {block.shape[1]} differs from first row's "
+                                 f"{entries.shape[1]}", path=path, line=item[0])
+            settle_vectors(path, block, [item], entries, filled)
 
     try:
         for lineno, line in read_lines(path):
@@ -327,47 +325,83 @@ def load_precomputed(path, n_source: int, n_target: int,
             cols = line.split("\t")
             if len(cols) != 4:
                 raise ParseError(f"expected 4 columns, got {len(cols)}", path=path, line=lineno)
-            side, text = cols[0], cols[3]
+            side, start, w, text = cols
             if side not in (SOURCE, TARGET):
                 raise ParseError(f"unknown side {side!r}", path=path, line=lineno)
             try:
-                start, w = int(cols[1]), int(cols[2])
+                start, w = int(start), int(w)
             except ValueError as exc:
                 raise ParseError(f"bad numeric field: {exc}", path=path, line=lineno) from exc
             if not text.strip():
                 raise ParseError("bad numeric field: no values", path=path, line=lineno)
-            if any(c in text for c in _FLOAT_REJECTS):
+            # information separators: numpy's float parser strips them as
+            # whitespace, `float()` rejects them, so a vector holding one is a bad field
+            if "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
                 raise ParseError("bad numeric field: an information separator (U+001C..U+001F)",
                                  path=path, line=lineno)
             if "\r" in text:  # whitespace to `float()`, a line end to numpy
                 text = text.replace("\r", " ")
-            dim = text.count(",") + 1
             if entries is None:
+                dim = text.count(",") + 1
                 if len(filled) * dim > MAX_TABLE_CELLS:
                     raise ParseError(f"{dim} values x {len(filled)} windows exceeds the table "
                                      f"limit of {MAX_TABLE_CELLS} cells", path=path, line=lineno)
                 entries = np.empty((len(filled), dim))
-            elif dim != entries.shape[1]:
-                raise ParseError(f"dimension {dim} differs from first row's {entries.shape[1]}",
-                                 path=path, line=lineno)
-            block = rows.get((side, w), range(0))
-            pending.append((lineno, (side, start, w),
-                            block[start] if 0 <= start < len(block) else None, text))
-            pending_chars += len(text)
-            if len(pending) == PARSE_CHUNK_ROWS or pending_chars >= PARSE_CHUNK_CHARS:
+            key = (side, start, w)
+            pending.append((lineno, key, index.get(key, -1)))
+            texts.append(text)
+            chars += len(text)
+            if len(texts) == PARSE_CHUNK_ROWS or chars >= PARSE_CHUNK_CHARS:
                 flush()
-                pending_chars = 0
+                chars = 0
     except ParseError:
         flush()  # a bad row still pending lies on an earlier line, so it is the one reported
         raise
     flush()
-    for (side, w), block in rows.items():
-        for start, row in enumerate(block):
-            if not filled[row]:
-                raise ParseError(f"no vector for window ({side}, start={start}, len={w})",
-                                 path=path)
+    missing = np.flatnonzero(~filled)
+    if missing.size:  # `index` is in table order, so this is the first window without a row
+        side, start, w = next(key for key, row in index.items() if row == missing[0])
+        raise ParseError(f"no vector for window ({side}, start={start}, len={w})", path=path)
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
                           entries if entries is not None else np.empty((0, 0)))
+
+
+def settle_vectors(path, block: np.ndarray, items: list[tuple[int, tuple, int]],
+                   entries: np.ndarray, filled: np.ndarray) -> None:
+    """Check a block of parsed vectors and store each as a unit row of `entries`.
+
+    `block[k]` was read from line `items[k][0]` of `path` for window
+    `items[k][1]`, and belongs in table row `items[k][2]`, or in none when
+    that is -1. In file order, a row with a non-finite value, or a stored
+    row whose norm is 0 or overflows, raises a ParseError naming its line,
+    after a warning for each earlier stored row whose norm strays beyond
+    `RENORM_WARN_TOL`. Then every stored row is divided by its norm, the
+    last row of a window repeated in the block winning, in one scatter, and
+    marked in `filled`. A norm is `sqrt(v.dot(v))`, bit for bit
+    `np.linalg.norm(v)`.
+    """
+    import numpy as np
+
+    finite = np.isfinite(block).all(axis=1)
+    norms = np.sqrt([v.dot(v) for v in block])
+    if not finite.all() or (np.abs(norms - 1.0) > RENORM_WARN_TOL).any():
+        for (lineno, key, row), ok, norm in zip(items, finite, norms.tolist()):
+            if not ok:
+                raise ParseError("non-finite vector value", path=path, line=lineno)
+            if row < 0:
+                continue
+            if norm == 0.0 or norm == math.inf:
+                raise ParseError(f"window {key} has norm {norm}", path=path, line=lineno)
+            if abs(norm - 1.0) > RENORM_WARN_TOL:
+                log.warning("%s:%d: window %s has norm %.6g, renormalizing",
+                            path, lineno, key, norm)
+    # numpy keeps no promised value for a repeated index, so each table row is stored once
+    last = {row: k for k, (_, _, row) in enumerate(items) if row >= 0}
+    stored, picked = list(last), list(last.values())
+    unit = block[picked]
+    unit /= norms[picked, None]
+    entries[stored] = unit
+    filled[stored] = True
 
 
 def _parse_vectors(texts: list[str]) -> np.ndarray:

@@ -282,6 +282,21 @@ def test_each_flag_sets_its_config_keys(capsys, flag):
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, usage, message", [
+    (["align", "--talks", "3"], "usage: si-align [-h]",
+     "si-align: error: unrecognized arguments: --talks 3"),
+    (["import-anno"], "usage: si-align import-anno [-h]",
+     "si-align import-anno: error: the following arguments are required: annotations"),
+], ids=["unknown-flag", "missing-path"])
+def test_usage_error_says_what_was_wrong(capsys, argv, usage, message):
+    """A usage error exits 1, printing the usage and then what was wrong."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and err.splitlines()[-1] == message
+
+
 @pytest.mark.parametrize("text", ["{not json", '{"talk": []}', pytest.param(
     "[" * 100_000 + "]" * 100_000, id="deeply_nested")])
 def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):

@@ -13,7 +13,7 @@ from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProv
                                  build_fallback_table, load_precomputed, window_rows,
                                  write_table_file)
 
-from conftest import doc, unit, vector_outcome
+from conftest import doc, unit
 from oracles import (cosine, enumerate_windows, fallback_embed, reference_load_precomputed,
                      window_vector)
 
@@ -267,11 +267,28 @@ def test_precomputed_renormalizes(tmp_path):
 
 
 def test_precomputed_dimension_mismatch(tmp_path):
-    path = tmp_path / "emb.tsv"
-    path.write_text("source\t0\t1\t1.0,0.0\ntarget\t0\t1\t1.0,0.0,0.0\n", encoding="utf-8")
-    with pytest.raises(Exception) as err:
-        load_precomputed(path, 1, 1, 1, 1)
-    assert "dimension" in str(err.value)
+    """A row of another width than the first row's is named, also when every
+    row of a later parse chunk has that width, so that numpy parses the chunk."""
+    for widths, line in (([2, 3], 2), ([2] * PARSE_CHUNK_ROWS + [3] * PARSE_CHUNK_ROWS,
+                                       PARSE_CHUNK_ROWS + 1)):
+        path = tmp_path / f"emb{line}.tsv"
+        path.write_text("".join(f"source\t{i}\t1\t" + ",".join(["0.6", "0.8", "0.0"][:k]) + "\n"
+                                for i, k in enumerate(widths)), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_precomputed(path, len(widths), 1, 1, 1)
+        assert str(err.value) == f"dimension 3 differs from first row's 2 [{path}:{line}]"
+
+
+@pytest.mark.parametrize("value, message", [("x", "bad numeric field"),
+                                            ("nan", "non-finite vector value")])
+def test_precomputed_ragged_row_checks_values_first(tmp_path, value, message):
+    """A row of another width that also holds a bad or non-finite value is
+    named for the value, as the row-by-row `float()` loader names it."""
+    path = _one_by_one(tmp_path, ["0.6,0.8", f"0.6,{value},0.0"])
+    for load in (load_precomputed, reference_load_precomputed):
+        with pytest.raises(ParseError) as err:
+            load(path, 1, 1, 1, 1)
+        assert err.value.message.startswith(message) and err.value.line == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -369,8 +386,10 @@ def _padded(values):
 @st.composite
 def vector_files(draw):
     """(file text, n_source, n_target, max_window): one row per window, in
-    any order, some repeated, some for windows outside the table. A file
-    may lack a window or hold values whose square overflows, or non-finite ones."""
+    any order, some repeated (one within a parse chunk of the first), some
+    for windows outside the table. A file may lack a window, hold values
+    whose square overflows, or non-finite ones, or hold a row of another
+    width, whose values may be bad or non-finite too."""
     n_source, n_target = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     max_w, dim = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     keys = [(side, start, w) for side, n in ((SOURCE, n_source), (TARGET, n_target))
@@ -381,6 +400,8 @@ def vector_files(draw):
     keys += draw(st.lists(st.tuples(st.sampled_from([SOURCE, TARGET]), st.integers(-2, 12),
                                     st.integers(1, 7)), max_size=6))
     keys = draw(st.permutations(keys))
+    repeated = draw(st.integers(0, len(keys) - 1))
+    keys.insert(repeated + draw(st.integers(1, PARSE_CHUNK_ROWS - 1)), keys[repeated])
     extreme = SPECIAL_VALUES + ([] if draw(st.integers(0, 3)) else ["1e308", "-INF", "NaN"])
     # a nonzero first value keeps most rows' norms away from 0
     first = _padded(st.floats(0.25, 4.0).map(repr))
@@ -389,7 +410,26 @@ def vector_files(draw):
     lines = [f"{side}\t{start}\t{w}\t"
              + ",".join([draw(first)] + draw(st.lists(rest, min_size=dim - 1, max_size=dim - 1)))
              + "\n" for side, start, w in keys]
+    if not draw(st.integers(0, 3)):
+        # a row one value wider or narrower, perhaps holding a bad or non-finite one
+        k = draw(st.integers(0, len(lines) - 1))
+        values = lines[k].rstrip("\n").split("\t")[3].split(",")
+        values = values[:-1] if dim > 1 and draw(st.booleans()) else values + ["0.5"]
+        values[-1] = draw(st.sampled_from([values[-1], "x", "nan"]))
+        lines[k] = "\t".join(lines[k].split("\t")[:3] + [",".join(values)]) + "\n"
     return "".join(lines), n_source, n_target, max_w
+
+
+def _outcome_and_kind(load, path, *shape):
+    """`vector_outcome`, with the kind of an error added: its message up to
+    the first colon, since after `bad numeric field:` each parser words its
+    own reason."""
+    try:
+        table = load(path, *shape)
+    except ParseError as exc:
+        return (ParseError, str(exc) if exc.line is None else exc.line,
+                exc.message.partition(":")[0])
+    return table.entries.shape, table.entries.tobytes()
 
 
 @settings(max_examples=200, deadline=None,
@@ -406,7 +446,7 @@ def test_precomputed_matches_row_by_row_oracle(tmp_path, caplog, case):
     for load in (load_precomputed, reference_load_precomputed):
         caplog.clear()
         with caplog.at_level(logging.WARNING), np.errstate(over="ignore"):
-            outcomes.append(vector_outcome(load, path, *shape))
+            outcomes.append(_outcome_and_kind(load, path, *shape))
         warned.append([record.getMessage() for record in caplog.records])
     assert outcomes[0] == outcomes[1]
     assert warned[0] == warned[1]
