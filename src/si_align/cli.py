@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
+# the values of the SI_ALIGN_LOG environment variable, in any case
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 # stage -> the command whose run writes it, in pipeline order; each stage
 # after the first is made from the one before it
 STAGES = {"coarse": "align", "intra": "filter-intra", "inter": "filter-inter"}
@@ -440,9 +443,9 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
             ref = fi.read_reference_jsonl(cfg.refs_dir / f"{talk_id}.refs.jsonl", talk_id=talk_id)
             kept, decisions = fi.apply_inter_filter(pairs, doc, ref,
                                                     cfg.inter.per_talk.get(talk_id, cfg.inter),
-                                                    scores=scores, trims_by_pair=trims)
+                                                    scores=scores)
             texts = {name: al.links_text(talk_id, kept),
-                     f"decisions/{talk_id}.jsonl": fi.decisions_text(decisions)}
+                     f"decisions/{talk_id}.jsonl": fi.decisions_text(talk_id, decisions, trims)}
             pairs = tuple(kept)
         results.append((pairs, texts))
     return results
@@ -635,12 +638,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SI_ALIGN_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     try:
+        level = os.environ.get("SI_ALIGN_LOG", "WARNING")
+        if level.upper() not in LOG_LEVELS:
+            raise ValidationError(f"SI_ALIGN_LOG: unknown level {level!r}, "
+                                  f"expected one of {', '.join(LOG_LEVELS)}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args)
         COMMANDS[args.command](cfg, args)
@@ -651,7 +655,6 @@ def main(argv=None) -> int:
         code, message = EXIT_VALIDATION, str(exc)
     except MemoryError as exc:
         code, message = EXIT_VALIDATION, f"out of memory: {exc}"
-    log.error("%s", message)
     print(f"error: {message}", file=sys.stderr)
     return code
 

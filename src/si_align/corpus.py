@@ -194,7 +194,6 @@ TOKENS = TokenTable()
 class TextUnit:
     """One source sentence or one target chunk."""
 
-    index: int
     text: str
     tokens: tuple[Token, ...]
 
@@ -373,7 +372,7 @@ def _build_units(texts: list[str], blocks, units_path, tags_path) -> tuple[TextU
                 f"token surfaces do not re-concatenate to unit {i} text of {units_path}",
                 path=tags_path, line=lineno,
             )
-        units.append(TextUnit(index=i, text=text, tokens=tuple(tokens)))
+        units.append(TextUnit(text=text, tokens=tuple(tokens)))
     return tuple(units)
 
 

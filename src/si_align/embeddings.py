@@ -383,7 +383,8 @@ def settle_vectors(path, block: np.ndarray, items: list[tuple[int, tuple, int]],
     import numpy as np
 
     finite = np.isfinite(block).all(axis=1)
-    norms = np.sqrt([v.dot(v) for v in block])
+    with np.errstate(over="ignore"):  # an overflowing norm is the error below
+        norms = np.sqrt([v.dot(v) for v in block])
     if not finite.all() or (np.abs(norms - 1.0) > RENORM_WARN_TOL).any():
         for (lineno, key, row), ok, norm in zip(items, finite, norms.tolist()):
             if not ok:

@@ -76,13 +76,12 @@ class SpanTable(dict):
 
 @dataclass(frozen=True)
 class FilterDecision:
-    talk_id: str
+    """The filter's judgement of one pair: kept exactly when `reasons` is empty."""
+
     pair: AlignedPair
     alpha: float
     gamma: float
     eta: float
-    trims: tuple[str, ...]
-    verdict: str                 # "keep" | "drop"
     reasons: tuple[str, ...]
 
 
@@ -181,7 +180,6 @@ def _matched_ngrams(texts: list[str]) -> list[list[int]]:
 
 def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
                        params: InterFilterParams, scores: SpanTable | None = None,
-                       trims_by_pair: dict | None = None,
                        ) -> tuple[list[AlignedPair], list[FilterDecision]]:
     """Keep pairs passing all three thresholds; record a decision for each.
 
@@ -191,7 +189,6 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
     score. Without `scores`, eta is `chrf_scores` of all the pairs' (F, T)
     texts at once.
     """
-    trims_by_pair = trims_by_pair or {}
     judged, texts, etas = [], [], []
     for pair in pairs:
         span = (pair.src_start, pair.src_len)
@@ -215,14 +212,9 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
             reasons.append(REASON_GAMMA_HIGH)
         if eta < params.eta_min:
             reasons.append(REASON_ETA)
-        verdict = "drop" if reasons else "keep"
         if not reasons:
             kept.append(pair)
-        decisions.append(FilterDecision(
-            talk_id=doc.talk_id, pair=pair, alpha=alpha, gamma=gamma, eta=eta,
-            trims=tuple(trims_by_pair.get(pair.key(), ())),
-            verdict=verdict, reasons=tuple(reasons),
-        ))
+        decisions.append(FilterDecision(pair, alpha, gamma, eta, tuple(reasons)))
     return kept, decisions
 
 
@@ -284,11 +276,12 @@ def read_external_scores(path) -> dict[str, SpanTable]:
     return scores
 
 
-def decisions_text(decisions) -> str:
-    """JSON Lines, one filter decision per row, in the given order."""
+def decisions_text(talk_id: str, decisions, trims: dict) -> str:
+    """JSON Lines, one filter decision per row, in the given order, each
+    with its pair's intra trims from `trims` (by `pair.key()`)."""
     return jsonl_text({
-        "talk_id": d.talk_id, **d.pair.span_row(),
+        "talk_id": talk_id, **d.pair.span_row(),
         "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
-        "trims": list(d.trims),
-        "verdict": d.verdict, "reasons": list(d.reasons),
+        "trims": list(trims[d.pair.key()]),
+        "verdict": "drop" if d.reasons else "keep", "reasons": list(d.reasons),
     } for d in decisions)

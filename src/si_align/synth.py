@@ -192,8 +192,8 @@ def sample_transformations(m: int, noise: NoiseParams, seed) -> list[str]:
     return tags
 
 
-def _unit(index: int, tokens) -> TextUnit:
-    return TextUnit(index=index, text=" ".join(t.surface for t in tokens), tokens=tuple(tokens))
+def _unit(tokens) -> TextUnit:
+    return TextUnit(text=" ".join(t.surface for t in tokens), tokens=tuple(tokens))
 
 
 def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
@@ -206,13 +206,13 @@ def generate_talk(seed, m: int, noise: NoiseParams, vocab_size: int = 200,
     sentences = [_source_sentence(rng_content, vocab) for _ in range(m)]
     tags = sample_transformations(m, noise, seed)
 
-    src_units = [_unit(i, toks) for i, toks in enumerate(sentences)]
+    src_units = [_unit(toks) for toks in sentences]
     tgt_units: list[TextUnit] = []
     provenance: list[str] = []
     links: list[AlignedPair] = []
 
     def emit(tokens, tag) -> None:
-        tgt_units.append(_unit(len(tgt_units), tokens))
+        tgt_units.append(_unit(tokens))
         provenance.append(tag)
 
     i = 0

@@ -5,13 +5,13 @@ import pytest
 from si_align.corpus import DocumentPair, ParseError, Pos, Rank, TextUnit, Token
 
 
-def unit(index, text, tags=None):
+def unit(text, tags=None):
     """TextUnit from space-separated text; tags default to NOUN per token."""
     surfaces = text.split()
     if tags is None:
         tags = [Pos.NOUN] * len(surfaces)
     assert len(tags) == len(surfaces)
-    return TextUnit(index=index, text=" ".join(surfaces),
+    return TextUnit(text=" ".join(surfaces),
                     tokens=tuple(Token(s, t) for s, t in zip(surfaces, tags)))
 
 
@@ -21,8 +21,8 @@ def doc(src_texts, tgt_texts, talk_id="t0", rank=Rank.S, src_tags=None, tgt_tags
     return DocumentPair(
         talk_id=talk_id,
         interpreter_rank=rank,
-        source_units=tuple(unit(i, t, g) for i, (t, g) in enumerate(zip(src_texts, src_tags))),
-        target_units=tuple(unit(i, t, g) for i, (t, g) in enumerate(zip(tgt_texts, tgt_tags))),
+        source_units=tuple(unit(t, g) for t, g in zip(src_texts, src_tags)),
+        target_units=tuple(unit(t, g) for t, g in zip(tgt_texts, tgt_tags)),
     )
 
 

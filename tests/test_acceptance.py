@@ -189,7 +189,7 @@ def test_criterion_8_curation_round_trip(tmp_path):
 
     rejected = 0
     for good_align, good_mt in ((None, True), (False, True), (None, False)):
-        record = AnnotationRecord("cur", 0, 1, 0, 1, "s", "t",
+        record = AnnotationRecord("cur", AlignedPair(0, 1, 0, 1, 0.0), "s", "t",
                                   good_align=good_align, good_mt=good_mt)
         try:
             record.validate()

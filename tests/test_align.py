@@ -116,7 +116,7 @@ def test_perfect_match_all_one_to_one():
 
 def test_empty_target_forces_deletions():
     document = DocumentPair("edge", Rank.UNKNOWN,
-                            tuple(unit(i, f"u{i}") for i in range(3)), ())
+                            tuple(unit(f"u{i}") for i in range(3)), ())
     table = build_fallback_table(document, EmbeddingProviderSpec(), 2, 2)
     params = AlignParams(max_src_span=2, max_tgt_span=2, skip_penalty=0.7)
     result = dp_align(document, table, params)

@@ -578,6 +578,36 @@ def _vector_corpus(tmp_path, talks=3):
     return cfg
 
 
+def test_decision_rows_carry_their_pairs_intra_trims(tmp_path):
+    """Each row of decisions/<talk>.jsonl holds the trims of its pair in
+    intra/<talk>.trims.jsonl, one row per intra pair, and its verdict is
+    `drop` exactly when it gives reasons: after `pipeline` at `--jobs 1` and
+    `--jobs 2`, and after a standalone `filter-inter`."""
+    from si_align.intra import read_trims
+
+    # fillers make trims; an eta_min of 0.9 drops some pairs and keeps others
+    cfg = write_config(tmp_path, noise={"split_rate": 0.2, "filler_rate": 0.5},
+                       inter={"eta_min": 0.9})
+    assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "3", "--sentences", "14"]) == 0
+    runs = [(["pipeline", "--jobs", 1, "--out-dir", "p1"], "p1"),
+            (["pipeline", "--jobs", 2, "--out-dir", "p2"], "p2"),
+            (["filter-inter", "--out-dir", "p1"], "p1")]
+    trimmed, verdicts = 0, set()
+    for args, out_dir in runs:
+        assert run([*args, "--config", cfg]) == 0
+        for talk in ("talk0000", "talk0001", "talk0002"):
+            trims = read_trims(tmp_path / out_dir / "intra" / f"{talk}.trims.jsonl")
+            rows = [json.loads(line) for line in (tmp_path / out_dir / "decisions" /
+                                                  f"{talk}.jsonl").read_text().splitlines()]
+            keys = [(r["src_start"], r["src_len"], r["tgt_start"], r["tgt_len"]) for r in rows]
+            assert sorted(keys) == sorted(trims)
+            for key, row in zip(keys, rows):
+                assert row["talk_id"] == talk and tuple(row["trims"]) == trims[key]
+                assert (row["verdict"] == "drop") == bool(row["reasons"])
+                trimmed, verdicts = trimmed + bool(row["trims"]), verdicts | {row["verdict"]}
+    assert trimmed and verdicts == {"keep", "drop"}
+
+
 def test_jobs_parity(tmp_path, capsys):
     """`--jobs 1` and `--jobs 2` write the same artifacts, recovery reports
     included, whether the stages run in `pipeline` or as standalone
@@ -689,6 +719,33 @@ def test_user_blas_threads_win(name):
 
 def _child_env():
     return {**os.environ, "PYTHONPATH": str(Path(si_align.__file__).parent.parent)}
+
+
+def _run_script(args, cwd, **env):
+    """(exit code, stderr lines) of `si-align` run as its own process, as
+    users run it, so that logging is configured by `main` alone."""
+    done = subprocess.run([sys.executable, "-m", "si_align.cli", *map(str, args)], cwd=cwd,
+                          env={**_child_env(), **env}, capture_output=True, text=True,
+                          timeout=60)
+    return done.returncode, done.stderr.splitlines()
+
+
+def test_an_error_is_one_stderr_line(tmp_path):
+    missing = tmp_path / "missing.json"
+    assert _run_script(["align", "--config", missing], tmp_path) == (
+        2, [f"error: [Errno 2] No such file or directory: '{missing}'"])
+    assert _run_script(["filter-inter", "--out-dir", "empty"], tmp_path) == (
+        1, ["error: config needs a 'corpus' path for this command"])
+
+
+def test_unknown_log_level_is_one_error_line(tmp_path):
+    assert _run_script(["stats"], tmp_path, SI_ALIGN_LOG="verbose") == (
+        1, ["error: SI_ALIGN_LOG: unknown level 'verbose', "
+            "expected one of DEBUG, INFO, WARNING, ERROR, CRITICAL"])
+    # a level in any case is accepted
+    assert _run_script(["synth", "--out-dir", "out", "--talks", "1", "--sentences", "3"],
+                       tmp_path, SI_ALIGN_LOG="info") == (
+        0, ["INFO __main__: synthesized 1 talks into out"])
 
 
 def test_cli_import_leaves_numpy_out():

@@ -33,7 +33,7 @@ def test_export_sorted_after_shuffle():
     pairs = _pairs()
     random.Random(3).shuffle(pairs)
     records = export_annotations({"curate": (pairs, document)})
-    assert [r.src_start for r in records] == sorted(r.src_start for r in records)
+    assert [r.pair.src_start for r in records] == sorted(r.pair.src_start for r in records)
 
 
 def _round_trip(tmp_path, records, newline="\n"):
@@ -83,14 +83,14 @@ def test_import_applies_edited_target(tmp_path):
 def test_label_implication_all_three_invalid_combos():
     invalid = [(None, True), (False, True), (None, False)]
     for good_align, good_mt in invalid:
-        record = AnnotationRecord("t", 0, 1, 0, 1, "s", "f",
+        record = AnnotationRecord("t", AlignedPair(0, 1, 0, 1, 0.0), "s", "f",
                                   good_align=good_align, good_mt=good_mt)
         with pytest.raises(ValidationError):
             record.validate()
     valid = [(True, True), (True, False), (False, False),
              (True, None), (False, None), (None, None)]
     for good_align, good_mt in valid:
-        AnnotationRecord("t", 0, 1, 0, 1, "s", "f",
+        AnnotationRecord("t", AlignedPair(0, 1, 0, 1, 0.0), "s", "f",
                          good_align=good_align, good_mt=good_mt).validate()
 
 
@@ -108,21 +108,26 @@ def test_import_rejects_invalid_combo_in_file(tmp_path):
                                           ((0, 0, 0, 0), "both spans empty")])
 def test_bad_span_rejected_whatever_the_labels(tmp_path, span, message):
     """A span no link may have is refused at its line, also on a row that
-    would not be kept."""
+    would not be kept. A record cannot hold such a span, so it is written
+    into the file's row."""
     document = _doc(1)
     base = export_annotations({"curate": (_pairs(1), document)})[0]
     for good_align, good_mt in ((True, True), (False, False), (None, None)):
-        bad = AnnotationRecord(**{**base.__dict__, "src_start": span[0], "src_len": span[1],
-                                  "tgt_start": span[2], "tgt_len": span[3],
-                                  "good_align": good_align, "good_mt": good_mt})
-        path = _round_trip(tmp_path, [base, bad])
+        labeled = AnnotationRecord(**{**base.__dict__,
+                                      "good_align": good_align, "good_mt": good_mt})
+        path = _round_trip(tmp_path, [base, labeled])
+        header, first, row = path.read_text(encoding="utf-8").splitlines()
+        cols = row.split("\t")
+        cols[1:5] = map(str, span)
+        path.write_text("\n".join((header, first, "\t".join(cols))) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
             import_annotations(path)
-        assert message in err.value.message and (err.value.path, err.value.line) == (str(path), 3)
+        assert err.value.message.startswith(f"curate ({span[0]},{span[1]}): {message}")
+        assert (err.value.path, err.value.line) == (str(path), 3)
 
 
 def test_empty_edited_target_rejected():
-    record = AnnotationRecord("t", 0, 1, 0, 1, "s", "f",
+    record = AnnotationRecord("t", AlignedPair(0, 1, 0, 1, 0.0), "s", "f",
                               good_align=True, good_mt=True, edited_target="   ")
     with pytest.raises(ValidationError):
         record.validate()
@@ -132,7 +137,7 @@ def test_span_edit_validated_against_bounds(tmp_path):
     document = _doc(2)
     base = export_annotations({"curate": (_pairs(2), document)})[0]
     resized = AnnotationRecord(**{**base.__dict__, "good_align": True, "good_mt": True,
-                                  "tgt_len": 99})
+                                  "pair": AlignedPair(0, 1, 0, 99, 0.0)})
     path = _round_trip(tmp_path, [resized])
     with pytest.raises(ValidationError) as err:
         import_annotations(path, {"curate": document})

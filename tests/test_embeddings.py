@@ -28,14 +28,14 @@ def brute_force_windows(texts, max_window):
 
 
 def test_three_units_singletons():
-    units = [unit(i, t) for i, t in enumerate(["aa", "bb", "cc"])]
+    units = [unit(t) for t in ["aa", "bb", "cc"]]
     got = enumerate_windows(units, 1)
     assert [(s, w) for s, w, _ in got] == [(0, 1), (1, 1), (2, 1)]
     assert [t for _, _, t in got] == ["aa", "bb", "cc"]
 
 
 def test_three_units_bigrams():
-    units = [unit(i, t) for i, t in enumerate(["aa", "bb", "cc"])]
+    units = [unit(t) for t in ["aa", "bb", "cc"]]
     got = enumerate_windows(units, 2)
     assert len(got) == 5
     assert got[3] == (0, 2, "aa bb")
@@ -43,7 +43,7 @@ def test_three_units_bigrams():
 
 def test_ten_units_window_four_vs_bruteforce():
     texts = [f"w{i}" for i in range(10)]
-    units = [unit(i, t) for i, t in enumerate(texts)]
+    units = [unit(t) for t in texts]
     got = enumerate_windows(units, 4)
     assert len(got) == 34
     assert sorted(got) == sorted(brute_force_windows(texts, 4))
@@ -52,7 +52,7 @@ def test_ten_units_window_four_vs_bruteforce():
 def test_window_count_formula_property():
     for max_w in range(1, 7):
         for n in range(0, 51):
-            units = [unit(i, f"u{i}") for i in range(n)]
+            units = [unit(f"u{i}") for i in range(n)]
             expected = sum(max(0, n - w + 1) for w in range(1, max_w + 1))
             assert len(enumerate_windows(units, max_w)) == expected
 
@@ -147,7 +147,7 @@ UNIT_TEXTS = st.lists(st.text(st.sampled_from(["a", "b", "é", "字", " ", "\t",
 def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_tgt_window,
                                          seed):
     """Every row is bit-for-bit the oracle's vector of that window's text."""
-    units = {side: tuple(TextUnit(i, text, ()) for i, text in enumerate(texts))
+    units = {side: tuple(TextUnit(text, ()) for text in texts)
              for side, texts in ((SOURCE, src), (TARGET, tgt))}
     document = DocumentPair("t", Rank.S, units[SOURCE], units[TARGET])
     params = EmbeddingProviderSpec(dim=64, orders=tuple(orders), seed=seed)
@@ -264,6 +264,16 @@ def test_precomputed_renormalizes(tmp_path):
     path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
     loaded = load_precomputed(path, 1, 1, 1, 1)
     assert np.linalg.norm(window_vector(loaded, SOURCE, 0, 1)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_precomputed_overflowing_norm_is_the_one_error(tmp_path):
+    """A vector whose squares overflow is its norm's error, with no numpy
+    overflow warning before it."""
+    path = _one_by_one(tmp_path, ["0.6,0.8", "1e200,0.0"])
+    with pytest.raises(ParseError) as err:
+        load_precomputed(path, 1, 1, 1, 1)
+    assert str(err.value) == f"window ('target', 0, 1) has norm inf [{path}:2]"
 
 
 def test_precomputed_dimension_mismatch(tmp_path):

@@ -27,12 +27,12 @@ def pair_over(document):
 
 
 def test_has_content_word():
-    assert has_content_word(unit(0, "kamo", [Pos.NOUN]), CONTENT_POS_DEFAULT)
-    assert not has_content_word(unit(0, "jaa maa", FILLER), CONTENT_POS_DEFAULT)
+    assert has_content_word(unit("kamo", [Pos.NOUN]), CONTENT_POS_DEFAULT)
+    assert not has_content_word(unit("jaa maa", FILLER), CONTENT_POS_DEFAULT)
 
 
 def test_filler_particle_is_trimmable():
-    filler = unit(0, "じゃあ", [Pos.OTHER])
+    filler = unit("じゃあ", [Pos.OTHER])
     assert not has_content_word(filler, CONTENT_POS_DEFAULT)
 
 
