@@ -41,6 +41,8 @@ COST_SUM_TOL = 1e-9
 DROP_COST = "cost"
 DROP_EMPTY = "empty"
 
+MAX_NORM_SAMPLE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class AlignParams:
@@ -65,8 +67,10 @@ class AlignParams:
         if self.skip_penalty >= self.prune_cost_threshold:
             raise ValidationError(f"skip_penalty {self.skip_penalty} must be below "
                                   f"prune_cost_threshold {self.prune_cost_threshold}")
-        if self.norm_sample_size < 1:
-            raise ValidationError("norm_sample_size must be >= 1")
+        # normalization_denominator draws and holds this many index pairs per talk
+        if not 1 <= self.norm_sample_size <= MAX_NORM_SAMPLE_SIZE:
+            raise ValidationError(f"norm_sample_size: must be in 1..{MAX_NORM_SAMPLE_SIZE}, "
+                                  f"got {self.norm_sample_size}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,8 @@ class PipelineConfig:
         for key in ("bench_talks", "jobs"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if not self.epsilons:  # each is a column of reports/recovery.tsv
+            raise ValidationError("epsilons: must list at least one value")
         # a gold link is recovered when its similarity, in [0, 1], is above eps
         for eps in self.epsilons:
             if not 0.0 <= eps < 1.0:

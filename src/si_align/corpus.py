@@ -192,10 +192,16 @@ TOKENS = TokenTable()
 
 @dataclass(frozen=True)
 class TextUnit:
-    """One source sentence or one target chunk."""
+    """A text and its tagged tokens: one source sentence, one target chunk,
+    or the reference translation of a source span. The text is normalized:
+    non-empty, words separated by single spaces, none at either end."""
 
     text: str
     tokens: tuple[Token, ...]
+
+    def __post_init__(self):
+        if not self.text or self.text != " ".join(self.text.split()):
+            raise ValidationError(f"unit text {self.text!r} is empty or not single-spaced")
 
 
 @dataclass(frozen=True)

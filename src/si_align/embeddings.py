@@ -61,9 +61,10 @@ class EmbeddingProviderSpec:
             if not 64 <= self.dim <= MAX_FALLBACK_DIM:
                 raise ValidationError(
                     f"embedding.dim must be in 64..{MAX_FALLBACK_DIM}, got {self.dim}")
-            if not self.orders or any(n < 1 or n > 5 for n in self.orders):
-                raise ValidationError(
-                    f"n-gram orders must be a non-empty subset of 1..5: {self.orders}")
+            if (not self.orders or len(set(self.orders)) < len(self.orders)
+                    or any(n < 1 or n > 5 for n in self.orders)):
+                raise ValidationError("orders: must be a non-empty subset of 1..5, each order "
+                                      f"once, got {list(self.orders)}")
             if not -(1 << 63) <= self.seed < 1 << 63:  # the n-gram hash key is 8 bytes
                 raise ValidationError(f"seed: must be in -2**63..2**63-1, got {self.seed}")
         elif self.kind != PROVIDER_PRECOMPUTED:
@@ -175,15 +176,15 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
                          max_src_window: int = 4, max_tgt_window: int = 4) -> EmbeddingTable:
     """Signed hashed bags of character n-grams of every window, L2-normalized.
 
-    A window's text is its units' texts joined with single spaces, stripped
-    of surrounding whitespace; its vector adds each n-gram's sign into the
-    n-gram's bucket. Each side's units are joined once and the packed slot
-    of every n-gram position of that text is read from `SLOTS`, which
-    hashes each distinct n-gram once per process; a window is a character
-    range of the text and the whole table is one weighted `bincount`.
-    Counts are small integers, exact in float64, so the sums do not depend
-    on order. A window yielding no n-grams (all whitespace, or shorter than
-    every order) maps to basis vector 0 so downstream cosines stay defined.
+    A window's text is its units' texts joined with single spaces; its
+    vector adds each n-gram's sign into the n-gram's bucket. Each side's
+    units are joined once and the packed slot of every n-gram position of
+    that text is read from `SLOTS`, which hashes each distinct n-gram once
+    per process; a window is a character range of the text and the whole
+    table is one weighted `bincount`. Counts are small integers, exact in
+    float64, so the sums do not depend on order. A window yielding no
+    n-grams (shorter than every order) maps to basis vector 0 so downstream
+    cosines stay defined.
     """
     import numpy as np
 
@@ -198,15 +199,13 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
                                (TARGET, doc.target_units, max_tgt_window)):
         text = " ".join(u.text for u in units)
         starts = np.cumsum([0] + [len(u.text) + 1 for u in units])
-        first, last = _stripped_bounds(text)
         row, lo, hi = [], [], []
         for w in range(1, max_w + 1):
             block = rows[(side, w)]
-            # [a, b): each window's characters in `text`, before stripping
-            a, b = starts[:len(block)], starts[w:w + len(block)] - 1
+            # window (i, w) is characters [starts[i], starts[i + w] - 1) of `text`
             row.append(np.arange(block.start, block.stop))
-            lo.append(np.minimum(first[a], b))
-            hi.append(np.maximum(last[b], lo[-1]))
+            lo.append(starts[:len(block)])
+            hi.append(starts[w:w + len(block)] - 1)
         row, lo, hi = np.concatenate(row), np.concatenate(lo), np.concatenate(hi)
         for n in spec.orders:
             slots = _packed_slots([text[i:i + n] for i in range(len(text) - n + 1)],
@@ -230,21 +229,6 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     entries[empty, 0] = 1.0
     return EmbeddingTable(len(doc.source_units), len(doc.target_units),
                           max_src_window, max_tgt_window, entries)
-
-
-def _stripped_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """For each position p in 0..len(text): `first[p]`, the first
-    non-whitespace position at or after p (len(text) if none), and
-    `last[p]`, one past the last non-whitespace position before p (0 if
-    none). Range [a, b) stripped as `str.strip` does is
-    [min(first[a], b), max(last[b], that))."""
-    import numpy as np
-
-    solid = ~np.fromiter(map(str.isspace, text), dtype=bool, count=len(text))
-    pos = np.arange(len(text) + 1)
-    first = np.minimum.accumulate(np.where(np.append(solid, True), pos, len(text))[::-1])[::-1]
-    last = np.maximum.accumulate(np.where(np.insert(solid, 0, True), pos, 0))
-    return first, last
 
 
 def write_table_file(table: EmbeddingTable, path) -> None:

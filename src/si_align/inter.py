@@ -13,7 +13,7 @@ import math
 import logging
 from dataclasses import dataclass
 
-from .corpus import (TOKENS, AlignedPair, DocumentPair, ParseError, Pos, Token,
+from .corpus import (TOKENS, AlignedPair, DocumentPair, ParseError, Pos, TextUnit,
                      ValidationError, char_len, jsonl_text, normalize_text, read_jsonl,
                      read_lines)
 
@@ -49,21 +49,15 @@ class InterFilterParams:
             raise ValidationError("coverage_pos must be non-empty")
 
 
-@dataclass(frozen=True)
-class RefEntry:
-    text: str
-    tokens: tuple[Token, ...]
-
-
 REFERENCE = "reference translation"
 SCORE = "external score"
 
 
 class SpanTable(dict):
     """One talk's values keyed by source span (start, len): its reference
-    entries (`noun` REFERENCE) or its external scores (SCORE), read from
-    `path` (None when built in memory). A missing span is a ParseError
-    naming the file."""
+    translations, each a TextUnit (`noun` REFERENCE), or its external
+    scores (SCORE), read from `path` (None when built in memory). A
+    missing span is a ParseError naming the file."""
 
     def __init__(self, noun: str, talk_id: str, entries=(), path: str | None = None):
         super().__init__(entries)
@@ -85,7 +79,7 @@ class FilterDecision:
     reasons: tuple[str, ...]
 
 
-def _coverage(entry: RefEntry, f_text: str, coverage_pos) -> float:
+def _coverage(entry: TextUnit, f_text: str, coverage_pos) -> float:
     """Alpha: the fraction of T's content tokens whose surface occurs in F's
     text, 1.0 when T has none. T is the reference translation of E in the
     target language, so coverage is a same-language substring test."""
@@ -96,13 +90,9 @@ def _coverage(entry: RefEntry, f_text: str, coverage_pos) -> float:
     return covered / len(content)
 
 
-def _length_ratio(pair: AlignedPair, entry: RefEntry, f_text: str, talk_id: str) -> float:
+def _length_ratio(entry: TextUnit, f_text: str) -> float:
     """Gamma: char_len(F) / char_len(T), whitespace excluded on both sides."""
-    t_len = char_len(entry.text)
-    if t_len == 0:
-        raise ValidationError(
-            f"{talk_id}: empty reference text for span ({pair.src_start}, {pair.src_len})")
-    return char_len(f_text) / t_len
+    return char_len(f_text) / char_len(entry.text)
 
 
 def chrf_scores(text_pairs) -> list[float]:
@@ -185,16 +175,16 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
 
     Each pair's reference, and its external score when `scores` is given,
     is looked up in pair order, so a broken pair's error is that of the
-    first one, with a missing or empty reference found before a missing
-    score. Without `scores`, eta is `chrf_scores` of all the pairs' (F, T)
-    texts at once.
+    first one, with a missing reference found before a missing score.
+    Without `scores`, eta is `chrf_scores` of all the pairs' (F, T) texts
+    at once.
     """
     judged, texts, etas = [], [], []
     for pair in pairs:
         span = (pair.src_start, pair.src_len)
         entry, f_text = refs[span], doc.tgt_text(pair.tgt_start, pair.tgt_len)
         judged.append((pair, _coverage(entry, f_text, params.coverage_pos),
-                       _length_ratio(pair, entry, f_text, refs.talk_id)))
+                       _length_ratio(entry, f_text)))
         if scores is None:
             texts.append((f_text, entry.text))
         else:
@@ -231,7 +221,7 @@ def read_reference_jsonl(path, talk_id: str) -> SpanTable:
     """The entries of talk `talk_id` from its reference JSON Lines file; a
     row of another talk is a ValidationError naming its line, and a
     repeated span keeps its last row."""
-    def row(obj) -> tuple[str, tuple[int, int], RefEntry]:
+    def row(obj) -> tuple[str, tuple[int, int], TextUnit]:
         if not isinstance(obj["talk_id"], str):
             raise TypeError(f"talk_id must be a string, got {obj['talk_id']!r}")
         span = (obj["src_start"], obj["src_len"])
@@ -241,7 +231,7 @@ def read_reference_jsonl(path, talk_id: str) -> SpanTable:
         if not text:
             raise ValueError(f"empty reference text for span {span}")
         # a token row is a JSON list, made a tuple to serve as its own key
-        entry = RefEntry(text=text,
+        entry = TextUnit(text=text,
                          tokens=tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"]))))
         return obj["talk_id"], span, entry
 

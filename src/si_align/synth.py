@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .align import AlignmentSet, validate_alignment
 from .corpus import AlignedPair, DocumentPair, Pos, Rank, TextUnit, Token, ValidationError
 from .embeddings import EmbeddingProviderSpec
-from .inter import REFERENCE, RefEntry, SpanTable
+from .inter import REFERENCE, SpanTable
 
 log = logging.getLogger(__name__)
 
@@ -283,8 +283,7 @@ def build_reference(doc: DocumentPair, max_src_len: int):
     for length in range(1, max_src_len + 1):
         for start in range(0, m - length + 1):
             tokens = [t for k in range(start, start + length) for t in per_sentence[k]]
-            entries[(start, length)] = RefEntry(
-                text=" ".join(t.surface for t in tokens), tokens=tuple(tokens))
+            entries[(start, length)] = _unit(tokens)
     return SpanTable(REFERENCE, doc.talk_id, entries)
 
 

@@ -386,9 +386,18 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
     ("bench", "synth", "sentences", 0, "must be >= 1, got 0"),
     # a missing gold link scores 0, so at a negative epsilon it would count as recovered
     ("validate", None, "epsilons", [-0.1, 0.5], "must be in [0, 1), got -0.1"),
-    ("validate", None, "epsilons", [0.5, 1.0], "must be in [0, 1), got 1.0")],
+    ("validate", None, "epsilons", [0.5, 1.0], "must be in [0, 1), got 1.0"),
+    # each epsilon is a column of reports/recovery.tsv
+    ("validate", None, "epsilons", [], "must list at least one value"),
+    # the denominator draws and holds every sampled pair: 10**8 would take minutes and GBs
+    ("align", "align", "norm_sample_size", 10 ** 8, "must be in 1..65536, got 100000000"),
+    # a repeated order would weight its n-grams twice
+    ("align", "embedding", "orders", [3, 3, 4],
+     "must be a non-empty subset of 1..5, each order once, got [3, 3, 4]")],
     ids=["bench-None-bench_talks-0", "synth-synth-vocab_size-49", "synth-synth-talks--2",
-         "bench-synth-sentences-0", "validate-None-epsilons-negative", "validate-None-epsilons-1"])
+         "bench-synth-sentences-0", "validate-None-epsilons-negative", "validate-None-epsilons-1",
+         "validate-None-epsilons-empty", "align-align-norm_sample_size-huge",
+         "align-embedding-orders-repeated"])
 def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value,
                                                  message):
     """A value the command could not use is refused when the config loads,

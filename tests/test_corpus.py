@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from si_align import corpus
-from si_align.corpus import (MANIFEST_NAME, TOKENS, ParseError, Pos, Rank,
+from si_align.corpus import (MANIFEST_NAME, TOKENS, ParseError, Pos, Rank, TextUnit,
                              ValidationError, load_document_pair, normalize_text,
                              read_manifest, talk_texts)
 from si_align.inter import read_reference_jsonl
@@ -32,6 +32,19 @@ def test_combining_diacritics_composed():
 def test_normalize_idempotent(text):
     once = normalize_text(text)
     assert normalize_text(once) == once
+
+
+@given(st.text(max_size=80))
+def test_text_unit_holds_normalized_text(raw):
+    """A TextUnit refuses text that is empty or not single-spaced, an
+    ideographic space included, and takes what `normalize_text` makes of
+    any text that does not normalize to empty."""
+    for text in ("", " a", "a ", "a  b", "a\tb", "a\nb", "a\u3000b"):
+        with pytest.raises(ValidationError, match="empty or not single-spaced"):
+            TextUnit(text, ())
+    text = normalize_text(raw)
+    assume(text)
+    assert TextUnit(text, ()).text == text
 
 
 def _write_talk(tmp_path, src_lines, tgt_lines, src_blocks, tgt_blocks, rank="S"):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align import embeddings
-from si_align.corpus import DocumentPair, ParseError, Rank, TextUnit, ValidationError
+from si_align.corpus import (DocumentPair, ParseError, Rank, TextUnit, ValidationError,
+                             normalize_text)
 from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
                                  build_fallback_table, load_precomputed, window_rows,
                                  write_table_file)
@@ -133,10 +134,12 @@ def test_table_vectors_unit_norm():
         assert abs(np.linalg.norm(window_vector(table, *key)) - 1.0) <= 1e-6
 
 
-# raw unit texts, not normalized: empty, shorter than an order, whitespace of
-# several kinds at either end or repeated, non-ASCII letters
+# unit texts as units hold them, normalized and non-empty: shorter than an
+# order, non-ASCII letters, words parted by whitespace of several kinds; a
+# side may have no units
 UNIT_TEXTS = st.lists(st.text(st.sampled_from(["a", "b", "é", "字", " ", "\t", "\n", "\u3000",
-                                               "\u2028"]), max_size=8), max_size=7)
+                                               "\u2028"]), max_size=8)
+                      .map(normalize_text).filter(bool), max_size=7)
 
 
 @settings(max_examples=400, deadline=None)

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from si_align.corpus import AlignedPair, ParseError, Pos, Token, ValidationError
-from si_align.inter import (REFERENCE, SCORE, InterFilterParams, RefEntry, SpanTable,
+from si_align.corpus import AlignedPair, ParseError, Pos, TextUnit, Token, ValidationError
+from si_align.inter import (REFERENCE, SCORE, InterFilterParams, SpanTable,
                             apply_inter_filter, chrf_scores, read_external_scores,
                             read_reference_jsonl, references_text)
 
@@ -20,7 +20,7 @@ def ref_for(talk_id, entries, path=None):
 def ref_entry(text, tags=None):
     surfaces = text.split()
     tags = tags or [Pos.NOUN] * len(surfaces)
-    return RefEntry(text=text, tokens=tuple(Token(s, p) for s, p in zip(surfaces, tags)))
+    return TextUnit(text=text, tokens=tuple(Token(s, p) for s, p in zip(surfaces, tags)))
 
 
 def decide(document, ref, pair):
@@ -94,10 +94,11 @@ def test_gamma_hand_counted_fixture():
 
 
 def test_gamma_empty_reference_rejected():
-    document = doc(["s"], ["kamo"])
-    ref = ref_for("t0", {(0, 1): RefEntry(text="", tokens=())})
-    with pytest.raises(ValidationError):
-        decide(document, ref, AlignedPair(0, 1, 0, 1, 0.0))
+    """Gamma divides by the reference's length, so an empty reference is
+    refused where it would be built: as a TextUnit here, and as a refs row
+    by `test_cli.py::test_empty_reference_text_names_file_and_line`."""
+    with pytest.raises(ValidationError, match="empty or not single-spaced"):
+        TextUnit("", ())
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +224,6 @@ def test_first_broken_pair_is_reported(broken, named):
     path, start = named
     assert (err.value.path, err.value.line) == (path, None)
     assert err.value.message.endswith(f"for t0 span (start={start}, len=1)")
-
-
-def test_empty_reference_before_later_missing_score():
-    document, ref, pairs = _setup(3)
-    entries = {**ref, (0, 1): RefEntry(text="", tokens=())}
-    with pytest.raises(ValidationError, match=r"span \(0, 1\)"):
-        apply_inter_filter(pairs, document, ref_for("t0", entries), InterFilterParams(),
-                           scores=SpanTable(SCORE, "t0", {(0, 1): 0.5}))
 
 
 def test_every_pair_gets_exactly_one_decision():

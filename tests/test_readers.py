@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from si_align.align import links_text, read_alignment_jsonl
 from si_align.cli import load_config
-from si_align.corpus import (MANIFEST_NAME, AlignedPair, ParseError, ValidationError,
-                             load_document_pair, read_corpus, read_manifest, talk_texts)
+from si_align.corpus import (MANIFEST_NAME, AlignedPair, ParseError, TextUnit,
+                             ValidationError, load_document_pair, read_corpus, read_manifest,
+                             talk_texts)
 from si_align.curation import annotations_text, export_annotations, read_annotations_tsv
 from si_align.embeddings import SOURCE, TARGET, load_precomputed
-from si_align.inter import (REFERENCE, RefEntry, SpanTable, read_external_scores,
+from si_align.inter import (REFERENCE, SpanTable, read_external_scores,
                             read_reference_jsonl, references_text)
 from si_align.intra import read_trims
 from si_align.splitter import read_allowlist
@@ -46,8 +47,8 @@ VECTOR_FILE = "".join(f"{side}\t{start}\t{w}\t0.6,0.8,{0.1 * start}\n"
                       for side in (SOURCE, TARGET) for w in (1, 2)
                       for start in range(3 - w)).encode("utf-8")
 
-REFS = SpanTable(REFERENCE, "talk0", {(0, 1): RefEntry("xx", DOC.target_units[0].tokens),
-                                         (1, 1): RefEntry("yy zz", DOC.target_units[1].tokens)})
+REFS = SpanTable(REFERENCE, "talk0", {(0, 1): TextUnit("xx", DOC.target_units[0].tokens),
+                                         (1, 1): TextUnit("yy zz", DOC.target_units[1].tokens)})
 TRIMS = "".join(json.dumps({"talk_id": "talk0", "src_start": i, "src_len": 1,
                             "tgt_start": i, "tgt_len": 1, "new_tgt_start": i,
                             "new_tgt_len": 1, "trims": [], "flagged": False}) + "\n"
