@@ -204,11 +204,11 @@ def prune(alignment: AlignmentSet, threshold: float) -> AlignmentSet:
     pruned = []
     for link in alignment.links:
         if link.src_empty or link.tgt_empty:
-            pruned.append(replace(link, dropped=True, drop_reason=DROP_EMPTY))
+            pruned.append(replace(link, drop_reason=DROP_EMPTY))
         elif link.cost > threshold:
-            pruned.append(replace(link, dropped=True, drop_reason=DROP_COST))
+            pruned.append(replace(link, drop_reason=DROP_COST))
         else:
-            pruned.append(replace(link, dropped=False, drop_reason=None))
+            pruned.append(replace(link, drop_reason=None))
     return replace(alignment, links=tuple(pruned))
 
 
@@ -267,13 +267,16 @@ def read_alignment_jsonl(path, doc: DocumentPair | None = None,
             talk_id = row_talk
         elif row_talk != talk_id:
             raise ValueError(f"mixed talk_ids {talk_id!r} and {row_talk!r}")
-        if obj.get("drop_reason") not in (None, DROP_COST, DROP_EMPTY):
-            raise ValueError(f"unknown drop_reason {obj['drop_reason']!r}")
+        reason = obj.get("drop_reason")
+        if reason not in (None, DROP_COST, DROP_EMPTY):
+            raise ValueError(f"unknown drop_reason {reason!r}")
+        # a link is dropped exactly when it has a drop_reason
+        if obj.get("dropped", reason is not None) is not (reason is not None):
+            raise ValueError(f"dropped {obj['dropped']!r} disagrees with drop_reason {reason!r}")
         return AlignedPair(
             src_start=obj["src_start"], src_len=obj["src_len"],
             tgt_start=obj["tgt_start"], tgt_len=obj["tgt_len"],
-            cost=obj["cost"], dropped=obj.get("dropped", False),
-            drop_reason=obj.get("drop_reason"),
+            cost=obj["cost"], drop_reason=reason,
         )
 
     def check(pair: AlignedPair) -> None:

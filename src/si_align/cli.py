@@ -40,7 +40,7 @@ EXIT_IO = 2
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 # stage -> the command whose run writes it, in pipeline order; each stage
-# after the first is made from the one before it
+# after the first is made from the one before it, and inter also reads coarse
 STAGES = {"coarse": "align", "intra": "filter-intra", "inter": "filter-inter"}
 
 
@@ -89,8 +89,10 @@ class PipelineConfig:
         for key in ("bench_talks", "jobs"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key}: must be >= 1, got {getattr(self, key)}")
-        if not self.epsilons:  # each is a column of reports/recovery.tsv
-            raise ValidationError("epsilons: must list at least one value")
+        # each epsilon is a column of reports/recovery.tsv, each rate a row of bench.tsv
+        for key in ("epsilons", "bench_omission_rates"):
+            if not getattr(self, key):
+                raise ValidationError(f"{key}: must list at least one value")
         # a gold link is recovered when its similarity, in [0, 1], is above eps
         for eps in self.epsilons:
             if not 0.0 <= eps < 1.0:
@@ -219,12 +221,11 @@ def load_config(path: Path | None, args) -> PipelineConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """A stage's result: per talk, the pairs it passes on and (intra, read by
-    `load_stage`) the trims; its lineage, the run entry of each manifest behind it."""
+    """A stage's result: per talk, the pairs it passes on; its lineage, the
+    run entry of each manifest behind it."""
 
     pairs: dict[str, tuple[cm.AlignedPair, ...]]
     lineage: dict[str, dict]
-    trims: dict[str, dict] = dataclasses.field(default_factory=dict)
 
 
 def _run_entry(manifest: dict) -> dict:
@@ -325,18 +326,8 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
                                   f"rerun {STAGES[stage]}")
         return reader(cfg.out_dir / name, data=data, **kwargs)
 
-    pairs, trims = {}, {}
-    for doc in docs:
-        name = f"{stage}/{doc.talk_id}.jsonl"
-        aset = read(name, al.read_alignment_jsonl, doc=doc)
-        pairs[doc.talk_id] = aset.kept()
-        if stage == "intra":
-            trims_name = f"{stage}/{doc.talk_id}.trims.jsonl"
-            trims[doc.talk_id] = read(trims_name, fa.read_trims)
-            if trims[doc.talk_id].keys() != {pair.key() for pair in pairs[doc.talk_id]}:
-                raise ValidationError(f"{cfg.out_dir / trims_name} does not match the links of "
-                                      f"{cfg.out_dir / name}, both listed in {path}: "
-                                      f"rerun {STAGES[stage]}")
+    pairs = {doc.talk_id: read(f"{stage}/{doc.talk_id}.jsonl", al.read_alignment_jsonl,
+                               doc=doc).kept() for doc in docs}
     # the corpus is checked last, so that links made for a talk of another
     # shape are reported at their line
     talks = manifests.get("align", {}).get("talks", {})
@@ -344,7 +335,7 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
         if talks.get(doc.talk_id) != doc.files_sha256:
             raise ValidationError(f"the files of talk {doc.talk_id} are not those that "
                                   f"{path.parent / 'align.json'} records: rerun align")
-    return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream}, trims)
+    return Stage(pairs, {STAGES[stage]: _run_entry(obj), **upstream})
 
 
 def _json_default(value):
@@ -425,10 +416,10 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 
 def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
     """Run one talk's stages in order, in its worker. `job` is (doc, stages,
-    the pairs and trims of the stage before the first, the talk's external
-    scores or None). Per stage: the pairs it passes on and its artifact
-    texts by file name."""
-    doc, stages, pairs, trims, scores = job
+    the pairs of each stage before the first, the talk's external scores or
+    None). Per stage: the pairs it passes on and its artifact texts by file
+    name."""
+    doc, stages, passed, scores = job
     talk_id, results = doc.talk_id, []
     for stage in stages:
         name = f"{stage}/{talk_id}.jsonl"
@@ -436,12 +427,19 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
             aset = al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
             pairs, texts = aset.kept(), {name: al.links_text(talk_id, aset.links)}
         elif stage == "intra":
-            trimmed = fa.apply_intra_filter(pairs, doc, cfg.intra)
+            trimmed = fa.apply_intra_filter(passed[-1], doc, cfg.intra)
             texts = {name: al.links_text(talk_id, [r.pair for r in trimmed]),
-                     f"intra/{talk_id}.trims.jsonl": fa.trims_text(talk_id, pairs, trimmed)}
-            # trimming keeps every pair it is given
-            pairs, trims = tuple(r.pair for r in trimmed), {r.pair.key(): r.trims for r in trimmed}
+                     f"intra/{talk_id}.trims.jsonl": fa.trims_text(talk_id, passed[-1], trimmed)}
+            pairs = tuple(r.pair for r in trimmed)
         else:
+            # trimming keeps every pair, in order, with its source span, so
+            # each intra pair narrows the coarse link at its index
+            coarse, pairs = passed[-2:]
+            try:
+                trims = [fa.trims_between(*both) for both in zip(coarse, pairs, strict=True)]
+            except ValueError:
+                raise ValidationError(f"the intra pairs of talk {talk_id} are not its coarse "
+                                      f"links, narrowed: rerun filter-intra") from None
             ref = fi.read_reference_jsonl(cfg.refs_dir / f"{talk_id}.refs.jsonl", talk_id=talk_id)
             kept, decisions = fi.apply_inter_filter(pairs, doc, ref,
                                                     cfg.inter.per_talk.get(talk_id, cfg.inter),
@@ -449,17 +447,18 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
             texts = {name: al.links_text(talk_id, kept),
                      f"decisions/{talk_id}.jsonl": fi.decisions_text(talk_id, decisions, trims)}
             pairs = tuple(kept)
+        passed = (*passed, pairs)
         results.append((pairs, texts))
     return results
 
 
 def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPair],
-               upstream: Stage = Stage({}, {})) -> list[Stage]:
-    """The consecutive `stages` on `upstream`, the stage before the first
-    (empty before `coarse`), by `_talk_stages` over `_map_talks`. Once every
-    talk has passed them all, one manifest per stage records its texts and
-    is saved, in order; so the first failing talk in corpus order fails the
-    run, which then writes nothing."""
+               *upstream: Stage) -> list[Stage]:
+    """The consecutive `stages` on the `upstream` stages, those before the
+    first in STAGES order (none before `coarse`), by `_talk_stages` over
+    `_map_talks`. Once every talk has passed them all, one manifest per
+    stage records its texts and is saved, in order; so the first failing
+    talk in corpus order fails the run, which then writes nothing."""
     scores = {}
     if "inter" in stages:
         if cfg.refs_dir is None:
@@ -474,12 +473,12 @@ def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPai
                 # a talk the file lacks fails at its first pair, naming the file
                 scores.setdefault(doc.talk_id, fi.SpanTable(fi.SCORE, doc.talk_id,
                                                             path=str(cfg.scores_path)))
-    jobs = [(doc, stages, upstream.pairs.get(doc.talk_id), upstream.trims.get(doc.talk_id),
+    jobs = [(doc, stages, tuple(stage.pairs[doc.talk_id] for stage in upstream),
              scores.get(doc.talk_id)) for doc in docs]
     by_talk = _map_talks(_talk_stages, jobs, cfg)
-    done = [upstream]
+    done = list(upstream)
     for i, stage in enumerate(stages):
-        manifest = RunManifest(STAGES[stage], cfg, done[-1])
+        manifest = RunManifest(STAGES[stage], cfg, *(done[-1:] if i else upstream))
         manifest.add_input(cfg.corpus)
         if stage == "coarse":
             manifest.talks = {doc.talk_id: doc.files_sha256 for doc in docs}
@@ -495,13 +494,13 @@ def run_stages(cfg: PipelineConfig, stages: list[str], docs: list[cm.DocumentPai
         done.append(Stage(pairs, manifest.save()))
     # an external score has no fixed range, so a threshold may lie above all of
     # them; scores are given only to inter, the last stage, which judged done[-2]
-    for doc in docs:
+    for doc in docs if scores else ():
         table, judged = scores.get(doc.talk_id), done[-2].pairs.get(doc.talk_id)
         eta_min = cfg.inter.per_talk.get(doc.talk_id, cfg.inter).eta_min
         if table and judged and max(table.values()) < eta_min:
             log.warning("%s: inter.eta_min %r exceeds every external score of the talk, "
                         "so eta drops all %d pairs", doc.talk_id, eta_min, len(judged))
-    return done[1:]
+    return done[len(upstream):]
 
 
 def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage) -> None:
@@ -614,7 +613,8 @@ COMMANDS = {
     "align": lambda cfg, args: run_stages(cfg, ["coarse"], load_corpus(cfg)),
     "validate": lambda cfg, args: cmd_validate(cfg, *_upstream(cfg, "coarse")),
     "filter-intra": lambda cfg, args: run_stages(cfg, ["intra"], *_upstream(cfg, "coarse")),
-    "filter-inter": lambda cfg, args: run_stages(cfg, ["inter"], *_upstream(cfg, "intra")),
+    "filter-inter": lambda cfg, args: run_stages(cfg, ["inter"],
+                                                 *_upstream(cfg, "coarse", "intra")),
     "split": lambda cfg, args: cmd_split(cfg, load_corpus(cfg)),
     "stats": lambda cfg, args: cmd_stats(cfg, *_upstream(cfg, *STAGES)),
     "export-anno": lambda cfg, args: cmd_export_anno(cfg, *_upstream(cfg, args.stage)),

@@ -210,7 +210,8 @@ class AlignedPair:
 
     Spans are half-open unit-index ranges encoded as (start, length). A zero
     length encodes a deletion/insertion; at most one side may be empty.
-    `dropped`/`drop_reason` are set by pruning, never by the aligner itself.
+    `drop_reason` is set by pruning, never by the aligner itself; a link is
+    `dropped` exactly when it has one.
     """
 
     src_start: int
@@ -218,7 +219,6 @@ class AlignedPair:
     tgt_start: int
     tgt_len: int
     cost: float
-    dropped: bool = False
     drop_reason: str | None = None
 
     def __post_init__(self):
@@ -230,8 +230,6 @@ class AlignedPair:
             raise ValidationError("both spans empty")
         if isinstance(self.cost, bool) or not 0 <= self.cost < math.inf:
             raise ValidationError(f"cost {self.cost!r} is not finite and non-negative")
-        if not isinstance(self.dropped, bool):
-            raise ValidationError(f"dropped must be a bool, got {self.dropped!r}")
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.src_start, self.src_len, self.tgt_start, self.tgt_len)
@@ -240,6 +238,10 @@ class AlignedPair:
         """The span's four fields as every artifact row writes them."""
         return {"src_start": self.src_start, "src_len": self.src_len,
                 "tgt_start": self.tgt_start, "tgt_len": self.tgt_len}
+
+    @property
+    def dropped(self) -> bool:
+        return self.drop_reason is not None
 
     @property
     def src_empty(self) -> bool:
@@ -429,6 +431,6 @@ def read_corpus(path) -> list[Path]:
     path = Path(path)
     obj = read_json(path)
     talks = obj.get("talks") if isinstance(obj, dict) else None
-    if not isinstance(talks, list) or not all(isinstance(t, str) for t in talks):
-        raise ParseError('corpus needs "talks": a list of manifest paths', path=path)
+    if not (isinstance(talks, list) and talks and all(isinstance(t, str) for t in talks)):
+        raise ParseError('corpus needs "talks": a non-empty list of manifest paths', path=path)
     return [path.parent / rel for rel in talks]

@@ -266,12 +266,11 @@ def read_external_scores(path) -> dict[str, SpanTable]:
     return scores
 
 
-def decisions_text(talk_id: str, decisions, trims: dict) -> str:
+def decisions_text(talk_id: str, decisions, trims) -> str:
     """JSON Lines, one filter decision per row, in the given order, each
-    with its pair's intra trims from `trims` (by `pair.key()`)."""
+    with its pair's intra trims, given one tuple per decision in `trims`."""
     return jsonl_text({
         "talk_id": talk_id, **d.pair.span_row(),
-        "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta,
-        "trims": list(trims[d.pair.key()]),
+        "alpha": d.alpha, "gamma": d.gamma, "eta": d.eta, "trims": list(t),
         "verdict": "drop" if d.reasons else "keep", "reasons": list(d.reasons),
-    } for d in decisions)
+    } for d, t in zip(decisions, trims))

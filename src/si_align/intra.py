@@ -7,11 +7,9 @@ Trimming never drops a pair and never touches the source span.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
-from .corpus import (AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text,
-                     read_jsonl)
+from .corpus import AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text
 
 CONTENT_POS_DEFAULT = frozenset({Pos.NOUN, Pos.PROPN, Pos.PRON, Pos.VERB, Pos.NUM})
 
@@ -61,25 +59,34 @@ def trim_boundaries(pair: AlignedPair, doc: DocumentPair,
         raise ValidationError("intra filter needs a non-empty target span")
     start, length = pair.tgt_start, pair.tgt_len
     units = doc.target_units[start : start + length]
-    trims = []
 
     lead = _boundary_run(units, params.content_pos, from_end=False)
     if 0 < lead <= params.max_trims_per_side and lead < length:
         start += lead
         length -= lead
         units = units[lead:]
-        trims.append(f"begin:{lead}")
 
     trail = _boundary_run(units, params.content_pos, from_end=True)
     if 0 < trail <= params.max_trims_per_side and trail < length:
         length -= trail
         units = units[:length]
-        trims.append(f"end:{trail}")
 
     flagged = (not has_content_word(units[0], params.content_pos)
                or not has_content_word(units[-1], params.content_pos))
-    trimmed = pair if not trims else replace(pair, tgt_start=start, tgt_len=length)
-    return TrimResult(pair=trimmed, trims=tuple(trims), flagged=flagged)
+    trimmed = pair if length == pair.tgt_len else replace(pair, tgt_start=start, tgt_len=length)
+    return TrimResult(pair=trimmed, trims=trims_between(pair, trimmed), flagged=flagged)
+
+
+def trims_between(original: AlignedPair, trimmed: AlignedPair) -> tuple[str, ...]:
+    """The trims that narrow `original`'s target span to `trimmed`'s:
+    `begin:N` and then `end:N`, each only when its N units are > 0. A
+    `trimmed` of another source span, or whose target span is not inside
+    `original`'s, is a ValueError."""
+    begin = trimmed.tgt_start - original.tgt_start
+    end = original.tgt_start + original.tgt_len - trimmed.tgt_start - trimmed.tgt_len
+    if trimmed.key()[:2] != original.key()[:2] or begin < 0 or end < 0:
+        raise ValueError(f"{trimmed.key()} does not narrow {original.key()}")
+    return tuple(f"{side}:{n}" for side, n in (("begin", begin), ("end", end)) if n)
 
 
 def apply_intra_filter(pairs, doc: DocumentPair,
@@ -102,19 +109,3 @@ def trims_text(talk_id: str, originals, results) -> str:
         "trims": list(r.trims), "flagged": r.flagged,
     } for original, r in zip(originals, results))
 
-
-def _trims_row(obj) -> tuple[tuple[int, int, int, int], tuple[str, ...]]:
-    trimmed = AlignedPair(obj["src_start"], obj["src_len"],
-                          obj["new_tgt_start"], obj["new_tgt_len"], 0.0)
-    trims = obj["trims"]
-    if not (isinstance(trims, list)
-            and all(isinstance(t, str) and re.fullmatch("(begin|end):[0-9]+", t) for t in trims)):
-        raise TypeError(f"trims must be a list of 'begin:N' and 'end:N', got {trims!r}")
-    return trimmed.key(), tuple(trims)
-
-
-def read_trims(path, data: bytes | None = None) -> dict[tuple[int, int, int, int],
-                                                       tuple[str, ...]]:
-    """Trims keyed by the trimmed pair's key; `data` is as for
-    `corpus.read_lines`."""
-    return dict(read_jsonl(path, _trims_row, data=data))

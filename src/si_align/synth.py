@@ -77,6 +77,10 @@ class NoiseParams:
 
 
 MIN_VOCAB_SIZE = 50
+# make_vocabulary draws distinct 5-7 letter words over the 16 _CONTENT_LETTERS
+# until it has vocab_size, anew for each talk: past 16**5 + 16**6 + 16**7 it
+# would never end, and long before that each talk would wait on it
+MAX_VOCAB_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class SynthParams:
         for key, least in (("talks", 1), ("sentences", 1), ("vocab_size", MIN_VOCAB_SIZE)):
             if getattr(self, key) < least:
                 raise ValidationError(f"{key}: must be >= {least}, got {getattr(self, key)}")
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ValidationError(f"vocab_size: must be <= {MAX_VOCAB_SIZE}, got {self.vocab_size}")
 
 
 @dataclass(frozen=True)

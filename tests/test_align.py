@@ -13,7 +13,6 @@ from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, 
                              ValidationError, read_manifest)
 from si_align.embeddings import (EmbeddingProviderSpec, EmbeddingTable, SOURCE, TARGET,
                                  build_fallback_table)
-from si_align.intra import read_trims
 
 from conftest import doc, unit
 
@@ -279,8 +278,7 @@ def test_prune_idempotent_and_monotone(rng):
 
 
 def test_alignment_jsonl_round_trip(tmp_path):
-    links = [AlignedPair(0, 1, 0, 2, 0.25), AlignedPair(1, 1, 2, 0, 0.55,
-                                                        dropped=True, drop_reason="empty")]
+    links = [AlignedPair(0, 1, 0, 2, 0.25), AlignedPair(1, 1, 2, 0, 0.55, drop_reason="empty")]
     aset = _aset(links, talk_id="rt")
     path = tmp_path / "a.jsonl"
     path.write_text(links_text(aset.talk_id, aset.links), encoding="utf-8")
@@ -292,8 +290,6 @@ def test_alignment_jsonl_round_trip(tmp_path):
 
 LINK_ROW = {"talk_id": "t", "src_start": 0, "src_len": 1, "tgt_start": 0, "tgt_len": 1,
             "cost": 0.5, "dropped": False, "drop_reason": None}
-TRIMS_ROW = {"talk_id": "t", "src_start": 0, "src_len": 1, "tgt_start": 0, "tgt_len": 2,
-             "new_tgt_start": 1, "new_tgt_len": 1, "trims": ["begin:1"], "flagged": False}
 MANIFEST = {"talk_id": "t", "interpreter_rank": "S", **TALK_FILES}
 
 
@@ -317,16 +313,16 @@ DEEPLY_NESTED = RawJson("[" * 100_000 + "]" * 100_000)
     (read_alignment_jsonl, {**LINK_ROW, "tgt_len": True}),
     (read_alignment_jsonl, {**LINK_ROW, "dropped": "no"}),
     (read_alignment_jsonl, {**LINK_ROW, "talk_id": 5}),
-    (read_trims, {**TRIMS_ROW, "trims": "ab"}),
-    (read_trims, {**TRIMS_ROW, "new_tgt_start": 1.0}),
+    # a link is dropped exactly when it has a drop_reason
+    (read_alignment_jsonl, {**LINK_ROW, "drop_reason": "cost"}),
+    (read_alignment_jsonl, {**LINK_ROW, "dropped": True}),
     (read_manifest, {**MANIFEST, "source_units_path": 5}),
     (read_manifest, {**MANIFEST, "talk_id": 5}),
     (read_manifest, [MANIFEST]),
     (read_alignment_jsonl, DEEPLY_NESTED),
-    (read_trims, DEEPLY_NESTED),
+    (read_alignment_jsonl, {**LINK_ROW, "drop_reason": "empty"}),  # kept, with a drop_reason
     (read_manifest, DEEPLY_NESTED),
     (read_alignment_jsonl, {**LINK_ROW, "drop_reason": "\ud800"}),
-    (read_trims, {**TRIMS_ROW, "trims": ["begin:1", "\ud800"]}),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_mistyped_row_names_file_and_line(tmp_path, reader, bad):
     """A row of the wrong shape or type, or nested too deeply to decode, is a
@@ -338,8 +334,7 @@ def test_mistyped_row_names_file_and_line(tmp_path, reader, bad):
         path.write_text(text, encoding="utf-8")
         where = str(path)
     else:
-        good = LINK_ROW if reader is read_alignment_jsonl else TRIMS_ROW
-        path.write_text(f"{json.dumps(good)}\n{text}\n", encoding="utf-8")
+        path.write_text(f"{json.dumps(LINK_ROW)}\n{text}\n", encoding="utf-8")
         where = f"{path}:2"
     with pytest.raises(ParseError) as err:
         reader(path)

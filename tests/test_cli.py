@@ -297,7 +297,7 @@ def test_usage_error_says_what_was_wrong(capsys, argv, usage, message):
     assert err.startswith(usage) and err.splitlines()[-1] == message
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"talk": []}', pytest.param(
+@pytest.mark.parametrize("text", ["{not json", '{"talk": []}', '{"talks": []}', pytest.param(
     "[" * 100_000 + "]" * 100_000, id="deeply_nested")])
 def test_malformed_corpus_file_exit_two(tmp_path, capsys, text):
     cfg = write_config(tmp_path)
@@ -339,20 +339,6 @@ def test_duplicate_talk_id_named_with_the_corpus(tmp_path, capsys):
     assert f"error: duplicate talk_id 'talk0000' in corpus [{corpus}]" in capsys.readouterr().err
 
 
-def test_malformed_trims_line_exit_two(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
-    assert run(["align", "--config", cfg]) == 0
-    assert run(["filter-intra", "--config", cfg]) == 0
-    trims = tmp_path / "out" / "intra" / "talk0000.trims.jsonl"
-    first = trims.read_text(encoding="utf-8").splitlines()[0]
-    trims.write_text(first + "\nnot json\n", encoding="utf-8")
-    _resign(tmp_path / "out", "out/intra/talk0000.trims.jsonl")
-    capsys.readouterr()
-    assert run(["filter-inter", "--config", cfg]) == 2
-    assert f"{trims}:2" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("section,key,value", [("align", "max_src_span", "4"),
                                                ("align", "max_src_span", 4.0),
                                                ("intra", "content_pos", "NOUN"),
@@ -387,8 +373,11 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
     # a missing gold link scores 0, so at a negative epsilon it would count as recovered
     ("validate", None, "epsilons", [-0.1, 0.5], "must be in [0, 1), got -0.1"),
     ("validate", None, "epsilons", [0.5, 1.0], "must be in [0, 1), got 1.0"),
-    # each epsilon is a column of reports/recovery.tsv
+    # each epsilon is a column of reports/recovery.tsv, each omission rate a row of bench.tsv
     ("validate", None, "epsilons", [], "must list at least one value"),
+    ("bench", None, "bench_omission_rates", [], "must list at least one value"),
+    # the vocabulary is drawn anew per talk, and past 16**5 + 16**6 + 16**7 never ends
+    ("align", "synth", "vocab_size", 10 ** 9, "must be <= 65536, got 1000000000"),
     # the denominator draws and holds every sampled pair: 10**8 would take minutes and GBs
     ("align", "align", "norm_sample_size", 10 ** 8, "must be in 1..65536, got 100000000"),
     # a repeated order would weight its n-grams twice
@@ -396,7 +385,8 @@ def test_wrong_typed_config_value_exit_one(tmp_path, capsys, section, key, value
      "must be a non-empty subset of 1..5, each order once, got [3, 3, 4]")],
     ids=["bench-None-bench_talks-0", "synth-synth-vocab_size-49", "synth-synth-talks--2",
          "bench-synth-sentences-0", "validate-None-epsilons-negative", "validate-None-epsilons-1",
-         "validate-None-epsilons-empty", "align-align-norm_sample_size-huge",
+         "validate-None-epsilons-empty", "bench-None-bench_omission_rates-empty",
+         "align-synth-vocab_size-huge", "align-align-norm_sample_size-huge",
          "align-embedding-orders-repeated"])
 def test_out_of_range_config_value_named_at_load(tmp_path, capsys, command, section, key, value,
                                                  message):
@@ -592,8 +582,6 @@ def test_decision_rows_carry_their_pairs_intra_trims(tmp_path):
     intra/<talk>.trims.jsonl, one row per intra pair, and its verdict is
     `drop` exactly when it gives reasons: after `pipeline` at `--jobs 1` and
     `--jobs 2`, and after a standalone `filter-inter`."""
-    from si_align.intra import read_trims
-
     # fillers make trims; an eta_min of 0.9 drops some pairs and keeps others
     cfg = write_config(tmp_path, noise={"split_rate": 0.2, "filler_rate": 0.5},
                        inter={"eta_min": 0.9})
@@ -605,7 +593,9 @@ def test_decision_rows_carry_their_pairs_intra_trims(tmp_path):
     for args, out_dir in runs:
         assert run([*args, "--config", cfg]) == 0
         for talk in ("talk0000", "talk0001", "talk0002"):
-            trims = read_trims(tmp_path / out_dir / "intra" / f"{talk}.trims.jsonl")
+            trims_rows = (tmp_path / out_dir / "intra" / f"{talk}.trims.jsonl").read_text()
+            trims = {(r["src_start"], r["src_len"], r["new_tgt_start"], r["new_tgt_len"]):
+                     tuple(r["trims"]) for r in map(json.loads, trims_rows.splitlines())}
             rows = [json.loads(line) for line in (tmp_path / out_dir / "decisions" /
                                                   f"{talk}.jsonl").read_text().splitlines()]
             keys = [(r["src_start"], r["src_len"], r["tgt_start"], r["tgt_len"]) for r in rows]
@@ -933,20 +923,7 @@ def test_stale_stage_file_reported_before_malformed(tmp_path, capsys):
     assert _tree(out) == before
 
 
-def test_missing_trims_file_exit_two(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert run(["synth", "--config", cfg, "--talks", "1", "--sentences", "5"]) == 0
-    assert run(["pipeline", "--config", cfg]) == 0
-    trims = tmp_path / "out" / "intra" / "talk0000.trims.jsonl"
-    trims.unlink()
-    capsys.readouterr()
-    assert run(["filter-inter", "--config", cfg]) == 2
-    assert str(trims) in capsys.readouterr().err
-
-
 def test_pipeline_reads_no_stage_file(tmp_path, monkeypatch):
-    from si_align import intra
-
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
 
@@ -954,8 +931,23 @@ def test_pipeline_reads_no_stage_file(tmp_path, monkeypatch):
         raise AssertionError(f"pipeline read {path}")
 
     monkeypatch.setattr(align, "read_alignment_jsonl", forbidden)
-    monkeypatch.setattr(intra, "read_trims", forbidden)
     assert run(["pipeline", "--config", cfg]) == 0
+
+
+def test_filter_inter_reads_no_trims_file(tmp_path):
+    """A decision row's trims are those between its pair and its coarse link,
+    so a standalone `filter-inter` whose intra/*.trims.jsonl files are gone
+    writes the inter stage and the decisions of `pipeline`."""
+    cfg = write_config(tmp_path, noise={"split_rate": 0.2, "filler_rate": 0.5})
+    assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "2", "--sentences", "14"]) == 0
+    assert run(["pipeline", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    written = {stage: _tree(out / stage) for stage in ("inter", "decisions")}
+    assert any('"trims": ["' in text.decode() for text in written["decisions"].values())
+    for path in (out / "intra").glob("*.trims.jsonl"):
+        path.unlink()
+    assert run(["filter-inter", "--config", cfg]) == 0
+    assert {stage: _tree(out / stage) for stage in written} == written
 
 
 @pytest.mark.parametrize("inter,flags,key", [
@@ -1140,7 +1132,7 @@ def test_link_outside_its_talk_refused(tmp_path, capsys):
             for side in ("source", "target"))
     for args, stage in [(["filter-intra"], "coarse"), (["validate"], "coarse"),
                         (["export-anno", "--stage", "coarse"], "coarse"),
-                        (["filter-inter"], "intra"), (["stats"], "coarse")]:
+                        (["filter-inter"], "coarse"), (["stats"], "coarse")]:
         links = out / stage / "talk0000.jsonl"
         line = next(i for i, row in enumerate(links.read_text().splitlines(), start=1)
                     if _outside(json.loads(row), m, n))
@@ -1568,27 +1560,30 @@ def test_mutated_stage_file_exits_cleanly(stage_run, name, mutation, pick, junk)
             assert _tree(out) == before, (config, args)
 
 
-def test_trims_file_must_match_its_links(stage_run, capsys):
-    """A re-signed trims file whose trimmed spans are not the links of its
-    stage exits 1 naming the file and the manifest, and writes nothing."""
-    work = stage_run.parent / "trims_work"
+def test_intra_pair_outside_its_coarse_link_refused(stage_run, capsys):
+    """A re-signed coarse file in which a kept link no longer holds the intra
+    pair made from it makes `filter-inter` exit 1, naming the talk and the
+    command to rerun, and nothing is written."""
+    work = stage_run.parent / "narrowed_work"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(stage_run, work)
     out = work / "out"
-    name = "out/intra/talk0001.trims.jsonl"
-    n = len((out / "talks" / "talk0001" / "target_units.txt").read_text().splitlines())
+    name = "out/coarse/talk0001.jsonl"
     rows = [json.loads(line) for line in (work / name).read_text().splitlines()]
-    trimmed = [row for row in rows if row["trims"]]
-    assert trimmed
-    for row in trimmed:
-        row["new_tgt_start"] = n + 100
+    kept = [row for row in rows if not row["dropped"]]
+    intra = [json.loads(line) for line in (out / "intra" / "talk0001.jsonl").read_text()
+             .splitlines()]
+    # the coarse link loses the first target unit of its intra pair
+    link = next(link for link, pair in zip(kept, intra)
+                if link["tgt_start"] == pair["tgt_start"] and link["tgt_len"] > 1)
+    link.update(tgt_start=link["tgt_start"] + 1, tgt_len=link["tgt_len"] - 1)
     (work / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     _resign(out, name)
     before = _tree(out)
     capsys.readouterr()
     assert run(["filter-inter", "--config", work / "config.json"]) == 1
-    err = capsys.readouterr().err
-    assert str(work / name) in err and str(out / "manifests" / "filter-intra.json") in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "talk talk0001" in err[0] and "rerun filter-intra" in err[0]
     assert _tree(out) == before
 
 

@@ -23,7 +23,6 @@ from si_align.curation import annotations_text, export_annotations, read_annotat
 from si_align.embeddings import SOURCE, TARGET, load_precomputed
 from si_align.inter import (REFERENCE, SpanTable, read_external_scores,
                             read_reference_jsonl, references_text)
-from si_align.intra import read_trims
 from si_align.splitter import read_allowlist
 
 from conftest import doc, vector_outcome
@@ -49,10 +48,6 @@ VECTOR_FILE = "".join(f"{side}\t{start}\t{w}\t0.6,0.8,{0.1 * start}\n"
 
 REFS = SpanTable(REFERENCE, "talk0", {(0, 1): TextUnit("xx", DOC.target_units[0].tokens),
                                          (1, 1): TextUnit("yy zz", DOC.target_units[1].tokens)})
-TRIMS = "".join(json.dumps({"talk_id": "talk0", "src_start": i, "src_len": 1,
-                            "tgt_start": i, "tgt_len": 1, "new_tgt_start": i,
-                            "new_tgt_len": 1, "trims": [], "flagged": False}) + "\n"
-                for i in range(2))
 
 
 def _document(path):
@@ -77,7 +72,6 @@ INPUTS = {
     "links": ("links.jsonl", links_text("talk0", PAIRS).encode("utf-8"), read_alignment_jsonl),
     "references": ("refs.jsonl", references_text(REFS).encode("utf-8"),
                    lambda path: read_reference_jsonl(path, "talk0")),
-    "trims": ("talk0.trims.jsonl", TRIMS.encode("utf-8"), read_trims),
     "scores": ("scores.tsv", b"talk0\t0\t1\t0.5\ntalk0\t1\t1\t0.25\n", read_external_scores),
     "allowlist": ("allowlist.txt", b"talk0\ntalk1\n", read_allowlist),
     "annotations": ("anno.tsv", annotations_text(export_annotations(

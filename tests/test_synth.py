@@ -156,8 +156,7 @@ def test_score_perfect():
 def test_score_empty_prediction():
     talk = generate_talk(2, m=8, noise=NoiseParams(), vocab_size=100)
     empty = AlignmentSet(talk_id=talk.doc.talk_id,
-                         links=(AlignedPair(0, 8, 0, 8, 0.0, dropped=True,
-                                            drop_reason="cost"),),
+                         links=(AlignedPair(0, 8, 0, 8, 0.0, drop_reason="cost"),),
                          total_cost=0.0)
     triple = score_alignment(empty, talk.gold)
     assert (triple.precision, triple.recall, triple.f1) == (0.0, 0.0, 0.0)
