@@ -126,7 +126,8 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     Ties are broken deterministically by a fixed preference order of the
     moves: the (0, 1) skip, the (1, 0) skip, then links by source span and
     then target span. The cheapest move earliest in that order wins, so the
-    result is identical across runs and platforms for identical inputs.
+    result is identical across runs on one machine for identical inputs;
+    another BLAS kernel can change the last bits of the costs.
     """
     import numpy as np
 

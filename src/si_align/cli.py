@@ -512,15 +512,15 @@ def cmd_validate(cfg: PipelineConfig, docs: list[cm.DocumentPair], coarse: Stage
     for doc in docs:
         gold_path = cfg.gold_dir / f"{doc.talk_id}.gold.jsonl"
         manifest.add_input(gold_path)
-        auto = al.AlignmentSet(doc.talk_id, coarse.pairs[doc.talk_id], 0.0)
         gold = al.read_alignment_jsonl(gold_path, doc=doc)
-        if not gold.links:
-            raise ValidationError(f"no gold links for talk {doc.talk_id}", path=gold_path)
-        reports.append(rv.recovery_accuracy(auto, gold, doc, list(cfg.epsilons)))
+        reports.append(rv.recovery_accuracy(coarse.pairs[doc.talk_id], gold, doc))
+        if not reports[-1].per_sentence:
+            raise ValidationError(f"no gold link of talk {doc.talk_id} has two non-empty spans",
+                                  path=gold_path)
         manifest.write_artifact(cfg.out_dir / "reports" / f"{doc.talk_id}.recovery.json",
-                                rv.report_text(reports[-1]))
+                                rv.report_text(reports[-1], cfg.epsilons))
     manifest.write_artifact(cfg.out_dir / "reports" / "recovery.tsv",
-                            rv.summary_tsv_text(reports))
+                            rv.summary_tsv_text(reports, cfg.epsilons))
     manifest.save()
 
 

@@ -152,11 +152,6 @@ def normalize_text(raw: str) -> str:
     return " ".join(unicodedata.normalize("NFKC", raw).split())
 
 
-def char_len(text: str) -> int:
-    """Character count excluding all whitespace."""
-    return len("".join(text.split()))
-
-
 @dataclass(frozen=True)
 class Token:
     surface: str
@@ -190,11 +185,16 @@ MAX_TOKENS = 1 << 16
 TOKENS = TokenTable()
 
 
+def spelled_by(text: str, tokens) -> bool:
+    """Whether the normalized token surfaces, concatenated, spell `text` but for spaces."""
+    return "".join(tok.surface for tok in tokens).replace(" ", "") == text.replace(" ", "")
+
+
 @dataclass(frozen=True)
 class TextUnit:
     """A text and its tagged tokens: one source sentence, one target chunk,
     or the reference translation of a source span. The text is normalized:
-    non-empty, words separated by single spaces, none at either end."""
+    NFKC, non-empty, words separated by single spaces, none at either end."""
 
     text: str
     tokens: tuple[Token, ...]
@@ -202,6 +202,8 @@ class TextUnit:
     def __post_init__(self):
         if not self.text or self.text != " ".join(self.text.split()):
             raise ValidationError(f"unit text {self.text!r} is empty or not single-spaced")
+        if not unicodedata.is_normalized("NFKC", self.text):
+            raise ValidationError(f"unit text {self.text!r} is not NFKC-normalized")
 
 
 @dataclass(frozen=True)
@@ -374,8 +376,7 @@ def _build_units(texts: list[str], blocks, units_path, tags_path) -> tuple[TextU
         )
     units = []
     for i, (text, (lineno, tokens)) in enumerate(zip(texts, blocks)):
-        joined = "".join(tok.surface for tok in tokens)
-        if "".join(joined.split()) != "".join(text.split()):
+        if not spelled_by(text, tokens):
             raise ParseError(
                 f"token surfaces do not re-concatenate to unit {i} text of {units_path}",
                 path=tags_path, line=lineno,

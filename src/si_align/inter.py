@@ -14,8 +14,8 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import (TOKENS, AlignedPair, DocumentPair, ParseError, Pos, TextUnit,
-                     ValidationError, char_len, jsonl_text, normalize_text, read_jsonl,
-                     read_lines)
+                     ValidationError, jsonl_text, normalize_text, read_jsonl, read_lines,
+                     spelled_by)
 
 log = logging.getLogger(__name__)
 
@@ -90,21 +90,15 @@ def _coverage(entry: TextUnit, f_text: str, coverage_pos) -> float:
     return covered / len(content)
 
 
-def _length_ratio(entry: TextUnit, f_text: str) -> float:
-    """Gamma: char_len(F) / char_len(T), whitespace excluded on both sides."""
-    return char_len(f_text) / char_len(entry.text)
-
-
 def chrf_scores(text_pairs) -> list[float]:
     """Character n-gram F-measure of each F against its reference T, for
-    (F, T) pairs.
-
-    Whitespace is removed before n-gram extraction (the usual convention,
-    and the right one for unsegmented scripts). Precision and recall are
-    averaged uniformly over orders 1..CHRF_MAX_ORDER, skipping orders where
-    neither side has any n-gram; F is the CHRF_BETA-weighted harmonic mean.
+    (F, T) pairs of normalized texts with their whitespace removed (the
+    usual convention, and the right one for unsegmented scripts), as
+    `apply_inter_filter` passes them. Precision and recall are averaged
+    uniformly over orders 1..CHRF_MAX_ORDER, skipping orders where neither
+    side has any n-gram; F is the CHRF_BETA-weighted harmonic mean.
     """
-    texts = ["".join(normalize_text(text).split()) for pair in text_pairs for text in pair]
+    texts = [text for pair in text_pairs for text in pair]
     matched = _matched_ngrams(texts)
     scores = []
     for k in range(len(texts) // 2):
@@ -183,10 +177,12 @@ def apply_inter_filter(pairs, doc: DocumentPair, refs: SpanTable,
     for pair in pairs:
         span = (pair.src_start, pair.src_len)
         entry, f_text = refs[span], doc.tgt_text(pair.tgt_start, pair.tgt_len)
+        # F and T without whitespace, as unit texts are single-spaced: gamma is their length ratio
+        f_bare, t_bare = f_text.replace(" ", ""), entry.text.replace(" ", "")
         judged.append((pair, _coverage(entry, f_text, params.coverage_pos),
-                       _length_ratio(entry, f_text)))
+                       len(f_bare) / len(t_bare)))
         if scores is None:
-            texts.append((f_text, entry.text))
+            texts.append((f_bare, t_bare))
         else:
             etas.append(scores[span])
     if scores is None:
@@ -231,9 +227,10 @@ def read_reference_jsonl(path, talk_id: str) -> SpanTable:
         if not text:
             raise ValueError(f"empty reference text for span {span}")
         # a token row is a JSON list, made a tuple to serve as its own key
-        entry = TextUnit(text=text,
-                         tokens=tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"]))))
-        return obj["talk_id"], span, entry
+        tokens = tuple(map(TOKENS.__getitem__, map(tuple, obj["tokens"])))
+        if not spelled_by(text, tokens):
+            raise ValueError(f"token surfaces do not re-concatenate to the text of span {span}")
+        return obj["talk_id"], span, TextUnit(text=text, tokens=tokens)
 
     def check(value) -> None:
         if value[0] != talk_id:

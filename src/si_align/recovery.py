@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from .align import AlignmentSet
-from .corpus import DocumentPair, ValidationError, normalize_text
+from .corpus import DocumentPair, ValidationError
 
 
 def lcs_substring_len(a: str, b: str) -> int:
@@ -31,74 +31,59 @@ def lcs_substring_len(a: str, b: str) -> int:
 
 
 def similarity(f_auto: str, f_manual: str) -> float:
-    """LCS(F_auto, F_manual) / |F_manual|, character lengths of normalized text."""
-    auto = normalize_text(f_auto)
-    manual = normalize_text(f_manual)
-    if not manual:
+    """LCS(F_auto, F_manual) / |F_manual|, in characters of the texts as given."""
+    if not f_manual:
         raise ValidationError("similarity undefined for empty manual text")
-    return lcs_substring_len(auto, manual) / len(manual)
+    return lcs_substring_len(f_auto, f_manual) / len(f_manual)
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
+    """One talk's similarity per scored gold link, as (source start, similarity)."""
+
     talk_id: str
     per_sentence: tuple[tuple[int, float], ...]
-    accuracy_at: dict[float, float]
+
+    def accuracy(self, eps: float) -> float:
+        """The share of scored gold links recovered at `eps`: similarity above it."""
+        return sum(1 for _, s in self.per_sentence if s > eps) / len(self.per_sentence)
 
 
-def recovery_accuracy(auto: AlignmentSet, gold: AlignmentSet, pair: DocumentPair,
-                      epsilons: list[float]) -> RecoveryReport:
-    """Fraction of gold links recovered at each threshold.
+def recovery_accuracy(pairs, gold: AlignmentSet, doc: DocumentPair) -> RecoveryReport:
+    """Score the kept gold links of `doc` against `pairs`, the pairs a stage
+    passes on for it.
 
-    A gold link counts as recovered at epsilon when the kept auto link with
-    the identical source span has target-text similarity strictly above
-    epsilon; a missing or differently-spanned auto link scores 0. Gold links
-    with an empty side carry no measurable target text and are skipped.
+    A gold link is scored by the target-text similarity of the pair with
+    its source span; with no such pair, it scores 0. Gold links with an
+    empty side carry no measurable target text and are not scored.
     """
-    if auto.talk_id != gold.talk_id:
-        raise ValidationError(f"talk mismatch: {auto.talk_id!r} vs {gold.talk_id!r}")
-    if pair.talk_id != gold.talk_id:
-        raise ValidationError(f"document {pair.talk_id!r} does not match {gold.talk_id!r}")
-    auto_by_src = {(l.src_start, l.src_len): l for l in auto.kept()
-                   if not l.src_empty and not l.tgt_empty}
+    auto_by_src = {(p.src_start, p.src_len): p for p in pairs}
     per_sentence = []
     for g in gold.kept():
         if g.src_empty or g.tgt_empty:
             continue
-        manual_text = pair.tgt_text(g.tgt_start, g.tgt_len)
         match = auto_by_src.get((g.src_start, g.src_len))
-        if match is None:
-            s = 0.0
-        else:
-            s = similarity(pair.tgt_text(match.tgt_start, match.tgt_len), manual_text)
+        s = 0.0 if match is None else similarity(doc.tgt_text(match.tgt_start, match.tgt_len),
+                                                 doc.tgt_text(g.tgt_start, g.tgt_len))
         per_sentence.append((g.src_start, s))
-    scores = [s for _, s in per_sentence]
-    accuracy_at = {
-        eps: (sum(1 for s in scores if s > eps) / len(scores)) if scores else 0.0
-        for eps in epsilons
-    }
-    return RecoveryReport(
-        talk_id=gold.talk_id,
-        per_sentence=tuple(per_sentence),
-        accuracy_at=accuracy_at,
-    )
+    return RecoveryReport(doc.talk_id, tuple(per_sentence))
 
 
-def report_text(report: RecoveryReport) -> str:
+def report_text(report: RecoveryReport, epsilons) -> str:
     """One talk's per-sentence similarities and accuracy curve as JSON."""
     obj = {
         "talk_id": report.talk_id,
         "per_sentence": [[i, s] for i, s in report.per_sentence],
-        "accuracy_at": {repr(eps): acc for eps, acc in sorted(report.accuracy_at.items())},
+        "accuracy_at": {repr(eps): report.accuracy(eps) for eps in dict.fromkeys(epsilons)},
     }
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-def summary_tsv_text(reports: list[RecoveryReport]) -> str:
+def summary_tsv_text(reports: list[RecoveryReport], epsilons) -> str:
     """One row per talk, one column per epsilon, for spreadsheet use."""
-    epsilons = sorted({eps for r in reports for eps in r.accuracy_at})
+    epsilons = sorted(set(epsilons))
     lines = ["talk_id\tn_links\t" + "\t".join(f"acc@{eps:g}" for eps in epsilons)]
     for r in reports:
-        cells = [f"{r.accuracy_at.get(eps, 0.0):.4f}" for eps in epsilons]
+        cells = [f"{r.accuracy(eps):.4f}" for eps in epsilons]
         lines.append(f"{r.talk_id}\t{len(r.per_sentence)}\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"

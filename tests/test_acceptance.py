@@ -106,8 +106,8 @@ def test_criterion_5_recovery_curve_monotone():
     checked = 0
     for talk in talks:
         pred = align_talk(talk.doc, BENCH_EMBED, AlignParams())
-        rep = recovery_accuracy(pred, talk.gold, talk.doc, epsilons)
-        values = [rep.accuracy_at[e] for e in epsilons]
+        rep = recovery_accuracy(pred.kept(), talk.gold, talk.doc)
+        values = [rep.accuracy(e) for e in epsilons]
         assert all(a >= b for a, b in zip(values, values[1:])), values
         checked += 1
     report(5, "recovery accuracy non-increasing in epsilon",

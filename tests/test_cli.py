@@ -1069,20 +1069,23 @@ def test_missing_row_names_its_file(tmp_path, capsys, missing):
 
 
 def test_empty_reference_text_names_file_and_line(tmp_path, capsys):
-    """A refs row whose text normalizes to empty exits 2 naming its file and
-    line."""
+    """A refs row whose text normalizes to empty, or whose token surfaces do
+    not spell its text, exits 2 naming its file and line."""
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--seed", "5", "--talks", "2",
                 "--sentences", "6"]) == 0
     refs = tmp_path / "out" / "refs" / "talk0001.refs.jsonl"
     lines = refs.read_text(encoding="utf-8").splitlines(True)
     row = json.loads(lines[0])
-    lines[0] = json.dumps({**row, "text": "\u3000 "}) + "\n"
-    refs.write_text("".join(lines), encoding="utf-8")
-    capsys.readouterr()
-    assert run(["pipeline", "--config", cfg]) == 2
     span = (row["src_start"], row["src_len"])
-    assert f"empty reference text for span {span} [{refs}:1]" in capsys.readouterr().err
+    for edit, message in [({"text": "\u3000 "}, f"empty reference text for span {span}"),
+                          ({"tokens": [["zzzzz", "NOUN"]]},
+                           f"token surfaces do not re-concatenate to the text of span {span}")]:
+        refs.write_text("".join([json.dumps({**row, **edit}) + "\n", *lines[1:]]),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert run(["pipeline", "--config", cfg]) == 2, edit
+        assert f"{message} [{refs}:1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("talk_id,code,message", [
@@ -1166,25 +1169,35 @@ def test_gold_link_outside_its_talk_refused(tmp_path, capsys):
     assert _tree(tmp_path / "out") == before
 
 
-@pytest.mark.parametrize("other_talk,line,message", [
-    (None, None, "no gold links for talk talk0001"),
-    ("talk0009", 1, "link of talk 'talk0009' where 'talk0001' was expected"),
-], ids=["empty", "other-talk"])
-def test_gold_file_of_another_talk_refused(tmp_path, capsys, other_talk, line, message):
-    """A gold file that names no talk, or another talk, exits 1 naming the
-    file (and the row's line), and nothing is written."""
+def _drop_every_link(text):
+    return "".join(json.dumps({**json.loads(row), "dropped": True, "drop_reason": "cost"}) + "\n"
+                   for row in text.splitlines())
+
+
+NO_SCORED_GOLD = "no gold link of talk talk0001 has two non-empty spans"
+
+
+@pytest.mark.parametrize("rewrite,line,message", [
+    (lambda text: "", None, NO_SCORED_GOLD),
+    (lambda text: text.replace('"talk0001"', '"talk0009"'), 1,
+     "link of talk 'talk0009' where 'talk0001' was expected"),
+    (_drop_every_link, None, NO_SCORED_GOLD),
+], ids=["empty", "other-talk", "all-dropped"])
+def test_gold_file_of_another_talk_refused(tmp_path, capsys, rewrite, line, message):
+    """A gold file that names no talk, or another talk, or keeps no link
+    with two non-empty spans, exits 1 naming the file (and the row's line),
+    and nothing is written."""
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--talks", "2", "--sentences", "5"]) == 0
     assert run(["align", "--config", cfg]) == 0
     gold = tmp_path / "out" / "gold" / "talk0001.gold.jsonl"
-    text = gold.read_text(encoding="utf-8")
-    gold.write_text(text.replace('"talk0001"', f'"{other_talk}"') if other_talk else "",
-                    encoding="utf-8")
+    gold.write_text(rewrite(gold.read_text(encoding="utf-8")), encoding="utf-8")
     before = _tree(tmp_path / "out")
     capsys.readouterr()
     assert run(["validate", "--config", cfg]) == 1
     where = gold if line is None else f"{gold}:{line}"
-    assert f"error: {message} [{where}]" in capsys.readouterr().err
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {message} [{where}]"]
     assert _tree(tmp_path / "out") == before
 
 

@@ -37,10 +37,13 @@ def test_normalize_idempotent(text):
 @given(st.text(max_size=80))
 def test_text_unit_holds_normalized_text(raw):
     """A TextUnit refuses text that is empty or not single-spaced, an
-    ideographic space included, and takes what `normalize_text` makes of
-    any text that does not normalize to empty."""
+    ideographic space included, or not NFKC, and takes what `normalize_text`
+    makes of any text that does not normalize to empty."""
     for text in ("", " a", "a ", "a  b", "a\tb", "a\nb", "a\u3000b"):
         with pytest.raises(ValidationError, match="empty or not single-spaced"):
+            TextUnit(text, ())
+    for text in ("\uff71", "e\u0301"):  # half-width katakana, a decomposed é
+        with pytest.raises(ValidationError, match="not NFKC-normalized"):
             TextUnit(text, ())
     text = normalize_text(raw)
     assume(text)
