@@ -6,6 +6,13 @@ normalized embedding distance, scaled by merged size) or skips one unit on
 one side (flat penalty). Pruning then flags links that are too costly or
 one-sided, mirroring the removal of no-translation candidates.
 
+A talk's cosines are one matmul: the table rows of every source window up
+to the source span limit against those of every target window up to the
+target span limit, clipped in place. Each (source span, target span) block
+of steps is a view of that one product, which takes `1 - cos` and the
+division by the talk's denominator as a whole, and then its own size
+factor, so every cell goes through the same operations in the same order.
+
 The DP table is filled one source row at a time. Every move with a source
 span reads only earlier rows, so its totals for the whole row are one numpy
 addition, `cost[i - a, j - b] + step`; the moves are stacked in tie-break
@@ -112,12 +119,27 @@ def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int
 
 def _cosine_grid(table: EmbeddingTable, max_a: int,
                  max_b: int) -> dict[tuple[int, int], np.ndarray]:
-    """cos[(a, b)][i, j] = cosine of source window (i, a) and target window (j, b),
-    one matmul of two table blocks per span-size pair."""
+    """cos[(a, b)][i, j] = cosine of source window (i, a) and target window (j, b).
+
+    `window_rows` keeps the source blocks of lengths 1..max_a, and the target
+    blocks of lengths 1..max_b, in consecutive rows, so one matmul of those two
+    row ranges, clipped in place, holds every block: each is a view of that
+    one product, whose cells are exactly the blocks' cells.
+    """
     import numpy as np
 
-    return {(a, b): np.clip(table.windows(SOURCE, a) @ table.windows(TARGET, b).T, -1.0, 1.0)
-            for a in range(1, max_a + 1) for b in range(1, max_b + 1)}
+    rows = table.rows
+    first_tgt = rows[(TARGET, 1)].start
+    product = table.entries[:rows[(SOURCE, max_a)].stop] @ \
+        table.entries[first_tgt:rows[(TARGET, max_b)].stop].T
+    np.clip(product, -1.0, 1.0, out=product)
+    grids = {}
+    for a in range(1, max_a + 1):
+        src = rows[(SOURCE, a)]
+        for b in range(1, max_b + 1):
+            tgt = rows[(TARGET, b)]
+            grids[(a, b)] = product[src.start:src.stop, tgt.start - first_tgt:tgt.stop - first_tgt]
+    return grids
 
 
 def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> AlignmentSet:
@@ -146,10 +168,12 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     if m > 0 and n > 0:
         denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
         steps = _cosine_grid(table, max_a, max_b)
+        # the step (1.0 - cos) / denom * (a + b) / 2.0, one operation at a time, in
+        # place: the first two on the one product every block views, the last two per block
+        product = steps[(1, 1)].base
+        np.subtract(1.0, product, out=product)
+        product /= denom
         for (a, b), grid in steps.items():
-            # the step (1.0 - cos) / denom * (a + b) / 2.0, one operation at a time, in place
-            np.subtract(1.0, grid, out=grid)
-            grid /= denom
             grid *= a + b
             grid /= 2.0
     link_moves = [(k, a, b) for k, (a, b) in enumerate(moves) if (a, b) in steps and b <= n]

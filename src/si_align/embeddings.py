@@ -8,6 +8,7 @@ EmbeddingTable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -92,12 +93,20 @@ def table_for(doc: DocumentPair, spec: EmbeddingProviderSpec,
 
 def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, int]:
     """Seeded stable hash of one n-gram: (bucket, sign). blake2b keeps this
-    identical across platforms and Python versions, unlike hash()."""
-    digest = hashlib.blake2b(
-        gram.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little", signed=True)
-    ).digest()
-    value = int.from_bytes(digest, "little")
+    identical across platforms and Python versions, unlike hash(). Each
+    call hashes from a copy of the seed's keyed state, the digest that
+    hashing with the key from scratch gives."""
+    state = _keyed_blake2b(seed).copy()
+    state.update(gram.encode("utf-8"))
+    value = int.from_bytes(state.digest(), "little")
     return value % dim, 1 if value >> 63 else -1
+
+
+@functools.lru_cache(maxsize=8)
+def _keyed_blake2b(seed: int):
+    """The blake2b state keyed by `seed`, before any data; callers hash from
+    a copy and never update it."""
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
 
 
 class SlotTable(dict):
@@ -180,11 +189,14 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     vector adds each n-gram's sign into the n-gram's bucket. Each side's
     units are joined once and the packed slot of every n-gram position of
     that text is read from `SLOTS`, which hashes each distinct n-gram once
-    per process; a window is a character range of the text and the whole
-    table is one weighted `bincount`. Counts are small integers, exact in
-    float64, so the sums do not depend on order. A window yielding no
-    n-grams (shorter than every order) maps to basis vector 0 so downstream
-    cosines stay defined.
+    per process; a window is a character range of the text. Window (i, w)
+    gets only the n-grams that window (i, w - 1) lacks, the ones ending in
+    its last unit, and one weighted `bincount` sums them into the table;
+    then each block, by increasing window length, adds the rows of the
+    block one shorter. Counts are small integers, exact in float64, so the
+    sums do not depend on order and every row equals a count of the
+    window's own n-grams. A window yielding no n-grams (shorter than every
+    order) maps to basis vector 0 so downstream cosines stay defined.
     """
     import numpy as np
 
@@ -199,18 +211,22 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
                                (TARGET, doc.target_units, max_tgt_window)):
         text = " ".join(u.text for u in units)
         starts = np.cumsum([0] + [len(u.text) + 1 for u in units])
-        row, lo, hi = [], [], []
+        row, first, prev, end = [], [], [], []
         for w in range(1, max_w + 1):
             block = rows[(side, w)]
-            # window (i, w) is characters [starts[i], starts[i + w] - 1) of `text`
+            # window (i, w) is characters [starts[i], starts[i + w] - 1) of `text`;
+            # window (i, w - 1) ends before character starts[i + w - 1] - 1
             row.append(np.arange(block.start, block.stop))
-            lo.append(starts[:len(block)])
-            hi.append(starts[w:w + len(block)] - 1)
-        row, lo, hi = np.concatenate(row), np.concatenate(lo), np.concatenate(hi)
+            first.append(starts[:len(block)])
+            prev.append(starts[w - 1:w - 1 + len(block)])
+            end.append(starts[w:w + len(block)])
+        row, first, prev, end = map(np.concatenate, (row, first, prev, end))
         for n in spec.orders:
             slots = _packed_slots([text[i:i + n] for i in range(len(text) - n + 1)],
                                   spec.seed, dim)
-            count = np.maximum(hi - lo - n + 1, 0)
+            # the n-grams window (i, w) has and window (i, w - 1) has not
+            lo = np.maximum(first, prev - n)
+            count = np.maximum(end - n - lo, 0)
             offset = np.cumsum(count) - count
             packed = slots[np.repeat(lo - offset, count) + np.arange(count.sum())]
             negative = packed < 0
@@ -222,6 +238,11 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     # astype: bincount of no values returns integer zeros whatever the weights
     entries = np.bincount(cells, weights=signs, minlength=n_rows * dim
                           ).astype(float, copy=False).reshape(n_rows, dim)
+    # window (i, w) adds the counts of window (i, w - 1), complete once block w - 1 is
+    for (side, w), block in rows.items():
+        if w > 1:
+            shorter = rows[(side, w - 1)].start
+            entries[block.start:block.stop] += entries[shorter:shorter + len(block)]
     norms = np.sqrt(np.einsum("ij,ij->i", entries, entries))
     empty = norms == 0.0
     norms[empty] = 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from si_align.align import (AlignParams, AlignmentSet, dp_align, links_text,
+from si_align.align import (AlignParams, AlignmentSet, _cosine_grid, dp_align, links_text,
                             normalization_denominator, prune, validate_alignment,
                             read_alignment_jsonl)
 from si_align.corpus import (TALK_FILES, AlignedPair, DocumentPair, ParseError, Rank,
@@ -62,6 +62,31 @@ def test_denominator_matches_seeded_replay():
     table = basis_table(src_ids, tgt_ids)
     got = normalization_denominator(table, 100, seed=7)
     assert float.hex(got) == float.hex(reference_denominator(table, 100, seed=7))
+
+
+# ---------------------------------------------------------------------------
+# _cosine_grid
+
+@pytest.mark.parametrize("m, n, max_window, max_a, max_b", [
+    (5, 7, 3, 3, 2),   # unequal spans
+    (6, 5, 4, 2, 3),   # table windows wider than the spans
+    (2, 6, 4, 4, 3),   # fewer source units than a span: blocks a = 3, 4 are empty
+])
+def test_cosine_grid_blocks_view_one_product(m, n, max_window, max_a, max_b):
+    """Every block is a view of one product holding exactly the blocks'
+    cells, and each equals the clipped matmul of its two table blocks."""
+    rng = np.random.default_rng(m * 100 + n)
+    table = basis_table(list(range(m)), list(range(m, m + n)), dim=16, max_window=max_window,
+                        unit_vectors=rng.normal(size=(16, 16)))
+    grids = _cosine_grid(table, max_a, max_b)
+    assert sorted(grids) == [(a, b) for a in range(1, max_a + 1) for b in range(1, max_b + 1)]
+    product = grids[(1, 1)].base
+    assert all(block.base is product for block in grids.values())
+    assert product.nbytes == sum(block.nbytes for block in grids.values())
+    for (a, b), block in grids.items():
+        want = np.clip(table.windows(SOURCE, a) @ table.windows(TARGET, b).T, -1.0, 1.0)
+        assert block.shape == (max(m - a + 1, 0), max(n - b + 1, 0))
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 import random
@@ -11,7 +12,7 @@ from si_align import embeddings
 from si_align.corpus import (DocumentPair, ParseError, Rank, TextUnit, ValidationError,
                              normalize_text)
 from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
-                                 build_fallback_table, load_precomputed, window_rows,
+                                 _gram_slot, build_fallback_table, load_precomputed, window_rows,
                                  write_table_file)
 
 from conftest import doc, unit
@@ -162,6 +163,19 @@ def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_t
     table = build_fallback_table(document, params, max_src_window, max_tgt_window)
     assert table.entries.shape == expected.shape
     assert table.entries.tobytes() == expected.tobytes()
+
+
+def test_gram_slot_matches_keyed_hash_from_scratch():
+    """Each slot is that of a blake2b digest keyed by the seed and computed
+    from scratch; the seeds alternate, so a state kept for the wrong seed shows."""
+    rng = random.Random(3)
+    for k in range(600):
+        gram = "".join(rng.choice("ab é字\u3000") for _ in range(rng.randint(1, 5)))
+        seed = (0, -1, (1 << 63) - 1)[k % 3]
+        value = int.from_bytes(hashlib.blake2b(
+            gram.encode(), digest_size=8, key=seed.to_bytes(8, "little", signed=True)
+        ).digest(), "little")
+        assert _gram_slot(gram, seed, 2048) == (value % 2048, 1 if value >> 63 else -1)
 
 
 SHARED_TEXTS = (["the cat sat", "on the mat", "ça va bien"], ["le chat", "sur le tapis", "ça"])
