@@ -6,12 +6,16 @@ normalized embedding distance, scaled by merged size) or skips one unit on
 one side (flat penalty). Pruning then flags links that are too costly or
 one-sided, mirroring the removal of no-translation candidates.
 
-A talk's cosines are one matmul: the table rows of every source window up
-to the source span limit against those of every target window up to the
-target span limit, clipped in place. Each (source span, target span) block
-of steps is a view of that one product, which takes `1 - cos` and the
-division by the talk's denominator as a whole, and then its own size
-factor, so every cell goes through the same operations in the same order.
+A talk's cosines are one matmul in the table's dtype: the table rows of
+every source window up to the source span limit against those of every
+target window up to the target span limit, upcast to float64, divided by
+the outer product of the rows' norms and clipped in place. A fallback
+table's rows are integer n-gram counts whose products are exact in that
+dtype, so its cosines have the same bits under every BLAS kernel. Each
+(source span, target span) block of steps is a view of that one grid, which
+takes `1 - cos` and the division by the talk's denominator as a whole, and
+then its own size factor, so every cell goes through the same operations in
+the same order. The denominator reads the singleton block before that.
 
 The DP table is filled one source row at a time. Every move with a source
 span reads only earlier rows, so its totals for the whole row are one numpy
@@ -74,7 +78,7 @@ class AlignParams:
         if self.skip_penalty >= self.prune_cost_threshold:
             raise ValidationError(f"skip_penalty {self.skip_penalty} must be below "
                                   f"prune_cost_threshold {self.prune_cost_threshold}")
-        # normalization_denominator draws and holds this many index pairs per talk
+        # normalization_denominator draws this many index pairs per talk
         if not 1 <= self.norm_sample_size <= MAX_NORM_SAMPLE_SIZE:
             raise ValidationError(f"norm_sample_size: must be in 1..{MAX_NORM_SAMPLE_SIZE}, "
                                   f"got {self.norm_sample_size}")
@@ -90,30 +94,23 @@ class AlignmentSet:
         return tuple(l for l in self.links if not l.dropped)
 
 
-def normalization_denominator(table: EmbeddingTable, sample_size: int, seed: int) -> float:
+def normalization_denominator(cosines: np.ndarray, sample_size: int, seed: int) -> float:
     """Mean (1 - cosine) over seeded random source/target singleton pairs.
 
     Fixes the scale on which the prune threshold of 1 is meaningful: a cost
-    of 1 is "as dissimilar as a random sentence pair". One (source, target)
-    index pair is drawn per iteration, source index first. Each distinct row
-    is normed once; the samples are summed in drawing order.
+    of 1 is "as dissimilar as a random sentence pair". `cosines` is the
+    singleton block of `_cosine_grid`, cosines[i, j] that of source unit i
+    and target unit j. One (i, j) pair is drawn per iteration, source index
+    first, and the samples are summed in drawing order.
     """
-    import numpy as np
-
-    if table.n_source_units < 1 or table.n_target_units < 1:
+    n_source, n_target = cosines.shape
+    if n_source < 1 or n_target < 1:
         raise ValidationError("denominator needs at least one singleton window per side")
     rng = random.Random(seed)
-    pairs = [(rng.randrange(table.n_source_units), rng.randrange(table.n_target_units))
-             for _ in range(sample_size)]
-    src, tgt = table.windows(SOURCE, 1), table.windows(TARGET, 1)
-    src_norm = {i: np.linalg.norm(src[i]) for i in {i for i, _ in pairs}}
-    tgt_norm = {j: np.linalg.norm(tgt[j]) for j in {j for _, j in pairs}}
-    if 0.0 in src_norm.values() or 0.0 in tgt_norm.values():
-        raise ValidationError("cosine undefined for zero vector")
     acc = 0.0
-    for i, j in pairs:
-        sim = np.dot(src[i], tgt[j]) / (src_norm[i] * tgt_norm[j])
-        acc += 1.0 - min(max(float(sim), -1.0), 1.0)
+    for _ in range(sample_size):
+        i, j = rng.randrange(n_source), rng.randrange(n_target)
+        acc += 1.0 - float(cosines[i, j])
     return max(acc / sample_size, DENOM_FLOOR)
 
 
@@ -123,22 +120,32 @@ def _cosine_grid(table: EmbeddingTable, max_a: int,
 
     `window_rows` keeps the source blocks of lengths 1..max_a, and the target
     blocks of lengths 1..max_b, in consecutive rows, so one matmul of those two
-    row ranges, clipped in place, holds every block: each is a view of that
-    one product, whose cells are exactly the blocks' cells.
+    row ranges holds every block's dot products. The product is taken in the
+    table's dtype, exact for a fallback table's counts, upcast to float64
+    (exactly), its cell (i, j) divided by norms[i] * norms[j], the outer
+    product of the two ranges' norms, and clipped in place; each block is a
+    view of that one grid, whose cells are exactly the blocks' cells.
     """
     import numpy as np
 
     rows = table.rows
     first_tgt = rows[(TARGET, 1)].start
-    product = table.entries[:rows[(SOURCE, max_a)].stop] @ \
-        table.entries[first_tgt:rows[(TARGET, max_b)].stop].T
-    np.clip(product, -1.0, 1.0, out=product)
+    src_rows = slice(0, rows[(SOURCE, max_a)].stop)
+    tgt_rows = slice(first_tgt, rows[(TARGET, max_b)].stop)
+    product = table.entries[src_rows] @ table.entries[tgt_rows].T
+    grid = product.astype(np.float64, copy=False)
+    # a row at a time, so a float64 product is divided in place, with no second
+    # array of its size
+    tgt_norms = table.norms[tgt_rows]
+    for row, norm in zip(grid, table.norms[src_rows]):
+        row /= norm * tgt_norms
+    np.clip(grid, -1.0, 1.0, out=grid)
     grids = {}
     for a in range(1, max_a + 1):
         src = rows[(SOURCE, a)]
         for b in range(1, max_b + 1):
             tgt = rows[(TARGET, b)]
-            grids[(a, b)] = product[src.start:src.stop, tgt.start - first_tgt:tgt.stop - first_tgt]
+            grids[(a, b)] = grid[src.start:src.stop, tgt.start - first_tgt:tgt.stop - first_tgt]
     return grids
 
 
@@ -148,8 +155,10 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     Ties are broken deterministically by a fixed preference order of the
     moves: the (0, 1) skip, the (1, 0) skip, then links by source span and
     then target span. The cheapest move earliest in that order wins, so the
-    result is identical across runs on one machine for identical inputs;
-    another BLAS kernel can change the last bits of the costs.
+    result is identical across runs for identical inputs. A fallback table's
+    costs are the same bits under every BLAS kernel; a vector-file table's
+    products are float64 sums of rounded terms, so another kernel can change
+    the last bits of its costs.
     """
     import numpy as np
 
@@ -166,8 +175,9 @@ def dp_align(doc: DocumentPair, table: EmbeddingTable, params: AlignParams) -> A
     moves = [(0, 1), (1, 0)] + [(a, b) for a in range(1, max_a + 1) for b in range(1, max_b + 1)]
     steps = {}
     if m > 0 and n > 0:
-        denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
         steps = _cosine_grid(table, max_a, max_b)
+        denom = normalization_denominator(steps[(1, 1)], params.norm_sample_size,
+                                          params.rng_seed)
         # the step (1.0 - cos) / denom * (a + b) / 2.0, one operation at a time, in
         # place: the first two on the one product every block views, the last two per block
         product = steps[(1, 1)].base

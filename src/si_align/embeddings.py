@@ -1,9 +1,12 @@
-"""Unit-normalized embeddings for windows of consecutive text units.
+"""Embeddings for windows of consecutive text units: a row per window and
+the row's L2 norm.
 
 Two providers: vectors precomputed by an external encoder and loaded from a
-TSV file (the production path), or a deterministic hashed character-n-gram
-embedder (the hermetic test path). Either way the aligner only ever sees an
-EmbeddingTable.
+TSV file (the production path), stored as unit rows of norm 1, or a
+deterministic hashed character-n-gram embedder (the hermetic test path),
+stored as each window's exact signed n-gram counts and their norm. Either
+way the aligner only ever sees an EmbeddingTable, and a cosine is a dot
+product of two rows over the product of their norms.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ RENORM_WARN_TOL = 1e-3
 # table (2**26 float64 cells are 512 MiB)
 MAX_FALLBACK_DIM = 1 << 16
 MAX_TABLE_CELLS = 1 << 26
+# n-gram positions of one window, summed over orders, below which a fallback
+# table is float32, and the bound on them: a window of p positions has counts
+# of L1 norm at most p, so every partial sum of a dot product of two rows is
+# an integer below p**2, exact in float32 below 2**24 and in float64 below 2**52
+FLOAT32_WINDOW_POSITIONS = 1 << 12
+MAX_WINDOW_POSITIONS = 1 << 26
 # vector texts parsed per numpy call, so a chunk's strings and values stay
 # small next to the table; a chunk ends at whichever bound it reaches first
 PARSE_CHUNK_ROWS = 16
@@ -143,14 +152,19 @@ def _packed_slots(grams: list[str], seed: int, dim: int) -> np.ndarray:
 
 @dataclass
 class EmbeddingTable:
-    """Vectors for every window of both documents: one unit-norm row per
-    window of the `[windows, dim]` matrix `entries`, laid out by `window_rows`."""
+    """Vectors for every window of both documents: one row per window of the
+    `[windows, dim]` matrix `entries`, laid out by `window_rows`, and its
+    float64 L2 norm in `norms`. A fallback table's rows are integer n-gram
+    counts, float32 unless a window is too long for float32 to sum them
+    exactly; a vector file's rows are float64 unit vectors of norm 1. The
+    cosine of two rows is their dot product over the product of their norms."""
 
     n_source_units: int
     n_target_units: int
     max_src_window: int
     max_tgt_window: int
     entries: np.ndarray
+    norms: np.ndarray
     rows: dict[tuple[str, int], range] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -183,20 +197,28 @@ def window_rows(n_source: int, n_target: int,
 
 def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
                          max_src_window: int = 4, max_tgt_window: int = 4) -> EmbeddingTable:
-    """Signed hashed bags of character n-grams of every window, L2-normalized.
+    """Signed hashed bags of character n-grams of every window: exact counts
+    and their L2 norms.
 
-    A window's text is its units' texts joined with single spaces; its
-    vector adds each n-gram's sign into the n-gram's bucket. Each side's
-    units are joined once and the packed slot of every n-gram position of
-    that text is read from `SLOTS`, which hashes each distinct n-gram once
-    per process; a window is a character range of the text. Window (i, w)
-    gets only the n-grams that window (i, w - 1) lacks, the ones ending in
-    its last unit, and one weighted `bincount` sums them into the table;
-    then each block, by increasing window length, adds the rows of the
-    block one shorter. Counts are small integers, exact in float64, so the
-    sums do not depend on order and every row equals a count of the
-    window's own n-grams. A window yielding no n-grams (shorter than every
-    order) maps to basis vector 0 so downstream cosines stay defined.
+    A window's text is its units' texts joined with single spaces; its row
+    adds each n-gram's sign into the n-gram's bucket. Each side's units are
+    joined once and the packed slot of every n-gram position of that text is
+    read from `SLOTS`, which hashes each distinct n-gram once per process; a
+    window is a character range of the text. Window (i, w) gets only the
+    n-grams that window (i, w - 1) lacks, the ones ending in its last unit,
+    and `np.add.at` adds them into the table; then each block, by increasing
+    window length, adds the rows of the block one shorter. Counts are small
+    integers, so every row equals a count of the window's own n-grams
+    whatever the order of the sums.
+
+    The table is float32 when every window has fewer than
+    FLOAT32_WINDOW_POSITIONS n-gram positions, summed over orders, and
+    float64 otherwise, so that any dot product of two rows is exact in the
+    table's dtype under any BLAS kernel; a window of MAX_WINDOW_POSITIONS or
+    more is a ValidationError. Each norm is the square root of the row's
+    exact float64 sum of squares. A window yielding no n-grams (shorter than
+    every order) counts 1 in bucket 0, of norm 1, so downstream cosines stay
+    defined.
     """
     import numpy as np
 
@@ -206,15 +228,27 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
     if n_rows * dim > MAX_TABLE_CELLS:
         raise ValidationError(f"{doc.talk_id}: embedding.dim {dim} x {n_rows} windows exceeds "
                               f"the table limit of {MAX_TABLE_CELLS} cells")
+    sides = [(side, units, max_w, np.cumsum([0] + [len(u.text) + 1 for u in units]))
+             for side, units, max_w in ((SOURCE, doc.source_units, max_src_window),
+                                        (TARGET, doc.target_units, max_tgt_window))]
+    # window (i, w) is characters [starts[i], starts[i + w] - 1) of its side's text,
+    # so a side's longest window is one of its most units
+    longest = 0
+    for _, units, max_w, starts in sides:
+        w = min(max_w, len(units))
+        if w:
+            longest = max(longest, int((starts[w:] - starts[:-w]).max()) - 1)
+    positions = sum(max(longest - n + 1, 0) for n in spec.orders)
+    if positions >= MAX_WINDOW_POSITIONS:
+        raise ValidationError(f"{doc.talk_id}: a window of {positions} n-gram positions "
+                              f"exceeds the limit of {MAX_WINDOW_POSITIONS}")
+    dtype = np.float32 if positions < FLOAT32_WINDOW_POSITIONS else np.float64
     cells, signs = [], []
-    for side, units, max_w in ((SOURCE, doc.source_units, max_src_window),
-                               (TARGET, doc.target_units, max_tgt_window)):
+    for side, units, max_w, starts in sides:
         text = " ".join(u.text for u in units)
-        starts = np.cumsum([0] + [len(u.text) + 1 for u in units])
         row, first, prev, end = [], [], [], []
         for w in range(1, max_w + 1):
             block = rows[(side, w)]
-            # window (i, w) is characters [starts[i], starts[i + w] - 1) of `text`;
             # window (i, w - 1) ends before character starts[i + w - 1] - 1
             row.append(np.arange(block.start, block.stop))
             first.append(starts[:len(block)])
@@ -234,31 +268,33 @@ def build_fallback_table(doc: DocumentPair, spec: EmbeddingProviderSpec,
             signs.append(np.where(negative, np.int8(-1), np.int8(1)))
     # concatenate one array at a time, so each list of pieces is freed before the next copy
     cells = np.concatenate(cells)
-    signs = np.concatenate(signs, dtype=float)
-    # astype: bincount of no values returns integer zeros whatever the weights
-    entries = np.bincount(cells, weights=signs, minlength=n_rows * dim
-                          ).astype(float, copy=False).reshape(n_rows, dim)
+    signs = np.concatenate(signs, dtype=dtype)
+    entries = np.zeros((n_rows, dim), dtype=dtype)
+    np.add.at(entries.reshape(-1), cells, signs)
     # window (i, w) adds the counts of window (i, w - 1), complete once block w - 1 is
     for (side, w), block in rows.items():
         if w > 1:
             shorter = rows[(side, w - 1)].start
             entries[block.start:block.stop] += entries[shorter:shorter + len(block)]
-    norms = np.sqrt(np.einsum("ij,ij->i", entries, entries))
+    norms = np.sqrt(np.einsum("ij,ij->i", entries, entries, dtype=np.float64))
     empty = norms == 0.0
     norms[empty] = 1.0
-    entries /= norms[:, None]
     entries[empty, 0] = 1.0
     return EmbeddingTable(len(doc.source_units), len(doc.target_units),
-                          max_src_window, max_tgt_window, entries)
+                          max_src_window, max_tgt_window, entries, norms)
 
 
 def write_table_file(table: EmbeddingTable, path) -> None:
-    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in table order,
-    each value the `repr` of its float."""
+    """TSV rows `side<TAB>start<TAB>window_len<TAB>v1,v2,...` in table order:
+    each row's unit vector, its entries over its norm in float64, each value
+    the `repr` of its float."""
+    import numpy as np
+
     with open(path, "w", encoding="utf-8") as handle:
         for (side, w), block in table.rows.items():
             for start, row in enumerate(block):
-                values = ",".join(map(repr, table.entries[row].tolist()))
+                unit = np.divide(table.entries[row], table.norms[row], dtype=np.float64)
+                values = ",".join(map(repr, unit.tolist()))
                 handle.write(f"{side}\t{start}\t{w}\t{values}\n")
 
 
@@ -268,8 +304,9 @@ def load_precomputed(path, n_source: int, n_target: int,
 
     Rows may come in any order; the last row of a duplicated window wins, and
     rows for windows the table does not hold are ignored. Every row must be
-    valid UTF-8 with finite values. Vectors whose norm strays beyond a loose
-    tolerance are renormalized with a warning.
+    valid UTF-8 with finite values. Every vector is stored divided by its
+    norm, with a warning where the norm strays beyond a loose tolerance, and
+    the table's norms are 1.
 
     Each row's columns, side, start and length, and a vector field that is
     blank or holds an information separator, are checked as the row is read;
@@ -367,8 +404,10 @@ def load_precomputed(path, n_source: int, n_target: int,
     if missing.size:  # `index` is in table order, so this is the first window without a row
         side, start, w = next(key for key, row in index.items() if row == missing[0])
         raise ParseError(f"no vector for window ({side}, start={start}, len={w})", path=path)
+    if entries is None:
+        entries = np.empty((0, 0))
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
-                          entries if entries is not None else np.empty((0, 0)))
+                          entries, np.ones(len(entries)))
 
 
 def settle_vectors(path, block: np.ndarray, items: list[tuple[int, tuple, int]],

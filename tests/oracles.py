@@ -41,11 +41,12 @@ def enumerate_windows(units, max_window: int) -> list[tuple[int, int, str]]:
     return out
 
 
-def fallback_embed(text: str, params: EmbeddingProviderSpec) -> np.ndarray:
-    """Signed hashed bag of character n-grams of one window text, L2-normalized.
+def fallback_embed(text: str, params: EmbeddingProviderSpec) -> tuple[np.ndarray, float]:
+    """Signed hashed bag of character n-grams of one window text: its float64
+    integer counts and their L2 norm.
 
-    Text yielding no n-grams (in particular the empty string) maps to basis
-    vector 0 so downstream cosines stay defined.
+    Text yielding no n-grams (in particular the empty string) counts 1 in
+    bucket 0, of norm 1, so downstream cosines stay defined.
     """
     vec = np.zeros(params.dim)
     stripped = text.strip()
@@ -53,11 +54,10 @@ def fallback_embed(text: str, params: EmbeddingProviderSpec) -> np.ndarray:
         for i in range(len(stripped) - n + 1):
             bucket, sign = _gram_slot(stripped[i : i + n], params.seed, params.dim)
             vec[bucket] += sign
-    norm = np.linalg.norm(vec)
+    norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        vec[0] = 1.0
-        return vec
-    return vec / norm
+        vec[0] = norm = 1.0
+    return vec, norm
 
 
 def missing_window(side: str, start: int, window_len: int, path=None) -> ParseError:
@@ -67,11 +67,12 @@ def missing_window(side: str, start: int, window_len: int, path=None) -> ParseEr
 
 
 def window_vector(table: EmbeddingTable, side: str, start: int, window_len: int) -> np.ndarray:
-    """The row of window (side, start, window_len) of a table."""
+    """The unit vector of window (side, start, window_len) of a table: its
+    row over its norm, in float64."""
     block = table.rows.get((side, window_len), range(0))
     if not 0 <= start < len(block):
         raise missing_window(side, start, window_len)
-    return table.entries[block[start]]
+    return table.entries[block[start]].astype(np.float64) / table.norms[block[start]]
 
 
 def reference_load_precomputed(path, n_source: int, n_target: int,
@@ -126,8 +127,10 @@ def reference_load_precomputed(path, n_source: int, n_target: int,
         for start, row in enumerate(block):
             if not filled[row]:
                 raise missing_window(side, start, w, path)
+    if entries is None:
+        entries = np.empty((0, 0))
     return EmbeddingTable(n_source, n_target, max_src_window, max_tgt_window,
-                          entries if entries is not None else np.empty((0, 0)))
+                          entries, np.ones(len(entries)))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -140,18 +143,19 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def reference_denominator(table: EmbeddingTable, sample_size: int, seed: int) -> float:
+def reference_denominator(cosines: np.ndarray, sample_size: int, seed: int) -> float:
     """Mean (1 - cosine) over seeded random source/target singleton pairs,
-    one `cosine` call per sample."""
-    if table.n_source_units < 1 or table.n_target_units < 1:
+    the cells of the singleton cosine block `cosines[i][j]` read as nested
+    lists: per sample the source index is drawn, then the target index."""
+    cells = cosines.tolist()
+    if not cells or not cells[0]:
         raise ValidationError("denominator needs at least one singleton window per side")
     rng = random.Random(seed)
     acc = 0.0
     for _ in range(sample_size):
-        i = rng.randrange(table.n_source_units)
-        j = rng.randrange(table.n_target_units)
-        acc += 1.0 - cosine(window_vector(table, SOURCE, i, 1),
-                            window_vector(table, TARGET, j, 1))
+        i = rng.randrange(len(cells))
+        j = rng.randrange(len(cells[0]))
+        acc += 1.0 - cells[i][j]
     return max(acc / sample_size, DENOM_FLOOR)
 
 
@@ -169,8 +173,8 @@ def reference_dp_align(doc, table, params) -> AlignmentSet:
 
     denom = 1.0
     if m > 0 and n > 0:
-        denom = reference_denominator(table, params.norm_sample_size, params.rng_seed)
         grids = _cosine_grid(table, max_a, max_b)
+        denom = reference_denominator(grids[(1, 1)], params.norm_sample_size, params.rng_seed)
 
     # transitions in tie-break preference order: (src_span, tgt_span, is_skip)
     moves = [(0, 1, True), (1, 0, True)]

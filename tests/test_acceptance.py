@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from si_align.align import AlignParams, align_talk, dp_align, normalization_denominator
+from si_align.align import (AlignParams, _cosine_grid, align_talk, dp_align,
+                            normalization_denominator)
 from si_align.cli import main as cli_main
 from si_align.corpus import AlignedPair
 from si_align.curation import AnnotationRecord, annotations_text, export_annotations, \
@@ -37,7 +38,8 @@ def test_criterion_1_dp_optimality_oracle():
     unique_checked = 0
     for _ in range(200):
         document, table = random_instance(rng)
-        denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
+        denom = normalization_denominator(_cosine_grid(table, 1, 1)[(1, 1)],
+                                          params.norm_sample_size, params.rng_seed)
         got = dp_align(document, table, params)
         m, n = len(document.source_units), len(document.target_units)
         costs = step_cost_table(table, params, denom, m, n)

@@ -39,7 +39,12 @@ def basis_table(src_ids, tgt_ids, dim=64, max_window=3, unit_vectors=None):
             for w in range(1, max_window + 1) for start in range(len(ids) - w + 1)]
     return EmbeddingTable(n_source_units=len(src_ids), n_target_units=len(tgt_ids),
                           max_src_window=max_window, max_tgt_window=max_window,
-                          entries=np.array(rows))
+                          entries=np.array(rows), norms=np.ones(len(rows)))
+
+
+def singleton_cosines(table):
+    """The singleton block of a table's cosine grid, which the denominator samples."""
+    return _cosine_grid(table, 1, 1)[(1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +52,13 @@ def basis_table(src_ids, tgt_ids, dim=64, max_window=3, unit_vectors=None):
 
 def test_denominator_floor_when_identical():
     table = basis_table([1, 1, 1], [1, 1])
-    assert normalization_denominator(table, 50, seed=0) == pytest.approx(1e-6)
+    assert normalization_denominator(singleton_cosines(table), 50, seed=0) == pytest.approx(1e-6)
 
 
 def test_denominator_orthogonal_is_one():
     table = basis_table([0, 1, 2], [3, 4, 5])
-    assert normalization_denominator(table, 100, seed=1) == pytest.approx(1.0, abs=1e-9)
+    assert normalization_denominator(singleton_cosines(table), 100, seed=1) == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_denominator_matches_seeded_replay():
@@ -60,8 +66,9 @@ def test_denominator_matches_seeded_replay():
     src_ids = [rng0.randrange(8) for _ in range(6)]
     tgt_ids = [rng0.randrange(8) for _ in range(5)]
     table = basis_table(src_ids, tgt_ids)
-    got = normalization_denominator(table, 100, seed=7)
-    assert float.hex(got) == float.hex(reference_denominator(table, 100, seed=7))
+    cosines = singleton_cosines(table)
+    got = normalization_denominator(cosines, 100, seed=7)
+    assert float.hex(got) == float.hex(reference_denominator(cosines, 100, seed=7))
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +96,62 @@ def test_cosine_grid_blocks_view_one_product(m, n, max_window, max_a, max_b):
         np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
 
 
+def assert_exact_cosines(table, max_a, max_b):
+    """Every cell of a count table's grid is the float64 dot product of its
+    two rows' counts over the product of their norms, clipped, to the last bit."""
+    grids = _cosine_grid(table, max_a, max_b)
+    for (a, b), block in grids.items():
+        for i, src_row in enumerate(table.rows[(SOURCE, a)]):
+            counts = table.entries[src_row].astype(float)
+            for j, tgt_row in enumerate(table.rows[(TARGET, b)]):
+                dot = float(counts @ table.entries[tgt_row].astype(float))
+                want = dot / (table.norms[src_row] * table.norms[tgt_row])
+                assert float.hex(float(block[i, j])) == float.hex(min(max(want, -1.0), 1.0))
+
+
+# units of short words over a few letters, so windows share and repeat n-grams
+WORD_UNITS = st.lists(st.lists(st.sampled_from(["ab", "abab", "ba", "kamo", "é字", "a"]),
+                               min_size=1, max_size=4).map(" ".join), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(src=WORD_UNITS, tgt=WORD_UNITS, max_a=st.integers(1, 4), max_b=st.integers(1, 4),
+       orders=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+def test_count_table_cosines_are_exact(src, tgt, max_a, max_b, orders):
+    """A fallback table's float32 product of counts is exact, so no BLAS
+    kernel, blocking or FMA can change a cell."""
+    document = doc(src, tgt)
+    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64, orders=tuple(orders)),
+                                 4, 4)
+    assert table.entries.dtype == np.float32
+    assert_exact_cosines(table, max_a, max_b)
+
+
+@pytest.mark.parametrize("length, dtype", [(4095, np.float32), (4096, np.float64)])
+def test_table_dtype_follows_the_longest_window(length, dtype):
+    """A window of 2**12 n-gram positions, summed over orders, could make dot
+    products past float32's exact integers, so its table is float64; either
+    way every row is the oracle's counts and norm, and every cosine is exact."""
+    rng = random.Random(length)
+    text = "".join(rng.choice("abcdefgh") for _ in range(length))
+    params = EmbeddingProviderSpec(dim=64, orders=(1,))
+    document = doc([text], [text[::-1], "abc"])
+    table = build_fallback_table(document, params, 1, 1)
+    assert table.entries.dtype == dtype
+    for row, window in enumerate([text, text[::-1], "abc"]):
+        counts, norm = fallback_embed(window, params)
+        assert np.array_equal(table.entries[row], counts) and table.norms[row] == norm
+    assert_exact_cosines(table, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # link_cost
 
 def test_identical_singletons_cost_zero():
     params = EmbeddingProviderSpec()
-    v = fallback_embed("same text", params)
-    table = EmbeddingTable(n_source_units=1, n_target_units=1,
-                           max_src_window=1, max_tgt_window=1, entries=np.stack([v, v]))
+    v, norm = fallback_embed("same text", params)
+    table = EmbeddingTable(n_source_units=1, n_target_units=1, max_src_window=1,
+                           max_tgt_window=1, entries=np.stack([v, v]), norms=np.array([norm, norm]))
     assert link_cost((0, 1), (0, 1), table, denom=0.9, skip_penalty=0.5) == \
         pytest.approx(0.0, abs=1e-9)
 
@@ -154,7 +209,8 @@ def test_dp_matches_exhaustive_oracle():
     params = AlignParams(max_src_span=3, max_tgt_span=3)
     for _ in range(30):
         document, table = random_instance(rng)
-        denom = normalization_denominator(table, params.norm_sample_size, params.rng_seed)
+        denom = normalization_denominator(singleton_cosines(table), params.norm_sample_size,
+                                          params.rng_seed)
         got = dp_align(document, table, params)
         m, n = len(document.source_units), len(document.target_units)
         costs = step_cost_table(table, params, denom, m, n)
@@ -211,7 +267,8 @@ def tie_prone_instances(draw):
         i = draw(st.integers(0, len(src_ids) - a))
         j = draw(st.integers(0, len(tgt_ids) - b))
         cos = cosine(window_vector(table, SOURCE, i, a), window_vector(table, TARGET, j, b))
-        step = (1.0 - cos) / reference_denominator(table, sample_size, seed) * (a + b) / 2.0
+        denom = reference_denominator(singleton_cosines(table), sample_size, seed)
+        step = (1.0 - cos) / denom * (a + b) / 2.0
         skip = step / draw(st.sampled_from([1.0, 2.0]))
     params = AlignParams(max_src_span=max_a, max_tgt_span=max_b, skip_penalty=skip,
                          prune_cost_threshold=skip + 1.0, norm_sample_size=sample_size,
@@ -231,7 +288,7 @@ def test_dp_bit_identical_to_cell_by_cell_oracle(instance):
         [(l.key(), float.hex(l.cost)) for l in want.links]
     assert float.hex(got.total_cost) == float.hex(want.total_cost)
     if document.source_units and document.target_units:
-        args = (table, params.norm_sample_size, params.rng_seed)
+        args = (singleton_cosines(table), params.norm_sample_size, params.rng_seed)
         assert float.hex(normalization_denominator(*args)) == \
             float.hex(reference_denominator(*args))
 

@@ -729,6 +729,50 @@ def _run_script(args, cwd, **env):
     return done.returncode, done.stderr.splitlines()
 
 
+def _blas_config() -> str:
+    """The OpenBLAS build configuration numpy reports, or "" for another BLAS."""
+    import numpy
+
+    deps = getattr(numpy.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    return deps.get("blas", {}).get("openblas configuration", "")
+
+
+@pytest.mark.skipif("DYNAMIC_ARCH" not in _blas_config(),
+                    reason="needs numpy's BLAS to be OpenBLAS built with DYNAMIC_ARCH, whose "
+                           "kernel OPENBLAS_CORETYPE selects")
+def test_fallback_coarse_bytes_equal_under_two_blas_kernels(tmp_path):
+    """A fallback table's cosines come from exact products of n-gram
+    counts, so `align` writes the same coarse bytes with OpenBLAS's AVX2/FMA
+    Haswell kernels and its SSE3 Prescott ones."""
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--seed", 3, "--talks", 2, "--sentences", 12]) == 0
+    stages = []
+    for core in ("Haswell", "Prescott"):
+        assert _run_script(["align", "--config", cfg, "--out-dir", core], tmp_path,
+                           OPENBLAS_CORETYPE=core) == (0, [])
+        stages.append({path.name: path.read_bytes()
+                       for path in sorted((tmp_path / core / "coarse").iterdir())})
+    assert len(stages[0]) == 2
+    assert stages[0] == stages[1]
+
+
+# sha256 of the README session's coarse files, each file's name, a NUL and its bytes in
+# name order; a fallback table's costs are exact on every BLAS kernel, so this holds on
+# every machine
+README_COARSE_SHA256 = "f0ac57000a938e45ebb24aafb4d0ed461005391061622e888d852d3ae7018bb3"
+
+
+def test_readme_session_coarse_digest(tmp_path):
+    cfg = write_config(tmp_path, embedding={"kind": "fallback_hash", "dim": 2048,
+                                            "orders": [3, 4], "seed": 17})
+    assert run(["synth", "--config", cfg, "--seed", 7, "--talks", 20, "--sentences", 40]) == 0
+    assert run(["align", "--config", cfg]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out" / "coarse").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == README_COARSE_SHA256
+
+
 def test_an_error_is_one_stderr_line(tmp_path):
     missing = tmp_path / "missing.json"
     assert _run_script(["align", "--config", missing], tmp_path) == (

@@ -3,6 +3,7 @@ import hashlib
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from si_align import embeddings
 from si_align.corpus import (DocumentPair, ParseError, Rank, TextUnit, ValidationError,
                              normalize_text)
 from si_align.embeddings import (PARSE_CHUNK_ROWS, SOURCE, TARGET, EmbeddingProviderSpec,
-                                 _gram_slot, build_fallback_table, load_precomputed, window_rows,
-                                 write_table_file)
+                                 EmbeddingTable, _gram_slot, build_fallback_table,
+                                 load_precomputed, window_rows, write_table_file)
+from si_align.synth import NoiseParams, generate_talk
 
 from conftest import doc, unit
 from oracles import (cosine, enumerate_windows, fallback_embed, reference_load_precomputed,
@@ -61,33 +63,33 @@ def test_window_count_formula_property():
 
 def test_fallback_deterministic():
     params = EmbeddingProviderSpec()
-    a = fallback_embed("some text here", params)
-    b = fallback_embed("some text here", params)
-    assert a.tobytes() == b.tobytes()
+    a, a_norm = fallback_embed("some text here", params)
+    b, b_norm = fallback_embed("some text here", params)
+    assert a.tobytes() == b.tobytes() and a_norm == b_norm
 
 
 def test_fallback_self_cosine():
     params = EmbeddingProviderSpec()
-    v = fallback_embed("abcdef", params)
+    v, _ = fallback_embed("abcdef", params)
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disjoint_alphabets_nearly_orthogonal():
     params = EmbeddingProviderSpec()
-    u = fallback_embed("abab bacaba abba cab", params)
-    v = fallback_embed("xyxy zyxzyz wwvw zyx", params)
+    u, _ = fallback_embed("abab bacaba abba cab", params)
+    v, _ = fallback_embed("xyxy zyxzyz wwvw zyx", params)
     assert abs(cosine(u, v)) < 0.1
 
 
 def test_fallback_whitespace_invariant():
     params = EmbeddingProviderSpec()
-    assert np.array_equal(fallback_embed("abc def", params),
-                          fallback_embed("  abc def  ", params))
+    for got, want in zip(fallback_embed("abc def", params), fallback_embed("  abc def  ", params)):
+        assert np.array_equal(got, want)
 
 
 def test_fallback_empty_text_basis_vector():
-    v = fallback_embed("", EmbeddingProviderSpec())
-    assert v[0] == 1.0 and np.linalg.norm(v) == 1.0
+    v, norm = fallback_embed("", EmbeddingProviderSpec())
+    assert v[0] == 1.0 and np.count_nonzero(v) == 1 and norm == 1.0
 
 
 def test_fallback_params_validation():
@@ -143,6 +145,20 @@ UNIT_TEXTS = st.lists(st.text(st.sampled_from(["a", "b", "é", "字", " ", "\t",
                       .map(normalize_text).filter(bool), max_size=7)
 
 
+def oracle_counts(document, params, max_src_window, max_tgt_window):
+    """The oracle's float64 counts and norm of every window of a document,
+    in table order."""
+    units = {SOURCE: document.source_units, TARGET: document.target_units}
+    rows = window_rows(len(units[SOURCE]), len(units[TARGET]), max_src_window, max_tgt_window)
+    counts = np.empty((rows[(TARGET, max_tgt_window)].stop, params.dim))
+    norms = np.empty(len(counts))
+    for side, max_w in ((SOURCE, max_src_window), (TARGET, max_tgt_window)):
+        for start, w, text in enumerate_windows(units[side], max_w):
+            row = rows[(side, w)][start]
+            counts[row], norms[row] = fallback_embed(text, params)
+    return counts, norms
+
+
 @settings(max_examples=400, deadline=None)
 @given(src=UNIT_TEXTS, tgt=UNIT_TEXTS,
        orders=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True),
@@ -150,19 +166,50 @@ UNIT_TEXTS = st.lists(st.text(st.sampled_from(["a", "b", "é", "字", " ", "\t",
        seed=st.integers(0, 1 << 16))
 def test_table_matches_per_window_oracle(src, tgt, orders, max_src_window, max_tgt_window,
                                          seed):
-    """Every row is bit-for-bit the oracle's vector of that window's text."""
+    """Every row is bit-for-bit the oracle's integer counts of that window's
+    text, stored in float32, and every norm is sqrt(sum(c**2)) to the last bit."""
     units = {side: tuple(TextUnit(text, ()) for text in texts)
              for side, texts in ((SOURCE, src), (TARGET, tgt))}
     document = DocumentPair("t", Rank.S, units[SOURCE], units[TARGET])
     params = EmbeddingProviderSpec(dim=64, orders=tuple(orders), seed=seed)
-    rows = window_rows(len(src), len(tgt), max_src_window, max_tgt_window)
-    expected = np.empty((rows[(TARGET, max_tgt_window)].stop, 64))
-    for side, max_w in ((SOURCE, max_src_window), (TARGET, max_tgt_window)):
-        for start, w, text in enumerate_windows(units[side], max_w):
-            expected[rows[(side, w)][start]] = fallback_embed(text, params)
+    counts, norms = oracle_counts(document, params, max_src_window, max_tgt_window)
     table = build_fallback_table(document, params, max_src_window, max_tgt_window)
-    assert table.entries.shape == expected.shape
-    assert table.entries.tobytes() == expected.tobytes()
+    assert table.entries.dtype == np.float32
+    assert table.entries.shape == counts.shape
+    assert table.entries.tobytes() == counts.astype(np.float32).tobytes()
+    assert np.array_equal(table.entries, counts)
+    assert table.norms.tobytes() == norms.tobytes()
+    assert table.norms.tobytes() == np.sqrt((counts * counts).sum(axis=1)).tobytes()
+
+
+def test_fallback_build_peak_below_one_float64_table():
+    """The counts are added straight into the float32 table: at dim 2048
+    the build's tracemalloc peak stays below the bytes of one float64
+    [windows, dim] array. The slots are hashed by a first build, so the
+    peak measured is the table's own."""
+    talk = generate_talk(11, 35, NoiseParams(split_rate=0.2, filler_rate=0.2))
+    spec = EmbeddingProviderSpec(dim=2048, orders=(3, 4))
+    table = build_fallback_table(talk.doc, spec)
+    del table
+    tracemalloc.start()
+    try:
+        table = build_fallback_table(talk.doc, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) > 250
+    assert peak < table.entries.size * np.dtype(np.float64).itemsize
+
+
+def test_window_past_position_limit_names_talk(monkeypatch):
+    monkeypatch.setattr(embeddings, "MAX_WINDOW_POSITIONS", 100)
+    params = EmbeddingProviderSpec(dim=64, orders=(3, 4))
+    # 52 characters: 50 trigram and 49 four-gram positions; with " b", 52 and 51
+    document = doc(["a" * 52], ["b"], talk_id="long")
+    assert len(build_fallback_table(document, params, 1, 1).entries) == 2
+    with pytest.raises(ValidationError, match="long: a window of 103 n-gram positions "
+                                              "exceeds the limit of 100"):
+        build_fallback_table(doc(["a" * 52, "b"], ["b"], talk_id="long"), params, 2, 1)
 
 
 def test_gram_slot_matches_keyed_hash_from_scratch():
@@ -182,14 +229,9 @@ SHARED_TEXTS = (["the cat sat", "on the mat", "ça va bien"], ["le chat", "sur l
 
 
 def oracle_rows(document, params, max_window) -> list[bytes]:
-    """The bytes of the oracle's vector of each row of a table."""
-    rows = window_rows(len(document.source_units), len(document.target_units),
-                       max_window, max_window)
-    expected = np.empty((rows[(TARGET, max_window)].stop, params.dim))
-    for side, units in ((SOURCE, document.source_units), (TARGET, document.target_units)):
-        for start, w, text in enumerate_windows(units, max_window):
-            expected[rows[(side, w)][start]] = fallback_embed(text, params)
-    return [row.tobytes() for row in expected]
+    """The bytes of the oracle's float32 counts of each row of a table."""
+    counts, _ = oracle_counts(document, params, max_window, max_window)
+    return [row.tobytes() for row in counts.astype(np.float32)]
 
 
 def test_specs_in_one_process_keep_their_own_slots():
@@ -257,7 +299,7 @@ def test_precomputed_rows_in_any_order_extra_rows_ignored(tmp_path):
     extra = "source\t7\t1\t" + ",".join(["0.125"] * 64)
     path.write_text("\n".join([extra] + lines[::-1]) + "\n", encoding="utf-8")
     loaded = load_precomputed(path, 2, 2, 2, 2)
-    assert np.allclose(loaded.entries, table.entries, atol=1e-12)
+    assert np.allclose(loaded.entries, table.entries / table.norms[:, None], atol=1e-12)
 
 
 def test_precomputed_missing_window_named(tmp_path):
@@ -328,8 +370,12 @@ def test_precomputed_non_finite_value_named(tmp_path, value):
 
 
 def test_write_table_file_bytes_are_each_values_repr(tmp_path):
+    """A float64 table of norms 1, as a vector file loads, is written value
+    for value; 1e308 and 5e-324 have no float32 value."""
     document = doc(["aa bb", "cc", "dd ee"], ["ff", "gg hh"])
-    table = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 3, 2)
+    counts = build_fallback_table(document, EmbeddingProviderSpec(dim=64), 3, 2)
+    table = EmbeddingTable(3, 2, 3, 2, counts.entries / counts.norms[:, None],
+                           np.ones(len(counts.entries)))
     table.entries[0, :4] = [-0.0, 5e-324, 1e308, 0.1]
     path = tmp_path / "emb.tsv"
     write_table_file(table, path)
@@ -498,4 +544,4 @@ def test_provider_spec_validation_and_dispatch(tmp_path):
     write_table_file(table, tmp_path / f"{document.talk_id}.tsv")
     file_spec = EmbeddingProviderSpec(kind="precomputed_file", path_pattern="{talk_id}.tsv")
     loaded = table_for(document, file_spec, 2, 2, base_dir=tmp_path)
-    assert np.allclose(loaded.entries, table.entries, atol=1e-12)
+    assert np.allclose(loaded.entries, table.entries / table.norms[:, None], atol=1e-12)
