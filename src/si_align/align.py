@@ -91,7 +91,10 @@ class AlignmentSet:
     total_cost: float
 
     def kept(self) -> tuple[AlignedPair, ...]:
-        return tuple(l for l in self.links if not l.dropped)
+        """The links a stage passes on: those not dropped that pair two
+        non-empty spans. Every consumer of a stage or a gold file reads these."""
+        return tuple(l for l in self.links
+                     if not (l.dropped or l.src_empty or l.tgt_empty))
 
 
 def normalization_denominator(cosines: np.ndarray, sample_size: int, seed: int) -> float:

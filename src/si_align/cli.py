@@ -315,19 +315,19 @@ def load_stage(cfg: PipelineConfig, stage: str, docs) -> Stage:
             raise ValidationError(f"{path} was made from another {up_path}: rerun {STAGES[stage]}")
     artifacts = obj.get("artifacts", {})
 
-    def read(name, reader, **kwargs):
+    def kept(doc) -> tuple[cm.AlignedPair, ...]:
         # a listed file's bytes must hash as listed before they are parsed,
         # so a hand-edited file is reported as stale, not as malformed
+        name = f"{stage}/{doc.talk_id}.jsonl"
         if name not in artifacts:
             raise ValidationError(f"{path} does not list {name}")
         data = cm.read_file(cfg.out_dir / name)
         if hashlib.sha256(data).hexdigest() != artifacts[name]:
             raise ValidationError(f"{cfg.out_dir / name} differs from its checksum in {path}: "
                                   f"rerun {STAGES[stage]}")
-        return reader(cfg.out_dir / name, data=data, **kwargs)
+        return al.read_alignment_jsonl(cfg.out_dir / name, doc=doc, data=data).kept()
 
-    pairs = {doc.talk_id: read(f"{stage}/{doc.talk_id}.jsonl", al.read_alignment_jsonl,
-                               doc=doc).kept() for doc in docs}
+    pairs = {doc.talk_id: kept(doc) for doc in docs}
     # the corpus is checked last, so that links made for a talk of another
     # shape are reported at their line
     talks = manifests.get("align", {}).get("talks", {})
@@ -427,10 +427,8 @@ def _talk_stages(job: tuple, cfg: PipelineConfig) -> list[tuple]:
             aset = al.align_talk(doc, cfg.embedding, cfg.align, cfg.corpus and cfg.corpus.parent)
             pairs, texts = aset.kept(), {name: al.links_text(talk_id, aset.links)}
         elif stage == "intra":
-            trimmed = fa.apply_intra_filter(passed[-1], doc, cfg.intra)
-            texts = {name: al.links_text(talk_id, [r.pair for r in trimmed]),
-                     f"intra/{talk_id}.trims.jsonl": fa.trims_text(talk_id, passed[-1], trimmed)}
-            pairs = tuple(r.pair for r in trimmed)
+            pairs = tuple(r.pair for r in fa.apply_intra_filter(passed[-1], doc, cfg.intra))
+            texts = {name: al.links_text(talk_id, pairs)}
         else:
             # trimming keeps every pair, in order, with its source span, so
             # each intra pair narrows the coarse link at its index
@@ -537,15 +535,11 @@ def cmd_split(cfg: PipelineConfig, docs: list[cm.DocumentPair]) -> None:
     manifest.save()
 
 
-def _linked(pairs) -> list[cm.AlignedPair]:
-    return [l for l in pairs if not l.src_empty and not l.tgt_empty]
-
-
 def cmd_stats(cfg: PipelineConfig, docs: list[cm.DocumentPair], *stages: Stage) -> None:
     """Talks and pairs of every stage, given in STAGES order."""
     manifest = RunManifest("stats", cfg, *stages)
     manifest.add_input(cfg.corpus)
-    pair_counts = {name: {talk_id: len(_linked(pairs)) for talk_id, pairs in stage.pairs.items()}
+    pair_counts = {name: {talk_id: len(pairs) for talk_id, pairs in stage.pairs.items()}
                    for name, stage in zip(STAGES, stages)}
     table = sp.corpus_stats(pair_counts, {d.talk_id: d.interpreter_rank for d in docs})
     manifest.write_artifact(cfg.out_dir / "stats.tsv", table.as_tsv())
@@ -556,7 +550,7 @@ def cmd_stats(cfg: PipelineConfig, docs: list[cm.DocumentPair], *stages: Stage) 
 def cmd_export_anno(cfg: PipelineConfig, docs: list[cm.DocumentPair], stage: Stage) -> None:
     manifest = RunManifest("export-anno", cfg, stage)
     manifest.add_input(cfg.corpus)
-    by_talk = {doc.talk_id: (_linked(stage.pairs[doc.talk_id]), doc) for doc in docs}
+    by_talk = {doc.talk_id: (stage.pairs[doc.talk_id], doc) for doc in docs}
     manifest.write_artifact(cfg.out_dir / "annotations.tsv",
                             cu.annotations_text(cu.export_annotations(by_talk)))
     manifest.save()

@@ -171,11 +171,6 @@ class EmbeddingTable:
         self.rows = window_rows(self.n_source_units, self.n_target_units,
                                 self.max_src_window, self.max_tgt_window)
 
-    def windows(self, side: str, window_len: int) -> np.ndarray:
-        """View of the rows of every window of one side and length, by start."""
-        block = self.rows[(side, window_len)]
-        return self.entries[block.start:block.stop]
-
 
 def window_rows(n_source: int, n_target: int,
                 max_src_window: int, max_tgt_window: int) -> dict[tuple[str, int], range]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .corpus import AlignedPair, DocumentPair, Pos, TextUnit, ValidationError, jsonl_text
+from .corpus import AlignedPair, DocumentPair, Pos, TextUnit, ValidationError
 
 CONTENT_POS_DEFAULT = frozenset({Pos.NOUN, Pos.PROPN, Pos.PRON, Pos.VERB, Pos.NUM})
 
@@ -33,7 +33,7 @@ def has_content_word(unit: TextUnit, content_pos) -> bool:
 @dataclass(frozen=True)
 class TrimResult:
     pair: AlignedPair
-    trims: tuple[str, ...]    # e.g. ("begin:1", "end:1")
+    trims: tuple[str, ...]    # e.g. ("begin:1", "end:1"); perfbench/traced_cli.py counts them
     flagged: bool             # a content-free boundary chunk survived
 
 
@@ -54,9 +54,10 @@ def trim_boundaries(pair: AlignedPair, doc: DocumentPair,
     and leaves the span non-empty; longer runs are left intact and flagged.
     Removing whole runs (rather than partial prefixes) makes the operation
     idempotent. The end-side run is measured on the already-trimmed span.
+    A pair with an empty side is a ValidationError.
     """
-    if pair.tgt_empty:
-        raise ValidationError("intra filter needs a non-empty target span")
+    if pair.src_empty or pair.tgt_empty:
+        raise ValidationError("intra filter needs two non-empty spans")
     start, length = pair.tgt_start, pair.tgt_len
     units = doc.target_units[start : start + length]
 
@@ -91,21 +92,6 @@ def trims_between(original: AlignedPair, trimmed: AlignedPair) -> tuple[str, ...
 
 def apply_intra_filter(pairs, doc: DocumentPair,
                        params: IntraFilterParams) -> list[TrimResult]:
-    """Trim every pair; pairs with an empty side pass through untouched."""
-    results = []
-    for pair in pairs:
-        if pair.src_empty or pair.tgt_empty:
-            results.append(TrimResult(pair=pair, trims=(), flagged=False))
-        else:
-            results.append(trim_boundaries(pair, doc, params))
-    return results
-
-
-def trims_text(talk_id: str, originals, results) -> str:
-    """*.trims.jsonl: each input pair's spans before and after trimming."""
-    return jsonl_text({
-        "talk_id": talk_id, **original.span_row(),
-        "new_tgt_start": r.pair.tgt_start, "new_tgt_len": r.pair.tgt_len,
-        "trims": list(r.trims), "flagged": r.flagged,
-    } for original, r in zip(originals, results))
-
+    """Trim every pair, in order. `pairs` are those a stage passes on
+    (`AlignmentSet.kept`), so each has two non-empty spans."""
+    return [trim_boundaries(pair, doc, params) for pair in pairs]

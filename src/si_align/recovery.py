@@ -54,14 +54,13 @@ def recovery_accuracy(pairs, gold: AlignmentSet, doc: DocumentPair) -> RecoveryR
     passes on for it.
 
     A gold link is scored by the target-text similarity of the pair with
-    its source span; with no such pair, it scores 0. Gold links with an
-    empty side carry no measurable target text and are not scored.
+    its source span; with no such pair, it scores 0. Only kept links are
+    scored (`AlignmentSet.kept`), so a gold link with an empty side, which
+    carries no measurable target text, is not.
     """
     auto_by_src = {(p.src_start, p.src_len): p for p in pairs}
     per_sentence = []
     for g in gold.kept():
-        if g.src_empty or g.tgt_empty:
-            continue
         match = auto_by_src.get((g.src_start, g.src_len))
         s = 0.0 if match is None else similarity(doc.tgt_text(match.tgt_start, match.tgt_len),
                                                  doc.tgt_text(g.tgt_start, g.tgt_len))

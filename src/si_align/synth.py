@@ -306,15 +306,14 @@ class ScoreTriple:
 
 
 def score_alignment(pred: AlignmentSet, gold: AlignmentSet) -> ScoreTriple:
-    """Precision/recall/F1 of kept links over gold links, exact-span matching.
-
-    Only links with both spans non-empty count on either side; degenerate
-    denominators report 0.
+    """Precision/recall/F1 of kept links over kept gold links, exact-span
+    matching. Both count `AlignmentSet.kept` links only, so a link with an
+    empty span counts on neither; degenerate denominators report 0.
     """
     if pred.talk_id != gold.talk_id:
         raise ValidationError(f"talk mismatch: {pred.talk_id!r} vs {gold.talk_id!r}")
-    pred_keys = {l.key() for l in pred.kept() if not l.src_empty and not l.tgt_empty}
-    gold_keys = {l.key() for l in gold.kept() if not l.src_empty and not l.tgt_empty}
+    pred_keys = {l.key() for l in pred.kept()}
+    gold_keys = {l.key() for l in gold.kept()}
     hits = len(pred_keys & gold_keys)
     precision = hits / len(pred_keys) if pred_keys else 0.0
     recall = hits / len(gold_keys) if gold_keys else 0.0

@@ -66,6 +66,12 @@ def missing_window(side: str, start: int, window_len: int, path=None) -> ParseEr
                       path=path)
 
 
+def table_block(table: EmbeddingTable, side: str, window_len: int) -> np.ndarray:
+    """The rows of every window of one side and length of a table, by start."""
+    block = table.rows[(side, window_len)]
+    return table.entries[block.start:block.stop]
+
+
 def window_vector(table: EmbeddingTable, side: str, start: int, window_len: int) -> np.ndarray:
     """The unit vector of window (side, start, window_len) of a table: its
     row over its norm, in float64."""

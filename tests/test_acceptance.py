@@ -161,7 +161,7 @@ def test_criterion_7_attrition_ordering():
         coarse = intra = inter = 0
         for talk in talks:
             pred = align_talk(talk.doc, BENCH_EMBED, AlignParams())
-            kept = [l for l in pred.kept() if not l.src_empty and not l.tgt_empty]
+            kept = pred.kept()
             coarse += len(kept)
             trimmed = [r.pair for r in apply_intra_filter(kept, talk.doc,
                                                           IntraFilterParams())]

@@ -18,7 +18,8 @@ from conftest import doc, unit
 
 
 from oracles import (cosine, exhaustive_best, fallback_embed, link_cost, random_instance,
-                     reference_denominator, reference_dp_align, step_cost_table, window_vector)
+                     reference_denominator, reference_dp_align, step_cost_table, table_block,
+                     window_vector)
 
 
 def basis_table(src_ids, tgt_ids, dim=64, max_window=3, unit_vectors=None):
@@ -91,7 +92,8 @@ def test_cosine_grid_blocks_view_one_product(m, n, max_window, max_a, max_b):
     assert all(block.base is product for block in grids.values())
     assert product.nbytes == sum(block.nbytes for block in grids.values())
     for (a, b), block in grids.items():
-        want = np.clip(table.windows(SOURCE, a) @ table.windows(TARGET, b).T, -1.0, 1.0)
+        want = np.clip(table_block(table, SOURCE, a) @ table_block(table, TARGET, b).T,
+                       -1.0, 1.0)
         assert block.shape == (max(m - a + 1, 0), max(n - b + 1, 0))
         np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
 
@@ -324,6 +326,14 @@ def test_prune_empty_side_dropped():
     out = prune(_aset(links), 1.0)
     assert out.links[0].dropped and out.links[0].drop_reason == "empty"
     assert not out.links[1].dropped
+
+
+def test_kept_leaves_out_dropped_and_one_sided_links():
+    """A stage passes on the links that are not dropped and pair two
+    non-empty spans, whether or not pruning flagged the empty side."""
+    links = [AlignedPair(0, 1, 0, 0, 0.1), AlignedPair(1, 0, 0, 1, 0.1),
+             AlignedPair(1, 1, 1, 1, 0.1), AlignedPair(2, 1, 2, 1, 0.1, drop_reason="cost")]
+    assert _aset(links).kept() == (links[2],)
 
 
 def test_prune_matches_independent_predicate(rng):

@@ -577,11 +577,16 @@ def _vector_corpus(tmp_path, talks=3):
     return cfg
 
 
+def _stage_rows(out, stage, talk):
+    return [json.loads(line) for line in (out / stage / f"{talk}.jsonl").read_text().splitlines()]
+
+
 def test_decision_rows_carry_their_pairs_intra_trims(tmp_path):
-    """Each row of decisions/<talk>.jsonl holds the trims of its pair in
-    intra/<talk>.trims.jsonl, one row per intra pair, and its verdict is
-    `drop` exactly when it gives reasons: after `pipeline` at `--jobs 1` and
-    `--jobs 2`, and after a standalone `filter-inter`."""
+    """decisions/<talk>.jsonl has one row per intra pair, which holds the
+    trims between that pair's target span and its coarse link's (the kept
+    link at its index), and whose verdict is `drop` exactly when it gives
+    reasons: after `pipeline` at `--jobs 1` and `--jobs 2`, and after a
+    standalone `filter-inter`."""
     # fillers make trims; an eta_min of 0.9 drops some pairs and keeps others
     cfg = write_config(tmp_path, noise={"split_rate": 0.2, "filler_rate": 0.5},
                        inter={"eta_min": 0.9})
@@ -593,11 +598,16 @@ def test_decision_rows_carry_their_pairs_intra_trims(tmp_path):
     for args, out_dir in runs:
         assert run([*args, "--config", cfg]) == 0
         for talk in ("talk0000", "talk0001", "talk0002"):
-            trims_rows = (tmp_path / out_dir / "intra" / f"{talk}.trims.jsonl").read_text()
-            trims = {(r["src_start"], r["src_len"], r["new_tgt_start"], r["new_tgt_len"]):
-                     tuple(r["trims"]) for r in map(json.loads, trims_rows.splitlines())}
-            rows = [json.loads(line) for line in (tmp_path / out_dir / "decisions" /
-                                                  f"{talk}.jsonl").read_text().splitlines()]
+            out = tmp_path / out_dir
+            links = [r for r in _stage_rows(out, "coarse", talk) if not r["dropped"]]
+            trims = {}
+            for link, pair in zip(links, _stage_rows(out, "intra", talk), strict=True):
+                begin = pair["tgt_start"] - link["tgt_start"]
+                end = link["tgt_start"] + link["tgt_len"] - pair["tgt_start"] - pair["tgt_len"]
+                assert pair["src_start"] == link["src_start"] and begin >= 0 and end >= 0
+                trims[(pair["src_start"], pair["src_len"], pair["tgt_start"], pair["tgt_len"])] = \
+                    tuple(f"{side}:{n}" for side, n in (("begin", begin), ("end", end)) if n)
+            rows = _stage_rows(out, "decisions", talk)
             keys = [(r["src_start"], r["src_len"], r["tgt_start"], r["tgt_len"]) for r in rows]
             assert sorted(keys) == sorted(trims)
             for key, row in zip(keys, rows):
@@ -980,16 +990,17 @@ def test_pipeline_reads_no_stage_file(tmp_path, monkeypatch):
 
 def test_filter_inter_reads_no_trims_file(tmp_path):
     """A decision row's trims are those between its pair and its coarse link,
-    so a standalone `filter-inter` whose intra/*.trims.jsonl files are gone
-    writes the inter stage and the decisions of `pipeline`."""
+    so the intra stage writes its pairs only, one file per talk, and a
+    standalone `filter-inter` writes the inter stage and the decisions of
+    `pipeline`."""
     cfg = write_config(tmp_path, noise={"split_rate": 0.2, "filler_rate": 0.5})
     assert run(["synth", "--config", cfg, "--seed", "3", "--talks", "2", "--sentences", "14"]) == 0
     assert run(["pipeline", "--config", cfg]) == 0
     out = tmp_path / "out"
+    assert sorted(p.name for p in (out / "intra").iterdir()) == ["talk0000.jsonl",
+                                                                 "talk0001.jsonl"]
     written = {stage: _tree(out / stage) for stage in ("inter", "decisions")}
     assert any('"trims": ["' in text.decode() for text in written["decisions"].values())
-    for path in (out / "intra").glob("*.trims.jsonl"):
-        path.unlink()
     assert run(["filter-inter", "--config", cfg]) == 0
     assert {stage: _tree(out / stage) for stage in written} == written
 
@@ -1498,7 +1509,7 @@ def test_mutated_config_exits_cleanly(split_dir, cfg):
 
 # stage files the mutation property edits; `_resign` finds their command in `cli.STAGES`
 STAGE_FILES = ["out/coarse/talk0000.jsonl", "out/coarse/talk0001.jsonl",
-               "out/intra/talk0000.jsonl", "out/intra/talk0001.trims.jsonl",
+               "out/intra/talk0000.jsonl", "out/intra/talk0001.jsonl",
                "out/inter/talk0001.jsonl"]
 INPUT_FILES = ["out/manifests/align.json", "out/manifests/filter-intra.json",
                "out/manifests/filter-inter.json", "out/refs/talk0000.refs.jsonl",
@@ -1538,8 +1549,8 @@ def _changed(obj, mutation, pick, junk, m, n):
     if mutation == "past_end" and isinstance(obj, list):
         return [obj[0], str(m), *obj[2:]]
     if mutation == "past_end":
-        targets = [key for key in ("tgt_start", "new_tgt_start") if key in obj]
-        return {**obj, **(dict.fromkeys(targets, n) if pick % 2 and targets else {"src_start": m})}
+        return {**obj, **({"tgt_start": n} if pick % 2 and "tgt_start" in obj
+                          else {"src_start": m})}
     key = list(obj)[pick % len(obj)] if isinstance(obj, dict) else pick % len(obj)
     if isinstance(obj, list):
         value = [] if mutation == "delete" else [DEEP if mutation == "nest" else str(junk)]
@@ -1642,6 +1653,28 @@ def test_intra_pair_outside_its_coarse_link_refused(stage_run, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "talk talk0001" in err[0] and "rerun filter-intra" in err[0]
     assert _tree(out) == before
+
+
+def test_kept_link_with_an_empty_side_passed_on_by_no_stage(stage_run):
+    """A re-signed coarse file whose kept link has an empty source span is
+    read as a stage without that link: every command that consumes the
+    stage exits 0, and no intra pair or decision row carries its span."""
+    work = stage_run.parent / "one_sided_work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(stage_run, work)
+    out = work / "out"
+    name = "out/coarse/talk0000.jsonl"
+    rows = _stage_rows(out, "coarse", "talk0000")
+    link = next(row for row in rows if not row["dropped"])
+    link["src_len"] = 0
+    (work / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    _resign(out, name)
+    for args in (["filter-intra"], ["filter-inter"], ["stats"], ["validate"],
+                 ["export-anno", "--stage", "coarse"]):
+        assert run([*args, "--config", work / "config.json"]) == 0, args
+    for stage in ("intra", "decisions"):
+        rows = _stage_rows(out, stage, "talk0000")
+        assert rows and all(row["src_len"] for row in rows), stage
 
 
 def _config_keys(default, prefix=""):

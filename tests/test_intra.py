@@ -123,9 +123,12 @@ def test_post_trim_boundary_guarantee():
 
 
 def test_empty_target_span_rejected():
+    """The intra filter trims pairs of two non-empty spans only: an empty
+    target span is refused, and so is an empty source span."""
     document = chunk_doc("c")
-    with pytest.raises(ValidationError):
-        trim_boundaries(AlignedPair(0, 1, 0, 0, 0.0), document, IntraFilterParams())
+    for pair in (AlignedPair(0, 1, 0, 0, 0.0), AlignedPair(0, 0, 0, 1, 0.0)):
+        with pytest.raises(ValidationError, match="intra filter needs two non-empty spans"):
+            trim_boundaries(pair, document, IntraFilterParams())
 
 
 def test_params_validation():
